@@ -12,7 +12,8 @@ files are single JSON documents with three sections:
 Every command writes plot-ready CSV (header row, '.' decimal separator,
 17 significant digits) plus a small .manifest.json next to it; identical
 scenario files produce byte-identical CSV.  Exit codes: 0 success,
-2 schema/usage error, 3 numerical failure.  FERMI_LATTICE_THREADS caps
+2 schema/usage error (NaN or Infinity in a scenario included), 3 numerical
+failure (a non-finite result included).  FERMI_LATTICE_THREADS caps
 sweep parallelism.
 """
 
@@ -59,6 +60,16 @@ _SCHEMES = {
 # scenario-file schema
 # ---------------------------------------------------------------------------
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _reject_constant(name: str):
+    raise SchemaError(f"{name} is not a valid number in a scenario file")
+
+
 def _want(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise SchemaError(f"missing key {key!r} in {where}")
@@ -66,7 +77,7 @@ def _want(mapping: dict, key: str, where: str):
 
 
 def _opening_from_dict(doc: dict, where: str) -> OpeningFunction:
-    variant = _want(doc, "variant", where)
+    variant = _want(_object(doc, where), "variant", where)
     try:
         if variant == "constant":
             return OpeningFunction.constant()
@@ -85,12 +96,15 @@ def _opening_from_dict(doc: dict, where: str) -> OpeningFunction:
 def load_scenario_file(path: str | Path) -> dict:
     text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
     if not isinstance(doc, dict) or "system" not in doc:
         raise SchemaError(f"{path}: scenario file must be an object with a 'system' section")
+    for section in ("system", "scenario", "run"):
+        if section in doc:
+            _object(doc[section], section)
     return doc
 
 
@@ -102,7 +116,7 @@ def build_basis(doc: dict) -> ModeBasis:
             raise SchemaError("system.kind is 'chain' but no system.chain section given")
         if "trap" in system:
             raise SchemaError("exactly one of system.chain / system.trap may be present")
-        c = system["chain"]
+        c = _object(system["chain"], "system.chain")
         try:
             params = ChainParams(
                 n_sites=int(_want(c, "n_sites", "system.chain")),
@@ -118,7 +132,7 @@ def build_basis(doc: dict) -> ModeBasis:
             raise SchemaError("system.kind is 'trap' but no system.trap section given")
         if "chain" in system:
             raise SchemaError("exactly one of system.chain / system.trap may be present")
-        t = system["trap"]
+        t = _object(system["trap"], "system.trap")
         try:
             params = TrapParams(
                 n_ions=int(_want(t, "n_ions", "system.trap")),
@@ -170,10 +184,15 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write the rows as 17-digit CSV; a NaN or infinite cell is a numerical
+    failure and leaves no file behind."""
+    body = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    # 'nan' and 'inf' are the only formatted values containing an 'n'
+    if "n" in body:
+        row = body.count("\n", 0, body.index("n")) + 1
+        raise NumericalFailureError(f"{path.name}: non-finite value in data row {row}")
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + body)
     return path
 
 
@@ -422,7 +441,7 @@ def cmd_oracle_check(doc: dict, out: Path, report: Reporter) -> list[Path]:
     scenario = build_scenario(doc, basis)
     run = doc.get("run", {})
     epsilons = [float(e) for e in run.get("epsilons", [1e-2, 5e-3, 2.5e-3])]
-    if any(e < 0 for e in epsilons):
+    if not all(e >= 0 for e in epsilons):
         raise SchemaError("run.epsilons must be >= 0")
     t_max = float(run.get("t_max", 1.5))
     n_times = int(run.get("n_times", 15))
@@ -467,10 +486,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc = load_scenario_file(args.scenario)
         outputs = _COMMANDS[args.command](doc, Path(args.out), report)
-    except NumericalFailureError as exc:
+    except (NumericalFailureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (FermiLatticeError, IndexError, OSError) as exc:
+    except (FermiLatticeError, ValueError, TypeError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -107,9 +107,9 @@ class Scenario:
         if self.site_a == self.site_b:
             raise InvalidParametersError("site_a and site_b must differ")
         # epsilon 0 is allowed so switched-off baselines stay expressible
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise InvalidParametersError("epsilon must be >= 0")
-        if self.duration < 0:
+        if not self.duration >= 0:
             raise InvalidParametersError("duration must be >= 0")
 
     @classmethod
@@ -211,12 +211,7 @@ def build_ion_trap(params: TrapParams) -> ModeBasis:
     """
     n = params.n_ions
     u = equilibrium_positions(n)
-    hess = _trap_hessian(u)
-    evals, evecs = _jacobi_eigh(hess)
-
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    evecs = evecs[:, order]
+    evals, evecs = np.linalg.eigh(_trap_hessian(u))  # ascending eigenvalues
     for k in range(n):
         col = evecs[:, k]
         nz = np.flatnonzero(np.abs(col) > 1e-12)
@@ -287,29 +282,3 @@ def _trap_hessian(u: np.ndarray) -> np.ndarray:
     hess = -2.0 * off
     np.fill_diagonal(hess, 1.0 + 2.0 * np.sum(off, axis=1))
     return hess
-
-
-def _jacobi_eigh(a: np.ndarray, threshold: float = 1e-14, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalization of a small symmetric matrix."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = max(1.0, np.max(np.abs(a)))
-    for _ in range(max_sweeps):
-        off = np.max(np.abs(a - np.diag(np.diag(a))))
-        if off <= threshold * scale:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold * scale * 1e-2:
-                    continue
-                phi = 0.5 * np.arctan2(2.0 * apq, a[q, q] - a[p, p])
-                c, s = np.cos(phi), np.sin(phi)
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    raise NumericalFailureError("Jacobi diagonalization did not reach the off-diagonal threshold")

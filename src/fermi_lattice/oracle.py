@@ -2,15 +2,16 @@
 space.  Ground truth for every perturbative claim, practical for small
 mode counts only.
 
-States are enumerated lexicographically as (spin_A, spin_B, occupations)
-with spin down = 0 / up = 1 and a total-phonon-number cutoff.  The
-Hamiltonian acts as H(t) = H0 + eps [f_A(t) W_A + f_B(t) W_B] with W_n the
-(sparse, time-independent) q_n sigma_x^n coupling.
+State (spin_A, spin_B, occ), spin down = 0 / up = 1, sits at index
+(2 spin_A + spin_B) * n_occ + rank(occ).  ``FockSpace.occupations`` is one
+read-only (n_occ, n_modes) int table of all occupations with total <= the
+cutoff in lexicographic order; ``FockSpace.rank`` inverts it through the
+combinatorial number system.  H(t) = H0 + eps [f_A(t) W_A + f_B(t) W_B]
+with H0 diagonal and W_n the CSR matrix of the q_n sigma_x^n coupling.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -36,11 +37,11 @@ _SPIN_INDEX = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockSpace:
     n_modes: int
     max_total_phonons: int
-    occupations: tuple[tuple[int, ...], ...]
+    occupations: np.ndarray
     dimension: int
 
     @classmethod
@@ -54,17 +55,39 @@ class FockSpace:
                 f"Fock dimension {dim} exceeds {DIMENSION_LIMIT}; "
                 f"reduce the cutoff (currently {max_total_phonons}) or the mode count"
             )
-        occs = tuple(
-            occ for occ in itertools.product(range(max_total_phonons + 1), repeat=n_modes)
-            if sum(occ) <= max_total_phonons
-        )
+        # prepend one mode at a time: value v in front of every (sorted) tail
+        # that leaves room for it, v ascending, keeps the table lexicographic
+        occs = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(n_modes):
+            total = occs.sum(axis=1)
+            tails = [occs[total <= max_total_phonons - v] for v in range(max_total_phonons + 1)]
+            occs = np.concatenate([np.column_stack((np.full(len(t), v), t))
+                                   for v, t in enumerate(tails)])
+        occs.setflags(write=False)
         return cls(n_modes, max_total_phonons, occs, dim)
 
     def __post_init__(self):
-        object.__setattr__(self, "_occ_index", {o: i for i, o in enumerate(self.occupations)})
+        # counts[l, s] = C(l + s, l): occupation vectors of l modes with total <= s
+        counts = np.ones((self.n_modes + 1, self.max_total_phonons + 1), dtype=np.int64)
+        for s in range(1, self.max_total_phonons + 1):
+            counts[:, s] = np.cumsum(counts[:, s - 1])
+        object.__setattr__(self, "_counts", counts)
+
+    def rank(self, occ) -> np.ndarray:
+        """Row of each occupation vector (last axis = modes) in ``occupations``:
+        with r_i the budget left before mode i, the rows sharing occ[:i] with a
+        smaller entry i number counts[m-i, r_i] - counts[m-i, r_i - occ_i]."""
+        occ = np.asarray(occ, dtype=np.int64)
+        cutoff = self.max_total_phonons
+        if occ.shape[-1:] != (self.n_modes,) or np.any(occ < 0) or np.any(occ.sum(-1) > cutoff):
+            raise InvalidParametersError(
+                f"occupations need {self.n_modes} entries >= 0 with total <= {cutoff}")
+        budget = cutoff - (np.cumsum(occ, axis=-1) - occ)
+        left = np.arange(self.n_modes, 0, -1)
+        return np.sum(self._counts[left, budget] - self._counts[left, budget - occ], axis=-1)
 
     def state_index(self, spin_a: int, spin_b: int, occ: tuple[int, ...]) -> int:
-        return (spin_a * 2 + spin_b) * len(self.occupations) + self._occ_index[occ]
+        return (spin_a * 2 + spin_b) * len(self.occupations) + int(self.rank(occ))
 
     def basis_state(self, spin_a: int, spin_b: int, occ: tuple[int, ...] | None = None) -> np.ndarray:
         occ = occ if occ is not None else (0,) * self.n_modes
@@ -73,42 +96,24 @@ class FockSpace:
         return psi
 
 
-def _dense(w) -> np.ndarray:
-    return w.toarray() if sp.issparse(w) else w
-
-
-def _one_norm(w) -> float:
-    if sp.issparse(w):
-        return float(sp.linalg.norm(w, 1))
-    return float(np.max(np.sum(np.abs(w), axis=0)))
+def _dense(w: sp.csr_matrix) -> np.ndarray:
+    return w.toarray()
 
 
 @dataclass(frozen=True)
 class HamiltonianAction:
-    """H(t) psi; the coupling operators are kept sparse above DENSE_DIMENSION
-    and the full matrix is only ever materialized on demand."""
+    """H(t) = diag(h0_diag) + eps [f_A(t) w_a + f_B(t) w_b], dense only on demand."""
 
     fock: FockSpace
     h0_diag: np.ndarray
-    w_a: sp.csr_matrix | np.ndarray
-    w_b: sp.csr_matrix | np.ndarray
+    w_a: sp.csr_matrix
+    w_b: sp.csr_matrix
     scenario: Scenario
     basis: ModeBasis
 
     @property
     def dimension(self) -> int:
         return self.fock.dimension
-
-    def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
-        eps = self.scenario.epsilon
-        out = self.h0_diag * psi
-        fa = float(self.scenario.opening_a(t))
-        fb = float(self.scenario.opening_b(t))
-        if fa:
-            out += (eps * fa) * (self.w_a @ psi)
-        if fb:
-            out += (eps * fb) * (self.w_b @ psi)
-        return out
 
     def matrix(self, t: float) -> np.ndarray:
         eps = self.scenario.epsilon
@@ -118,9 +123,9 @@ class HamiltonianAction:
         return m
 
     def spectral_norm_bound(self) -> float:
-        eps = self.scenario.epsilon
-        return float(np.max(np.abs(self.h0_diag))
-                     + eps * (_one_norm(self.w_a) + _one_norm(self.w_b)))
+        # induced 1-norm (largest column sum of |W|) without importing scipy.sparse.linalg
+        one_norms = sum(float(abs(w).sum(axis=0).max()) for w in (self.w_a, self.w_b))
+        return float(np.max(np.abs(self.h0_diag)) + self.scenario.epsilon * one_norms)
 
 
 @dataclass(frozen=True)
@@ -132,49 +137,69 @@ class EvolutionResult:
     states: np.ndarray | None = None
 
 
+class _Recorder:
+    """Projections, optional state snapshots and the norm drift on the record grid."""
+
+    def __init__(self, times, dimension, projections, record_states):
+        self.times, self.vectors = times, projections or {}
+        self.projections = {name: np.empty(times.size, dtype=complex) for name in self.vectors}
+        self.states = np.empty((times.size, dimension), dtype=complex) if record_states else None
+        self.norm_error = np.empty(times.size)
+
+    def __call__(self, j: int, psi: np.ndarray) -> None:
+        for name, vec in self.vectors.items():
+            self.projections[name][j] = np.vdot(vec, psi)
+        if self.states is not None:
+            self.states[j] = psi
+        self.norm_error[j] = abs(np.linalg.norm(psi) - 1.0)
+
+    def result(self, psi: np.ndarray) -> EvolutionResult:
+        drift = float(np.max(self.norm_error, initial=0.0))
+        return EvolutionResult(self.times, psi, self.projections, drift, self.states)
+
+
 def build_hamiltonian(basis: ModeBasis, scenario: Scenario, fock: FockSpace) -> HamiltonianAction:
     """Assemble H0 and the two coupling operators on the truncated space."""
     scenario.check_sites(basis.n_sites)
     if fock.n_modes != basis.n_modes:
         raise InvalidParametersError("Fock space mode count must match the basis")
-    w = basis.frequencies
-    n_occ = len(fock.occupations)
-    h0 = np.empty(fock.dimension)
-    for sa in (0, 1):
-        for sb in (0, 1):
-            spin_e = scenario.omega_a * (sa - 0.5) + scenario.omega_b * (sb - 0.5)
-            block = slice((sa * 2 + sb) * n_occ, (sa * 2 + sb + 1) * n_occ)
-            h0[block] = [spin_e + float(np.dot(w, occ)) for occ in fock.occupations]
+    occ = fock.occupations
+    n_occ = len(occ)
+    # one dot per state: a matrix product sums in another order and rounds differently
+    phonon_e = np.array([np.dot(basis.frequencies, o) for o in occ])
+    h0 = np.concatenate([scenario.omega_a * (sa - 0.5) + scenario.omega_b * (sb - 0.5)
+                         + phonon_e for sa in (0, 1) for sb in (0, 1)])
 
-    def coupling(site: int, flip_a: bool) -> sp.csr_matrix:
-        lam = basis.couplings[site]
-        rows, cols, vals = [], [], []
-        for sa in (0, 1):
-            for sb in (0, 1):
-                sa2, sb2 = (1 - sa, sb) if flip_a else (sa, 1 - sb)
-                for occ in fock.occupations:
-                    i = fock.state_index(sa, sb, occ)
-                    for k in range(fock.n_modes):
-                        if occ[k] >= 1:
-                            occ2 = occ[:k] + (occ[k] - 1,) + occ[k + 1:]
-                            rows.append(fock.state_index(sa2, sb2, occ2))
-                            cols.append(i)
-                            vals.append(lam[k] * math.sqrt(occ[k]))
-                        if sum(occ) < fock.max_total_phonons:
-                            occ2 = occ[:k] + (occ[k] + 1,) + occ[k + 1:]
-                            rows.append(fock.state_index(sa2, sb2, occ2))
-                            cols.append(i)
-                            vals.append(np.conj(lam[k]) * math.sqrt(occ[k] + 1))
-        mat = sp.csr_matrix(
-            (np.asarray(vals, dtype=complex), (rows, cols)),
-            shape=(fock.dimension, fock.dimension),
-        )
-        return mat.toarray() if fock.dimension <= DENSE_DIMENSION else mat
+    # ladder moves within one spin sector: a_k lowers rows with occ_k >= 1,
+    # a_k^dagger raises rows below the cutoff
+    total = occ.sum(axis=1)
+    moves = []  # (source row, target row, mode, sqrt(n), raising) per mode and direction
+    for k in range(fock.n_modes):
+        for raising in (False, True):
+            rows = np.flatnonzero(total < fock.max_total_phonons if raising else occ[:, k] > 0)
+            moved = occ[rows]
+            moved[:, k] += 1 if raising else -1
+            n = moved[:, k] if raising else occ[rows, k]
+            moves.append((rows, fock.rank(moved), np.full(rows.size, k), np.sqrt(n),
+                          np.full(rows.size, raising)))
+    src, dst, mode, amp, raising = (np.concatenate(a) for a in zip(*moves))
+    sectors = np.arange(4)
 
+    def coupling(site: int, flip: int) -> sp.csr_matrix:
+        lam = basis.couplings[site][mode]
+        vals = np.where(raising, np.conj(lam), lam) * amp
+        rows = ((sectors ^ flip)[:, None] * n_occ + dst).ravel()
+        cols = (sectors[:, None] * n_occ + src).ravel()
+        mat = sp.csr_matrix((np.tile(vals, 4), (rows, cols)),
+                            shape=(fock.dimension, fock.dimension))
+        mat.sort_indices()
+        return mat
+
+    # sector index 2 spin_A + spin_B: sigma_x^A flips bit 2, sigma_x^B bit 1
     return HamiltonianAction(
         fock=fock, h0_diag=h0,
-        w_a=coupling(scenario.site_a, True),
-        w_b=coupling(scenario.site_b, False),
+        w_a=coupling(scenario.site_a, 2),
+        w_b=coupling(scenario.site_b, 1),
         scenario=scenario, basis=basis,
     )
 
@@ -213,31 +238,17 @@ def evolve(action: HamiltonianAction, initial: np.ndarray, times,
     step = dt if dt is not None else _auto_dt(action, max(span, 1e-12))
 
     psi = np.array(initial, dtype=complex)
-    projections = projections or {}
-    proj_out = {name: np.empty(times.size, dtype=complex) for name in projections}
-    states = np.empty((times.size, psi.size), dtype=complex) if record_states else None
-    drift = abs(np.linalg.norm(psi) - 1.0)
-
+    record = _Recorder(times, psi.size, projections, record_states)
     eps = action.scenario.epsilon
+    # small spaces run faster on dense couplings: densify once, up front
+    dense = action.dimension <= DENSE_DIMENSION
     mih0 = -1j * action.h0_diag
-    miwa = -1j * _dense(action.w_a) if action.dimension <= DENSE_DIMENSION else None
-    miwb = -1j * _dense(action.w_b) if action.dimension <= DENSE_DIMENSION else None
+    miwa, miwb = (-1j * (_dense(w) if dense else w) for w in (action.w_a, action.w_b))
 
     def rhs(ca, cb, v):
-        if miwa is not None:
-            return mih0 * v + ca * (miwa @ v) + cb * (miwb @ v)
-        return -1j * (action.h0_diag * v) + (-1j * ca) * (action.w_a @ v) \
-            + (-1j * cb) * (action.w_b @ v)
+        return mih0 * v + ca * (miwa @ v) + cb * (miwb @ v)
 
-    def record(j):
-        nonlocal drift
-        for name, vec in projections.items():
-            proj_out[name][j] = np.vdot(vec, psi)
-        if states is not None:
-            states[j] = psi
-        drift = max(drift, abs(np.linalg.norm(psi) - 1.0))
-
-    record(0)
+    record(0, psi)
     for j in range(1, times.size):
         t0, t1 = times[j - 1], times[j]
         n_sub = max(1, math.ceil((t1 - t0) / step))
@@ -254,13 +265,13 @@ def evolve(action: HamiltonianAction, initial: np.ndarray, times,
             k3 = rhs(a1, b1, psi + (0.5 * h) * k2)
             k4 = rhs(a2, b2, psi + h * k3)
             psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        record(j)
+        record(j, psi)
 
-    if drift > NORM_DRIFT_LIMIT:
-        raise NumericalFailureError(
-            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}; reduce the step size"
-        )
-    return EvolutionResult(times, psi, proj_out, drift, states)
+    result = record.result(psi)
+    if not result.norm_drift <= NORM_DRIFT_LIMIT:
+        raise NumericalFailureError(f"norm drift {result.norm_drift:.3e} exceeds "
+                                    f"{NORM_DRIFT_LIMIT:.0e}; reduce the step size")
+    return result
 
 
 def evolve_static(action: HamiltonianAction, initial: np.ndarray, times,
@@ -273,19 +284,12 @@ def evolve_static(action: HamiltonianAction, initial: np.ndarray, times,
     times = np.asarray(times, dtype=float)
     evals, evecs = np.linalg.eigh(action.matrix(0.0))
     coeff = evecs.conj().T @ np.asarray(initial, dtype=complex)
-    projections = projections or {}
-    proj_out = {name: np.empty(times.size, dtype=complex) for name in projections}
-    states = np.empty((times.size, coeff.size), dtype=complex) if record_states else None
-    drift = 0.0
+    record = _Recorder(times, coeff.size, projections, record_states)
     psi = None
     for j, t in enumerate(times):
         psi = evecs @ (np.exp(-1j * evals * (t - times[0])) * coeff)
-        for name, vec in projections.items():
-            proj_out[name][j] = np.vdot(vec, psi)
-        if states is not None:
-            states[j] = psi
-        drift = max(drift, abs(np.linalg.norm(psi) - 1.0))
-    return EvolutionResult(times, psi, proj_out, drift, states)
+        record(j, psi)
+    return record.result(psi)
 
 
 def exact_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
@@ -305,9 +309,8 @@ def exact_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
     prepend = times[0] > 0.0
     grid = np.concatenate(([0.0], times)) if prepend else times
 
-    static_ok = (scenario.opening_a.variant == CONSTANT
-                 and scenario.opening_b.variant == CONSTANT)
     if method == "auto":
+        static_ok = scenario.opening_a.variant == scenario.opening_b.variant == CONSTANT
         method = "static" if static_ok else "rk4"
     if method == "static":
         result = evolve_static(action, psi0, grid, projections=target)
@@ -334,8 +337,7 @@ def converged_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
                 return amps, cutoff
         prev = amps
     raise NumericalFailureError(
-        f"swap amplitude not converged in the phonon cutoff by cutoff {max_cutoff}"
-    )
+        f"swap amplitude not converged in the phonon cutoff by cutoff {max_cutoff}")
 
 
 def residual_slope(basis: ModeBasis, scenario: Scenario, epsilons, times,
@@ -359,11 +361,9 @@ def residual_slope(basis: ModeBasis, scenario: Scenario, epsilons, times,
                                          method=method)
         residuals[i] = float(np.max(np.abs(pert - exact)))
     mask = residuals > 0
-    if np.count_nonzero(mask) >= 2:
-        slope = float(np.polyfit(np.log(epsilons[mask]), np.log(residuals[mask]), 1)[0])
-    else:
-        slope = float("nan")
-    return residuals, slope
+    if np.count_nonzero(mask) < 2:
+        return residuals, float("nan")
+    return residuals, float(np.polyfit(np.log(epsilons[mask]), np.log(residuals[mask]), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -398,9 +398,8 @@ def adiabatic_dressing_check(basis: ModeBasis, scenario: Scenario, ramp_tau: flo
     result = evolve(action, psi0, np.array([-span * ramp_tau, 0.0]), dt=dt)
 
     analytic = expansion_to_vector(dressed_ground_state(basis, ramped), fock)
-    overlap = abs(np.vdot(analytic, result.state)) / (
-        np.linalg.norm(analytic) * np.linalg.norm(result.state)
-    )
+    norms = np.linalg.norm(analytic) * np.linalg.norm(result.state)
+    overlap = abs(np.vdot(analytic, result.state)) / norms
     return AdiabaticReport(float(overlap), ramp_tau, scenario.epsilon, result.norm_drift)
 
 
@@ -412,9 +411,8 @@ def expansion_to_vector(expansion: StateExpansion, fock: FockSpace) -> np.ndarra
         for mode, count in term.phonons:
             occ[mode] += count
         if sum(occ) > fock.max_total_phonons:
-            raise InvalidParametersError(
-                f"expansion term with {sum(occ)} phonons exceeds the Fock cutoff"
-            )
+            raise InvalidParametersError(f"expansion term with {sum(occ)} phonons exceeds "
+                                         "the Fock cutoff")
         sa, sb = _SPIN_INDEX[term.spins]
-        psi[fock.state_index(sa, sb, tuple(occ))] += expansion.epsilon**term.order * term.coeff
+        psi[fock.state_index(sa, sb, occ)] += expansion.epsilon**term.order * term.coeff
     return psi

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fermi_lattice import cli
+from fermi_lattice.errors import NumericalFailureError
 
 FIG4 = {
     "system": {"kind": "chain", "chain": {"n_sites": 100}},
@@ -218,3 +219,75 @@ def test_seventeen_digit_format(tmp_path):
     code, out = run_cli(tmp_path, "bare", FIG4)
     probability_cell = out.read_text().splitlines()[-1].split(",")[-1]
     assert len(probability_cell.split("e")[0].replace(".", "").replace("-", "")) >= 15
+
+
+# ------------------------------------------------------------- fail-closed inputs and results
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_constant_rejected(tmp_path, capsys, constant):
+    text = json.dumps(FIG4).replace('"epsilon": 1.0', f'"epsilon": {constant}')
+    assert constant in text
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    out = tmp_path / "o.csv"
+    code = cli.main(["bare", "--scenario", str(path), "--out", str(out), "--quiet"])
+    assert code == 2
+    assert constant in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, message", [("abc", "abc"), ("nan", "epsilon")])
+def test_bad_epsilon_string_rejected(tmp_path, capsys, value, message):
+    doc = json.loads(json.dumps(FIG4))
+    doc["scenario"]["epsilon"] = value
+    code, out = run_cli(tmp_path, "bare", doc)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_oracle_method_rejected(tmp_path, capsys):
+    doc = {
+        "system": {"kind": "chain", "chain": {"n_sites": 3}},
+        "scenario": {"site_a": 0, "site_b": 1, "omega": 2.0,
+                     "opening": {"variant": "constant"}},
+        "run": {"epsilons": [0.01], "t_max": 0.5, "n_times": 3, "method": "rk5"},
+    }
+    code, _ = run_cli(tmp_path, "oracle-check", doc)
+    assert code == 2
+    assert "rk5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["system", "scenario", "run"])
+def test_non_object_section_rejected(tmp_path, capsys, section):
+    doc = json.loads(json.dumps(FIG4))
+    doc[section] = [1]
+    code, _ = run_cli(tmp_path, "bare", doc)
+    assert code == 2
+    assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_infinite_result_exit_code(tmp_path, capsys):
+    doc = json.loads(json.dumps(FIG4))
+    doc["scenario"]["epsilon"] = 1e150
+    code, out = run_cli(tmp_path, "bare", doc)
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflow_exit_code(tmp_path):
+    doc = json.loads(json.dumps(FIG4))
+    doc["scenario"]["epsilon"] = 1e200
+    code, out = run_cli(tmp_path, "bare", doc)
+    assert code == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_write_csv_refuses_non_finite_cells(tmp_path, bad):
+    out = tmp_path / "o.csv"
+    with pytest.raises(NumericalFailureError, match="row 2"):
+        cli.write_csv(out, ["x", "y"], [(0.0, 1.0), (1.0, bad)])
+    assert not out.exists()

@@ -14,7 +14,7 @@ from fermi_lattice import (
     equilibrium_positions,
     site_coupling_row,
 )
-from fermi_lattice.modes import _jacobi_eigh
+from fermi_lattice.modes import _trap_hessian
 
 
 def canonical_norms(basis):
@@ -159,16 +159,20 @@ def test_trap_needs_two_ions():
         TrapParams(1)
 
 
-def test_jacobi_matches_lapack():
-    rng = np.random.default_rng(7)
+def test_trap_modes_diagonalize_hessian():
+    omega0 = 1.7
     for n in (2, 3, 6, 9):
-        m = rng.standard_normal((n, n))
-        m = m + m.T
-        evals, evecs = _jacobi_eigh(m)
-        order = np.argsort(evals)
-        np.testing.assert_allclose(np.sort(evals), np.linalg.eigvalsh(m), atol=1e-12)
-        recon = evecs[:, order] @ np.diag(np.sort(evals)) @ evecs[:, order].T
-        np.testing.assert_allclose(recon, m, atol=1e-12)
+        basis = build_ion_trap(TrapParams(n, omega0))
+        d = basis.couplings * np.sqrt(2.0 * basis.frequencies)[None, :]
+        assert np.all(d.imag == 0)
+        d = d.real
+        hess = _trap_hessian(equilibrium_positions(n))
+        recon = d @ np.diag((basis.frequencies / omega0) ** 2) @ d.T
+        np.testing.assert_allclose(recon, hess, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d.T @ d, np.eye(n), rtol=0, atol=1e-12)
+        assert np.all(np.diff(basis.frequencies) > 0)
+        for col in d.T:
+            assert col[np.flatnonzero(np.abs(col) > 1e-12)[0]] > 0
 
 
 # ---------------------------------------------------------------- scenario/openings
@@ -191,6 +195,21 @@ def test_scenario_validation():
     sc = Scenario.symmetric(0, 5, 2.0, 1.0, op, 1.0)
     with pytest.raises(IndexError):
         sc.check_sites(4)
+
+
+def test_scenario_and_opening_reject_nan():
+    op = OpeningFunction.constant()
+    nan = float("nan")
+    with pytest.raises(InvalidParametersError, match="epsilon"):
+        Scenario(0, 1, 1.0, 1.0, nan, op, op, 1.0)
+    with pytest.raises(InvalidParametersError, match="duration"):
+        Scenario(0, 1, 1.0, 1.0, 1.0, op, op, nan)
+    with pytest.raises(InvalidParametersError, match="window"):
+        OpeningFunction.sin_sq_window(nan)
+    with pytest.raises(InvalidParametersError, match="window"):
+        OpeningFunction.cos_sq_window(nan)
+    with pytest.raises(InvalidParametersError, match="ramp_time"):
+        OpeningFunction.exp_ramp_then(nan, op)
 
 
 def test_opening_values_and_support():

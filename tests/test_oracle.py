@@ -1,5 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fermi_lattice import (
     ChainParams,
@@ -8,16 +12,19 @@ from fermi_lattice import (
     NumericalFailureError,
     OpeningFunction,
     Scenario,
+    TrapParams,
     adiabatic_dressing_check,
     bare_amplitude,
     build_hamiltonian,
     build_harmonic_chain,
+    build_ion_trap,
     converged_swap_amplitude,
     evolve,
     evolve_static,
     exact_swap_amplitude,
     residual_slope,
 )
+from fermi_lattice.oracle import _dense
 
 
 def make(n_sites=3, epsilon=1e-2, opening=None, duration=1.5):
@@ -37,6 +44,93 @@ def test_fock_dimension_count():
 def test_fock_dimension_guard():
     with pytest.raises(InvalidParametersError, match="reduce the cutoff"):
         FockSpace.build(8, 16)
+
+
+@pytest.mark.parametrize("m, c", [(1, 3), (2, 1), (3, 4), (5, 3), (8, 4), (20, 2), (30, 2)])
+def test_occupation_table_is_lexicographic_and_ranked(m, c):
+    fock = FockSpace.build(m, c)
+    occ = fock.occupations
+    assert occ.shape == (math.comb(m + c, c), m)
+    assert not occ.flags.writeable
+    assert np.all(occ >= 0) and np.all(occ.sum(axis=1) <= c)
+    assert len(np.unique(occ, axis=0)) == len(occ)
+    # lexsort takes its last key as the primary one: mode 0 must lead
+    np.testing.assert_array_equal(np.lexsort(occ.T[::-1]), np.arange(len(occ)))
+    np.testing.assert_array_equal(fock.rank(occ), np.arange(len(occ)))
+
+
+def test_state_index_accepts_tuples_and_rejects_foreign_vectors():
+    fock = FockSpace.build(3, 2)
+    n_occ = len(fock.occupations)
+    assert fock.state_index(0, 0, (0, 0, 0)) == 0
+    assert fock.state_index(1, 0, (0, 1, 1)) == 2 * n_occ + 4
+    assert fock.state_index(1, 1, [2, 0, 0]) == 4 * n_occ - 1
+    for bad in [(1, 1, 1), (0, -1, 0), (0, 0)]:
+        with pytest.raises(InvalidParametersError):
+            fock.state_index(0, 0, bad)
+
+
+def reference_hamiltonian(basis, scenario, cutoff):
+    """Per-state assembly by product-and-filter enumeration and a dict index."""
+    occs = [o for o in itertools.product(range(cutoff + 1), repeat=basis.n_modes)
+            if sum(o) <= cutoff]
+    index = {o: i for i, o in enumerate(occs)}
+    n_occ = len(occs)
+    dim = 4 * n_occ
+    w = basis.frequencies
+    h0 = np.empty(dim)
+    for sa in (0, 1):
+        for sb in (0, 1):
+            spin_e = scenario.omega_a * (sa - 0.5) + scenario.omega_b * (sb - 0.5)
+            block = slice((sa * 2 + sb) * n_occ, (sa * 2 + sb + 1) * n_occ)
+            h0[block] = [spin_e + float(np.dot(w, occ)) for occ in occs]
+
+    def coupling(site, flip_a):
+        lam = basis.couplings[site]
+        rows, cols, vals = [], [], []
+        for sa in (0, 1):
+            for sb in (0, 1):
+                sa2, sb2 = (1 - sa, sb) if flip_a else (sa, 1 - sb)
+                for occ in occs:
+                    i = (sa * 2 + sb) * n_occ + index[occ]
+                    for k in range(basis.n_modes):
+                        if occ[k] >= 1:
+                            occ2 = occ[:k] + (occ[k] - 1,) + occ[k + 1:]
+                            rows.append((sa2 * 2 + sb2) * n_occ + index[occ2])
+                            cols.append(i)
+                            vals.append(lam[k] * math.sqrt(occ[k]))
+                        if sum(occ) < cutoff:
+                            occ2 = occ[:k] + (occ[k] + 1,) + occ[k + 1:]
+                            rows.append((sa2 * 2 + sb2) * n_occ + index[occ2])
+                            cols.append(i)
+                            vals.append(np.conj(lam[k]) * math.sqrt(occ[k] + 1))
+        return sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)),
+                             shape=(dim, dim)).toarray()
+
+    return np.array(occs), h0, coupling(scenario.site_a, True), coupling(scenario.site_b, False)
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("system, m, c", [
+    ("chain", 2, 1), ("chain", 3, 4), ("chain", 4, 4), ("chain", 6, 4), ("chain", 8, 4),
+    ("trap", 3, 3),
+])
+def test_hamiltonian_matches_per_state_reference_bitwise(system, m, c):
+    basis = (build_harmonic_chain(ChainParams(m)) if system == "chain"
+             else build_ion_trap(TrapParams(m)))
+    scenario = Scenario(0, m - 1, 2.0, 1.3, 0.05, OpeningFunction.constant(),
+                        OpeningFunction.constant(), 1.0)
+    action = build_hamiltonian(basis, scenario, FockSpace.build(m, c))
+    occs, h0, w_a, w_b = reference_hamiltonian(basis, scenario, c)
+    np.testing.assert_array_equal(action.fock.occupations, occs)
+    assert_bitwise(action.h0_diag, h0)
+    for w, want in ((action.w_a, w_a), (action.w_b, w_b)):
+        assert isinstance(w, sp.csr_matrix) and w.has_canonical_format
+        assert_bitwise(_dense(w), want)
 
 
 def test_uncoupled_spectrum():
@@ -131,6 +225,16 @@ def test_step_size_failure_raises():
     psi0 = fock.basis_state(1, 0)
     with pytest.raises(NumericalFailureError, match="norm drift"):
         evolve(action, psi0, np.linspace(0.0, 3.0, 4), dt=0.25)
+
+
+def test_non_finite_state_fails_closed():
+    basis, scenario = make(epsilon=5e-2)
+    fock = FockSpace.build(3, 2)
+    action = build_hamiltonian(basis, scenario, fock)
+    psi0 = fock.basis_state(1, 0)
+    psi0[3] = np.nan
+    with pytest.raises(NumericalFailureError, match="norm drift"):
+        evolve(action, psi0, np.linspace(0.0, 0.1, 2))
 
 
 def test_cutoff_convergence():
