@@ -4,11 +4,14 @@
 Usage: python scripts/run_figures.py [output_dir]
 
 Writes one CSV (or a few, for sweep configs) per scenario file into
-output_dir (default: ./figure_data), plus the run manifests.
+output_dir (default: ./figure_data), plus the run manifests.  Prints each
+config's wall time and, at the end, the peak resident memory of the process.
 """
 
 import pathlib
+import resource
 import sys
+import time
 
 from fermi_lattice import cli
 
@@ -37,8 +40,13 @@ def main() -> int:
         command = COMMANDS[scenario.stem]
         out = out_dir / f"{scenario.stem}.csv"
         print(f"== {scenario.name} -> {command}")
+        started = time.perf_counter()
         code = cli.main([command, "--scenario", str(scenario), "--out", str(out)])
+        print(f"== {scenario.name}: {time.perf_counter() - started:.3f} s wall, exit {code}")
         worst = max(worst, code)
+    # ru_maxrss is in kilobytes on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"== peak RSS {peak_mb:.1f} MB")
     return worst
 
 

@@ -79,7 +79,7 @@ def bare_amplitude(basis: ModeBasis, scenario: Scenario, times,
     if np.any(times < 0):
         raise InvalidParametersError("amplitude times must be >= 0")
 
-    mu = basis.couplings[scenario.site_a] * np.conj(basis.couplings[scenario.site_b])
+    mu = basis.row(scenario.site_a) * np.conj(basis.row(scenario.site_b))
     eps2 = scenario.epsilon**2
     g = _branch_integrals(basis, scenario, times, method)
 
@@ -105,7 +105,7 @@ def time_ordered_amplitude(basis: ModeBasis, scenario: Scenario, times,
     scenario.check_sites(basis.n_sites)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     w = basis.frequencies
-    mu = basis.couplings[scenario.site_a] * np.conj(basis.couplings[scenario.site_b])
+    mu = basis.row(scenario.site_a) * np.conj(basis.row(scenario.site_b))
     f_a = scenario.opening_a.post_ramp()
     f_b = scenario.opening_b.post_ramp()
     om_a, om_b = scenario.omega_a, scenario.omega_b

@@ -22,6 +22,8 @@ from .modes import BasisKind, ModeBasis
 # grid resolution floor for lightcone scans: samples per period of omega_max
 SAMPLES_PER_PERIOD = 20
 DEFAULT_SAMPLES = 2000
+# element budget of one (taus x modes) block of the mode sum
+MODE_SUM_BLOCK = 2**19
 
 
 @dataclass(frozen=True)
@@ -41,12 +43,18 @@ class LightconeEstimate:
 
 
 def _mode_sum(basis: ModeBasis, site_a: int, site_b: int, taus):
-    for s in (site_a, site_b):
-        if not (0 <= s < basis.n_sites):
-            raise IndexError(f"site index {s} out of range for {basis.n_sites} sites")
-    mu = basis.couplings[site_a] * np.conj(basis.couplings[site_b])
+    mu = basis.row(site_a) * np.conj(basis.row(site_b))
     taus = np.asarray(taus, dtype=float)
-    return np.exp(1j * np.multiply.outer(taus, basis.frequencies)) @ mu
+    flat = taus.ravel()
+    # phase blocks of about MODE_SUM_BLOCK elements stay in cache.  No block
+    # is a single row unless the grid is (an even split under a budget of at
+    # least 3 rows leaves 2 or more in each): numpy's matmul takes a plain dot
+    # product for one row, which rounds differently from the matrix-vector
+    # product, so every element equals the unblocked product's bitwise
+    n_blocks = max(1, -(-flat.size // max(3, MODE_SUM_BLOCK // basis.n_modes)))
+    sums = [np.exp(1j * np.multiply.outer(block, basis.frequencies)) @ mu
+            for block in np.array_split(flat, n_blocks)]
+    return np.concatenate(sums).reshape(taus.shape)
 
 
 def anticommutator(basis: ModeBasis, site_a: int, site_b: int, tau):

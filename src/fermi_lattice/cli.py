@@ -247,9 +247,13 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
         r_values = run.get("r_values", "all")
         if r_values == "all":
             r_values = list(range(1, basis.n_sites))
+        r_values = [int(r) for r in r_values]
+        for r in r_values:
+            if r % basis.n_sites == 0:
+                raise SchemaError(f"run.r_values: r = {r} puts site_b on site_a "
+                                  f"(r must not be a multiple of n_sites = {basis.n_sites})")
         rows = []
         for r in r_values:
-            r = int(r)
             f_c = commutator(basis, scenario.site_a, (scenario.site_a + r) % basis.n_sites, tau)
             rows.append((r, f_c))
         return [write_csv(out, ["r", "f_c"], rows)]
@@ -280,12 +284,14 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
         for n in run["n_values"]:
             n = int(n)
             chain = ChainParams(n, basis.chain.length, basis.chain.pinning, basis.chain.speed)
-            b = build_harmonic_chain(chain)
             if frac is not None:
                 site_a, site_b = 0, int(round(float(frac) * n)) % n
+                if site_b == site_a:
+                    raise SchemaError(f"run.separation_fraction = {frac} puts site_b on "
+                                      f"site_a for n = {n}")
             else:
                 site_a, site_b = scenario.site_a, scenario.site_b
-            points.append((b, site_a, site_b, f"_n{n}"))
+            points.append((build_harmonic_chain(chain), site_a, site_b, f"_n{n}"))
     else:
         points.append((basis, scenario.site_a, scenario.site_b, ""))
 

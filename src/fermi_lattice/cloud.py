@@ -5,7 +5,8 @@ D_n is evaluated in the factorized form
     D_n = eps^2 ( |sum_l lam[n,l] c_Al e^{-i w_l t}|^2
                 + |sum_l lam[n,l] c_Bl e^{-i w_l t}|^2 )
 
-which is O(N K) instead of the naive O(N K^2) double mode sum and
+whose inner sums are one ``ModeBasis.synthesize`` each (an inverse FFT on
+a chain) instead of the naive O(N K^2) double mode sum, and which is
 manifestly nonnegative.  The c coefficients are the one-phonon amplitudes of the
 evolved initial state; their static parts carry the scheme constants
 (d1, d2).  D_n is built from q_n^+ q_n^-, a nonlocal diagnostic usable for
@@ -41,8 +42,8 @@ def _dressing_coefficients(basis: ModeBasis, scenario: Scenario,
             "excitation distribution needs identical post-ramp openings"
         )
     w = basis.frequencies
-    la = np.conj(basis.couplings[scenario.site_a])
-    lb = np.conj(basis.couplings[scenario.site_b])
+    la = np.conj(basis.row(scenario.site_a))
+    lb = np.conj(basis.row(scenario.site_b))
     c_a = la * (scheme.d1 / (om + w)
                 + 1j * opening_phase_integral(f0, -(om - w), t, method=method))
     c_b = lb * ((scheme.d1 + scheme.d2) / (om + w)
@@ -51,7 +52,7 @@ def _dressing_coefficients(basis: ModeBasis, scenario: Scenario,
 
 
 def _site_cloud(basis: ModeBasis, coeffs: np.ndarray, eps: float, t: float) -> np.ndarray:
-    u = basis.couplings @ (coeffs * np.exp(-1j * basis.frequencies * t))
+    u = basis.synthesize(coeffs * np.exp(-1j * basis.frequencies * t))
     return eps**2 * np.abs(u) ** 2
 
 

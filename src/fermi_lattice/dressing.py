@@ -141,8 +141,8 @@ def dressed_ground_state(basis: ModeBasis, scenario: Scenario) -> StateExpansion
     scenario.check_sites(basis.n_sites)
     om = _require_equal_splittings(scenario)
     w = basis.frequencies
-    la = np.conj(basis.couplings[scenario.site_a])
-    lb = np.conj(basis.couplings[scenario.site_b])
+    la = np.conj(basis.row(scenario.site_a))
+    lb = np.conj(basis.row(scenario.site_b))
     n_modes = basis.n_modes
 
     terms = [ExpansionTerm(0, SpinPattern.DOWN_DOWN, (), 1.0 + 0.0j)]
@@ -238,8 +238,9 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario, scheme: DressingSche
         f1 = f1 + static
         f2 = f2 + static
 
-    c_ba = np.conj(basis.couplings[scenario.site_b]) * basis.couplings[scenario.site_a]
-    c_ab = np.conj(basis.couplings[scenario.site_a]) * basis.couplings[scenario.site_b]
+    lam_a, lam_b = basis.row(scenario.site_a), basis.row(scenario.site_b)
+    c_ba = np.conj(lam_b) * lam_a
+    c_ab = np.conj(lam_a) * lam_b
     total = scenario.epsilon**2 * np.sum(c_ba * f1 + c_ab * f2, axis=-1)
     return AmplitudeTrace(times=times, a0=None, ac=None, total=total,
                           probability=np.abs(total) ** 2)

@@ -1,7 +1,8 @@
 """Mode decompositions (frequencies and site couplings) for the two systems.
 
 Everything downstream consumes a :class:`ModeBasis`: the mode frequencies
-``omega_k`` and the complex site-coupling matrix ``lambda[n, k]`` entering
+``omega_k`` and the complex site couplings ``lambda[n, k]``, read one row
+at a time or summed over modes, entering
 
     q_n = sum_k (lambda[n, k] a_k + conj(lambda[n, k]) a_k^dagger)
 
@@ -16,10 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParametersError, NumericalFailureError
+from .errors import InvalidParametersError, NumericalFailureError, UnsupportedConfigurationError
 from .openings import OpeningFunction
 
 NORMALIZATION_TOL = 1e-10
+# largest n_sites x n_modes matrix the dense ``couplings`` accessor builds (1 GiB)
+DENSE_MAX_ELEMENTS = 2**26
 
 
 class BasisKind(enum.Enum):
@@ -125,79 +128,119 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Frequencies omega_k and couplings lambda[n, k] of a quadratic system."""
+    """Frequencies omega_k and couplings lambda[n, k] of a quadratic system.
+
+    Consumers read lambda through :meth:`row` and :meth:`synthesize`.  Trap
+    and custom bases hold lambda as a small dense matrix (``dense``).  The
+    chain holds none (``dense`` is None): its plane-wave rows are gathered
+    from one length-N table of roots of unity and its synthesis is an
+    inverse FFT, so a chain basis takes O(N) memory.
+    """
 
     n_sites: int
     frequencies: np.ndarray
-    couplings: np.ndarray
+    dense: np.ndarray | None
     kind: BasisKind
     chain: ChainParams | None = field(default=None, compare=False)
     trap: TrapParams | None = field(default=None, compare=False)
+    # chain only: e^{2 pi i j / N} for j < N, and sqrt(2 N omega_k)
+    _roots: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _scale: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
-        coup = np.asarray(self.couplings, dtype=complex)
+        if np.any(freqs <= 0):
+            raise InvalidParametersError("all mode frequencies must be > 0")
+        if self.kind is BasisKind.ION_TRAP and np.any(np.diff(freqs) < 0):
+            raise InvalidParametersError("trap frequencies must be ascending")
+        freqs.setflags(write=False)
+        object.__setattr__(self, "frequencies", freqs)
+        if self.dense is None:
+            if self.kind is not BasisKind.HARMONIC_CHAIN or freqs.size != self.n_sites:
+                raise InvalidParametersError(
+                    "only a chain of n_sites modes may omit the dense coupling matrix"
+                )
+            roots = np.exp(2j * np.pi * np.arange(self.n_sites) / self.n_sites)
+            object.__setattr__(self, "_roots", roots)
+            object.__setattr__(self, "_scale", np.sqrt(2.0 * self.n_sites * freqs))
+            return
+        coup = np.asarray(self.dense, dtype=complex)
         if coup.shape != (self.n_sites, freqs.size):
             raise InvalidParametersError(
                 f"couplings shape {coup.shape} does not match "
                 f"(n_sites, n_modes) = ({self.n_sites}, {freqs.size})"
             )
-        if np.any(freqs <= 0):
-            raise InvalidParametersError("all mode frequencies must be > 0")
-        if self.kind is BasisKind.ION_TRAP and np.any(np.diff(freqs) < 0):
-            raise InvalidParametersError("trap frequencies must be ascending")
-        norms = 2.0 * np.abs(coup) ** 2 @ freqs
-        worst = np.max(np.abs(norms - 1.0))
-        if worst > NORMALIZATION_TOL:
-            raise InvalidParametersError(
-                f"canonical normalization violated: max |sum_k 2 w_k |lam|^2 - 1| = {worst:.3e}"
-            )
-        freqs.setflags(write=False)
+        _check_canonical(coup, freqs)
         coup.setflags(write=False)
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "couplings", coup)
+        object.__setattr__(self, "dense", coup)
 
     @property
     def n_modes(self) -> int:
         return self.frequencies.size
 
+    def row(self, n: int) -> np.ndarray:
+        """lambda[n, :], one complex entry per mode."""
+        if not (0 <= n < self.n_sites):
+            raise IndexError(f"site index {n} out of range for {self.n_sites} sites")
+        if self.dense is not None:
+            return self.dense[n]
+        # plane wave e^{i theta_k n} with the angle reduced mod 2 pi, so rows are
+        # exactly periodic in n; the self-paired k = N/2 mode is exactly +-1 and
+        # k > N/2 mirrors k < N/2 by conjugation, so row[N-k] == conj(row[k]) bitwise
+        size = self.n_sites
+        half = self._roots[(n * np.arange(size // 2 + 1)) % size]
+        if size % 2 == 0:
+            half[-1] = 1.0 if n % 2 == 0 else -1.0
+        lam = np.concatenate([half, np.conj(half[(size - 1) // 2:0:-1])]) / self._scale
+        _check_canonical(lam, self.frequencies)
+        return lam
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_k lambda[n, k] coeffs[k] for every site n."""
+        if self.dense is not None:
+            return self.dense @ coeffs
+        return self.n_sites * np.fft.ifft(coeffs / self._scale)
+
+    @property
+    def couplings(self) -> np.ndarray:
+        """The dense lambda matrix, read-only.  A chain builds it row by row
+        on every access, so it is meant for small systems."""
+        if self.dense is not None:
+            return self.dense
+        if self.n_sites * self.n_modes > DENSE_MAX_ELEMENTS:
+            raise UnsupportedConfigurationError(
+                f"a dense {self.n_sites} x {self.n_modes} coupling matrix exceeds "
+                f"{DENSE_MAX_ELEMENTS} elements; use row() or synthesize()"
+            )
+        lam = np.stack([self.row(n) for n in range(self.n_sites)])
+        lam.setflags(write=False)
+        return lam
+
+
+def _check_canonical(lam: np.ndarray, freqs: np.ndarray) -> None:
+    """Raise unless every row of lam satisfies sum_k 2 w_k |lam_k|^2 = 1."""
+    worst = np.max(np.abs(2.0 * np.abs(lam) ** 2 @ freqs - 1.0))
+    if worst > NORMALIZATION_TOL:
+        raise InvalidParametersError(
+            f"canonical normalization violated: max |sum_k 2 w_k |lam|^2 - 1| = {worst:.3e}"
+        )
+
 
 def build_harmonic_chain(params: ChainParams) -> ModeBasis:
     """Mode basis of the periodic chain.
 
-    lambda[n, k] = e^{i theta_k n} / sqrt(2 N omega_k).  Conjugate mode
-    pairs (k, N-k) are constructed mirror-exact: omega_k == omega_{N-k}
-    and lambda[n, N-k] == conj(lambda[n, k]) hold bitwise.
+    lambda[n, k] = e^{i theta_k n} / sqrt(2 N omega_k), held in O(N) memory
+    (see :class:`ModeBasis`).  Conjugate mode pairs (k, N-k) are
+    mirror-exact: omega_k == omega_{N-k} and lambda[n, N-k] ==
+    conj(lambda[n, k]) hold bitwise.
     """
     n = params.n_sites
-    alpha = params.alpha
-    e0 = params.base_energy
-
-    cos_theta = np.empty(n)
     half = n // 2
-    k_half = np.arange(half + 1)
-    cos_theta[: half + 1] = np.cos(2.0 * np.pi * k_half / n)
-    for k in range(1, (n - 1) // 2 + 1):
-        cos_theta[n - k] = cos_theta[k]
-    freqs = e0 * np.sqrt(1.0 - alpha * cos_theta)
-
-    # phases e^{i theta_k n} with the angle reduced mod 2 pi up front, so the
-    # coupling matrix is exactly periodic in the site index; the self-paired
-    # k = N/2 mode is exactly real (+-1), keeping lambda[:, N-k] == conj(lambda[:, k])
-    # bitwise for every k
-    sites = np.arange(n)
-    phases = np.empty((n, n), dtype=complex)
-    for k in range(half + 1):
-        reduced = (sites * k) % n
-        if 2 * k == n:
-            phases[:, k] = np.where(reduced == 0, 1.0, -1.0)
-        else:
-            phases[:, k] = np.exp(2j * np.pi * reduced / n)
-    for k in range(1, (n - 1) // 2 + 1):
-        phases[:, n - k] = np.conj(phases[:, k])
-    couplings = phases / np.sqrt(2.0 * n * freqs)[None, :]
-
-    return ModeBasis(n, freqs, couplings, BasisKind.HARMONIC_CHAIN, chain=params)
+    cos_theta = np.empty(n)
+    cos_theta[: half + 1] = np.cos(2.0 * np.pi * np.arange(half + 1) / n)
+    cos_theta[half + 1:] = cos_theta[(n - 1) // 2:0:-1]
+    freqs = params.base_energy * np.sqrt(1.0 - params.alpha * cos_theta)
+    return ModeBasis(n, freqs, None, BasisKind.HARMONIC_CHAIN, chain=params)
 
 
 def build_ion_trap(params: TrapParams) -> ModeBasis:
@@ -225,9 +268,7 @@ def build_ion_trap(params: TrapParams) -> ModeBasis:
 
 def site_coupling_row(basis: ModeBasis, n: int) -> np.ndarray:
     """Row n of the coupling matrix (one complex entry per mode)."""
-    if not (0 <= n < basis.n_sites):
-        raise IndexError(f"site index {n} out of range for {basis.n_sites} sites")
-    return basis.couplings[n]
+    return basis.row(n)
 
 
 def equilibrium_positions(n_ions: int, max_iter: int = 200, tol: float = 1e-13) -> np.ndarray:

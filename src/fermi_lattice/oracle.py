@@ -186,7 +186,7 @@ def build_hamiltonian(basis: ModeBasis, scenario: Scenario, fock: FockSpace) -> 
     sectors = np.arange(4)
 
     def coupling(site: int, flip: int) -> sp.csr_matrix:
-        lam = basis.couplings[site][mode]
+        lam = basis.row(site)[mode]
         vals = np.where(raising, np.conj(lam), lam) * amp
         rows = ((sectors ^ flip)[:, None] * n_occ + dst).ravel()
         cols = (sectors[:, None] * n_occ + src).ravel()
@@ -208,8 +208,9 @@ def recommended_dt(action: HamiltonianAction) -> float:
     """dt <= 1 / (50 (omega_max + Omega_max + eps * coupling scale))."""
     scen = action.scenario
     w_max = float(np.max(action.basis.frequencies))
-    coupl = 2.0 * math.sqrt(action.fock.max_total_phonons + 1.0) * float(
-        np.max(np.sum(np.abs(action.basis.couplings), axis=1))
+    basis = action.basis
+    coupl = 2.0 * math.sqrt(action.fock.max_total_phonons + 1.0) * max(
+        float(np.sum(np.abs(basis.row(n)))) for n in range(basis.n_sites)
     )
     return 1.0 / (50.0 * (w_max + max(abs(scen.omega_a), abs(scen.omega_b))
                           + scen.epsilon * coupl))

@@ -1,6 +1,10 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fermi_lattice import causality
 from fermi_lattice import (
     BasisKind,
     ChainParams,
@@ -137,3 +141,30 @@ def test_lightcone_parameter_validation(chain100):
         lightcone_estimate(chain100, 0, 31, -1.0)
     with pytest.raises(ValueError):
         lightcone_estimate(chain100, 0, 31, 1.0, n_samples=10)
+
+
+@pytest.mark.parametrize("n, n_taus", [(2000, 1001), (500, 1049), (100, 5243), (3, 10)])
+def test_blocked_mode_sum_equals_unblocked_product(n, n_taus):
+    # the tau counts are not multiples of the block; 1049 and 5243 leave a
+    # remainder of one row under a naive split
+    basis = build_harmonic_chain(ChainParams(n))
+    taus = np.linspace(0.0, 0.6, n_taus)
+    assert n_taus % (causality.MODE_SUM_BLOCK // n) != 0
+    mu = basis.row(0) * np.conj(basis.row(n // 3))
+    want = np.exp(1j * np.multiply.outer(taus, basis.frequencies)) @ mu
+    assert causality._mode_sum(basis, 0, n // 3, taus).tobytes() == want.tobytes()
+
+
+def test_million_site_trace_stays_under_a_gigabyte():
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        basis = build_harmonic_chain(ChainParams(10**6))
+        trace = causality_trace(basis, 0, 300_000, np.linspace(0.0, 0.6, 16))
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"N = 10^6, 16 taus: {elapsed:.2f} s, traced peak {peak / 1e6:.0f} MB")
+    assert peak < 1e9
+    assert np.all(np.isfinite(trace.f_c))

@@ -76,6 +76,31 @@ def test_causality_r_scan(tmp_path):
     assert len(lines) == 50  # header + r = 1..49
 
 
+def test_r_scan_onto_source_site_rejected(tmp_path, capsys):
+    doc = {
+        "system": {"kind": "chain", "chain": {"n_sites": 10}},
+        "scenario": {"site_a": 0, "site_b": 3},
+        "run": {"mode": "r_scan", "tau": 0.3, "r_values": [0, 10]},
+    }
+    code, out = run_cli(tmp_path, "causality", doc)
+    assert code == 2
+    assert "run.r_values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_separation_fraction_onto_source_site_rejected(tmp_path, capsys):
+    doc = {
+        "system": {"kind": "chain", "chain": {"n_sites": 100}},
+        "scenario": {"site_a": 0, "site_b": 3},
+        "run": {"mode": "tau_scan", "n_values": [10, 100],
+                "separation_fraction": 0.001, "tau_max": 0.5, "n_samples": 200},
+    }
+    code, _ = run_cli(tmp_path, "causality", doc)
+    assert code == 2
+    assert "run.separation_fraction" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*.csv"))
+
+
 def test_dressed_trace_columns(tmp_path):
     doc = {
         "system": {"kind": "chain", "chain": {"n_sites": 100}},

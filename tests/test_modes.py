@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermi_lattice import (
+    BasisKind,
     ChainParams,
     InvalidParametersError,
+    ModeBasis,
     OpeningFunction,
     Scenario,
     TrapParams,
+    UnsupportedConfigurationError,
     build_harmonic_chain,
     build_ion_trap,
     equilibrium_positions,
@@ -19,6 +22,29 @@ from fermi_lattice.modes import _trap_hessian
 
 def canonical_norms(basis):
     return 2.0 * np.abs(basis.couplings) ** 2 @ basis.frequencies
+
+
+def reference_chain_couplings(params):
+    """The dense N x N chain coupling matrix, built one mode column at a time
+    as the chain basis did before it stored O(N) data."""
+    n = params.n_sites
+    half = n // 2
+    cos_theta = np.empty(n)
+    cos_theta[: half + 1] = np.cos(2.0 * np.pi * np.arange(half + 1) / n)
+    for k in range(1, (n - 1) // 2 + 1):
+        cos_theta[n - k] = cos_theta[k]
+    freqs = params.base_energy * np.sqrt(1.0 - params.alpha * cos_theta)
+    sites = np.arange(n)
+    phases = np.empty((n, n), dtype=complex)
+    for k in range(half + 1):
+        reduced = (sites * k) % n
+        if 2 * k == n:
+            phases[:, k] = np.where(reduced == 0, 1.0, -1.0)
+        else:
+            phases[:, k] = np.exp(2j * np.pi * reduced / n)
+    for k in range(1, (n - 1) // 2 + 1):
+        phases[:, n - k] = np.conj(phases[:, k])
+    return freqs, phases / np.sqrt(2.0 * n * freqs)[None, :]
 
 
 # ---------------------------------------------------------------- chain
@@ -56,6 +82,53 @@ def test_chain_mode_symmetry_is_exact():
         for k in range(1, n):
             assert w[k] == w[n - k]
         assert np.array_equal(lam[:, 1:], np.conj(lam[:, :0:-1]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 100, 101, 1000])
+def test_chain_rows_match_dense_reference_bitwise(n):
+    params = ChainParams(n)
+    freqs, lam = reference_chain_couplings(params)
+    basis = build_harmonic_chain(params)
+    assert basis.frequencies.tobytes() == freqs.tobytes()
+    for site in range(n):
+        assert basis.row(site).tobytes() == lam[site].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 100, 101, 1000])
+def test_chain_synthesis_matches_dense_product(n):
+    _, lam = reference_chain_couplings(ChainParams(n))
+    rng = np.random.default_rng(n)
+    coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    want = lam @ coeffs
+    got = build_harmonic_chain(ChainParams(n)).synthesize(coeffs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_dense_synthesis_is_matrix_product(trap2):
+    coeffs = np.array([0.3 - 1j, 2.0 + 0.5j])
+    np.testing.assert_array_equal(trap2.synthesize(coeffs), trap2.couplings @ coeffs)
+
+
+def test_chain_row_checks_canonical_normalization():
+    basis = build_harmonic_chain(ChainParams(16))
+    # a root table off the unit circle breaks every row's normalization
+    object.__setattr__(basis, "_roots", 1.01 * basis._roots)
+    with pytest.raises(InvalidParametersError, match="canonical normalization"):
+        basis.row(3)
+    with pytest.raises(InvalidParametersError, match="canonical normalization"):
+        ModeBasis(2, np.array([1.0, 2.0]), np.eye(2, dtype=complex), BasisKind.CUSTOM)
+
+
+def test_dense_chain_couplings_refuse_a_huge_matrix():
+    basis = build_harmonic_chain(ChainParams(10**4))
+    with pytest.raises(UnsupportedConfigurationError, match="use row"):
+        basis.couplings
+    assert basis.row(17).shape == (10**4,)
+
+
+def test_only_a_chain_omits_the_dense_matrix():
+    with pytest.raises(InvalidParametersError, match="dense coupling matrix"):
+        ModeBasis(2, np.array([1.0, 2.0]), None, BasisKind.CUSTOM)
 
 
 def test_chain_coupling_value():
