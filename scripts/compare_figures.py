@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Compare two directories of figure CSVs, column by column.
+"""Compare two directories of figure CSVs and run manifests.
 
 Usage: python scripts/compare_figures.py a/ b/
 
 For every CSV in either directory, prints whether the two files are
 byte-identical and, per column, the maximum absolute and relative
 deviation of b from a.  A cell passes when it is within 1e-12 relative
-or 1e-15 absolute of a.  Exits 1 when any cell fails, a file is missing
-on one side, or the headers or shapes differ; 0 otherwise.
+or 1e-15 absolute of a.  For every .manifest.json, the output lists must
+be equal and every summary value must pass the same rule; wall_time_s is
+not compared, and null (how a non-finite value is written) matches any
+non-finite value.  Exits 1 when any cell or summary value fails, a file
+or a summary key is missing on one side, or the headers, shapes or
+output lists differ; 0 otherwise.
 """
 
+import json
+import math
 import pathlib
 import sys
 
@@ -46,21 +52,54 @@ def compare(a: pathlib.Path, b: pathlib.Path) -> bool:
     return not bad.any()
 
 
+def _matches(a, b) -> bool:
+    finite = [v is not None and math.isfinite(v) for v in (a, b)]
+    if not any(finite):
+        return True
+    return all(finite) and (abs(b - a) <= ATOL or abs(b - a) <= RTOL * abs(a))
+
+
+def compare_manifest(a: pathlib.Path, b: pathlib.Path) -> bool:
+    """Print the report for one manifest pair; True when it passes."""
+    man_a, man_b = (json.loads(p.read_text()) for p in (a, b))
+    ok = man_a["outputs"] == man_b["outputs"]
+    if not ok:
+        print(f"{a.name}: FAIL outputs {man_a['outputs']} / {man_b['outputs']}")
+    sum_a, sum_b = man_a["summary"], man_b["summary"]
+    for key in sorted(sum_a.keys() | sum_b.keys()):
+        if key not in sum_a or key not in sum_b:
+            side = a.parent if key in sum_a else b.parent
+            print(f"{a.name}: FAIL summary key {key} only in {side}")
+            ok = False
+        elif not _matches(sum_a[key], sum_b[key]):
+            print(f"{a.name}: FAIL summary {key} = {sum_a[key]!r} / {sum_b[key]!r}")
+            ok = False
+    if ok:
+        same = sum(sum_a[k] == sum_b[k] for k in sum_a)
+        print(f"{a.name}: outputs equal, {len(sum_a)} summary values within tolerance, "
+              f"{same} identical")
+    return ok
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     dir_a, dir_b = (pathlib.Path(d) for d in argv)
-    names = sorted({p.name for p in dir_a.glob("*.csv")} | {p.name for p in dir_b.glob("*.csv")})
-    ok = bool(names)
-    for name in names:
-        a, b = dir_a / name, dir_b / name
-        if not (a.exists() and b.exists()):
-            print(f"{name}: FAIL only in {dir_a if a.exists() else dir_b}")
-            ok = False
-            continue
-        ok = compare(a, b) and ok
-    print(f"{len(names)} CSV files: {'PASS' if ok else 'FAIL'}")
+    ok = True
+    counts = []
+    for pattern, check in (("*.csv", compare), ("*.manifest.json", compare_manifest)):
+        names = sorted({p.name for d in (dir_a, dir_b) for p in d.glob(pattern)})
+        ok = ok and bool(names)
+        for name in names:
+            a, b = dir_a / name, dir_b / name
+            if not (a.exists() and b.exists()):
+                print(f"{name}: FAIL only in {dir_a if a.exists() else dir_b}")
+                ok = False
+                continue
+            ok = check(a, b) and ok
+        counts.append(len(names))
+    print(f"{counts[0]} CSV files, {counts[1]} manifests: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

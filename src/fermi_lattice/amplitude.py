@@ -53,7 +53,7 @@ class AmplitudeTrace:
         return top / bottom
 
 
-def _branch_integrals(basis, scenario, times, method):
+def _branch_integrals(basis, scenario, times):
     """Single and nested profile integrals for both phase branches."""
     w = basis.frequencies
     om_a, om_b = scenario.omega_a, scenario.omega_b
@@ -61,14 +61,14 @@ def _branch_integrals(basis, scenario, times, method):
     f_b = scenario.opening_b.post_ramp()
     out = {}
     for tag, pa, pb in (("p", om_a + w, om_b + w), ("m", om_a - w, om_b - w)):
-        out["sa_" + tag] = opening_phase_integral(f_a, -pa, times, method=method)
-        out["sb_" + tag] = opening_phase_integral(f_b, +pb, times, method=method)
-        out["n_" + tag] = opening_nested_integral(f_a, -pa, f_b, +pb, times, method=method)
+        out["sa_" + tag] = opening_phase_integral(f_a, -pa, times)
+        out["sb_" + tag] = opening_phase_integral(f_b, +pb, times)
+        out["n_" + tag] = opening_nested_integral(f_a, -pa, f_b, +pb, times)
     return out
 
 
 def bare_amplitude(basis: ModeBasis, scenario: Scenario, times,
-                   per_mode: bool = False, method: str = "auto") -> AmplitudeTrace:
+                   per_mode: bool = False) -> AmplitudeTrace:
     """Amplitude trace for the bare initial state.
 
     ``times`` must be non-negative; the openings are evaluated from t = 0
@@ -81,7 +81,7 @@ def bare_amplitude(basis: ModeBasis, scenario: Scenario, times,
 
     mu = basis.row(scenario.site_a) * np.conj(basis.row(scenario.site_b))
     eps2 = scenario.epsilon**2
-    g = _branch_integrals(basis, scenario, times, method)
+    g = _branch_integrals(basis, scenario, times)
 
     a0_modes = -0.5 * eps2 * (mu * g["sa_p"] * g["sb_p"]
                               + np.conj(mu) * g["sa_m"] * g["sb_m"])
@@ -97,8 +97,7 @@ def bare_amplitude(basis: ModeBasis, scenario: Scenario, times,
     )
 
 
-def time_ordered_amplitude(basis: ModeBasis, scenario: Scenario, times,
-                           method: str = "auto") -> np.ndarray:
+def time_ordered_amplitude(basis: ModeBasis, scenario: Scenario, times) -> np.ndarray:
     """The same amplitude assembled directly from the two time orderings
     (emission-absorption plus absorption-emission), without the A0/Ac
     split.  Exists as an independent composition for consistency checks."""
@@ -110,13 +109,13 @@ def time_ordered_amplitude(basis: ModeBasis, scenario: Scenario, times,
     f_b = scenario.opening_b.post_ramp()
     om_a, om_b = scenario.omega_a, scenario.omega_b
 
-    n_plus = opening_nested_integral(f_a, -(om_a + w), f_b, +(om_b + w), times, method=method)
-    m_minus = opening_nested_integral(f_b, +(om_b - w), f_a, -(om_a - w), times, method=method)
+    n_plus = opening_nested_integral(f_a, -(om_a + w), f_b, +(om_b + w), times)
+    m_minus = opening_nested_integral(f_b, +(om_b - w), f_a, -(om_a - w), times)
     return -scenario.epsilon**2 * np.sum(mu * n_plus + np.conj(mu) * m_minus, axis=-1)
 
 
 def windowed_amplitude(basis: ModeBasis, scenario: Scenario,
-                       n_times: int = 201, method: str = "auto") -> AmplitudeTrace:
+                       n_times: int = 201) -> AmplitudeTrace:
     """Trace over one interaction window [0, T] of a windowed scenario."""
     w_end = max(scenario.opening_a.post_ramp().window_end,
                 scenario.opening_b.post_ramp().window_end)
@@ -130,7 +129,7 @@ def windowed_amplitude(basis: ModeBasis, scenario: Scenario,
             stacklevel=2,
         )
     times = np.linspace(0.0, w_end, n_times)
-    return bare_amplitude(basis, scenario, times, method=method)
+    return bare_amplitude(basis, scenario, times)
 
 
 def double_window_integral(opening: OpeningFunction, splitting: float, mode_freq: float,

@@ -89,36 +89,41 @@ def nominal_causal_time(basis: ModeBasis, site_a: int, site_b: int) -> float:
     return 1.0 / float(np.min(basis.frequencies))
 
 
-def lightcone_estimate(basis: ModeBasis, site_a: int, site_b: int,
-                       tau_max: float, n_samples: int = DEFAULT_SAMPLES) -> LightconeEstimate:
-    """Locate the commutator rise on [0, tau_max].
+def lightcone_samples(basis: ModeBasis, tau_max: float, n_samples: int = DEFAULT_SAMPLES) -> int:
+    """n_samples, widened until the fastest mode is resolved on [0, tau_max]."""
+    w_max = float(np.max(basis.frequencies))
+    return max(n_samples, int(np.ceil(tau_max * SAMPLES_PER_PERIOD * w_max / (2.0 * np.pi))) + 1)
+
+
+def rise_estimate(basis: ModeBasis, trace: CausalityTrace) -> LightconeEstimate:
+    """Locate the commutator rise on the grid of a trace.
 
     The rise time is the grid location of the maximum forward difference of
     F_c; this is parameter-free, unlike a threshold crossing, and tolerates
-    the soft rise of small systems.  The grid is widened automatically until
-    the fastest mode is resolved.  Sharpness is the peak forward-difference
+    the soft rise of small systems.  Sharpness is the peak forward-difference
     slope of the size-scaled commutator n_sites * F_c, the quantity whose
     rise steepens as the system grows toward the continuum.
     """
+    scale = np.max(np.abs(trace.f_c))
+    if scale == 0.0 or not np.isfinite(scale):
+        raise NumericalFailureError(
+            f"no commutator rise detected between sites {trace.sites} (flat F_c)"
+        )
+    slopes = basis.n_sites * np.diff(trace.f_c) / np.diff(trace.taus)
+    j = int(np.argmax(slopes))
+    return LightconeEstimate(
+        rise_time=float(trace.taus[j]),
+        nominal_causal_time=nominal_causal_time(basis, *trace.sites),
+        sharpness=float(slopes[j]),
+    )
+
+
+def lightcone_estimate(basis: ModeBasis, site_a: int, site_b: int,
+                       tau_max: float, n_samples: int = DEFAULT_SAMPLES) -> LightconeEstimate:
+    """The rise_estimate of F_c on a lightcone_samples grid on [0, tau_max]."""
     if tau_max <= 0:
         raise ValueError("tau_max must be > 0")
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    w_max = float(np.max(basis.frequencies))
-    needed = int(np.ceil(tau_max * SAMPLES_PER_PERIOD * w_max / (2.0 * np.pi))) + 1
-    n_samples = max(n_samples, needed)
-
-    taus = np.linspace(0.0, tau_max, n_samples)
-    f_c = commutator(basis, site_a, site_b, taus)
-    scale = np.max(np.abs(f_c))
-    if scale == 0.0 or not np.isfinite(scale):
-        raise NumericalFailureError(
-            f"no commutator rise detected between sites {site_a} and {site_b} (flat F_c)"
-        )
-    slopes = basis.n_sites * np.diff(f_c) / np.diff(taus)
-    j = int(np.argmax(slopes))
-    return LightconeEstimate(
-        rise_time=float(taus[j]),
-        nominal_causal_time=nominal_causal_time(basis, site_a, site_b),
-        sharpness=float(slopes[j]),
-    )
+    taus = np.linspace(0.0, tau_max, lightcone_samples(basis, tau_max, n_samples))
+    return rise_estimate(basis, causality_trace(basis, site_a, site_b, taus))

@@ -2,19 +2,15 @@
 
     fermi-lattice <command> --scenario <file.json> --out <file.csv> [--quiet]
 
-Commands: causality, bare, dressed, ion2, cloud, oracle-check.  Scenario
-files are single JSON documents with three sections:
-
-    system:   {"kind": "chain"|"trap", "chain": {...} | "trap": {...}}
-    scenario: sites, splittings, epsilon, opening profile(s), duration
-    run:      command-specific options
-
-Every command writes plot-ready CSV (header row, '.' decimal separator,
-17 significant digits) plus a small .manifest.json next to it; identical
-scenario files produce byte-identical CSV.  Exit codes: 0 success,
-2 schema/usage error (NaN or Infinity in a scenario included), 3 numerical
-failure (a non-finite result included).  FERMI_LATTICE_THREADS caps
-sweep parallelism.
+Commands: causality, bare, dressed, ion2, cloud, oracle-check.  A scenario
+file is one JSON object with the sections system (chain or trap), scenario
+(sites, splittings, epsilon, openings, duration) and run (command options);
+the tables below are its whole format (README, "Scenario files").  Every
+command writes plot-ready CSV (header row, '.' decimal separator, 17
+significant digits) plus a small .manifest.json next to it; identical
+scenario files produce byte-identical CSV.  Exit codes: 0 success, 2 schema
+or usage error (NaN or Infinity in a scenario included), 3 numerical failure
+(a non-finite result included).  FERMI_LATTICE_THREADS caps sweep threads.
 """
 
 from __future__ import annotations
@@ -23,147 +19,208 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .amplitude import bare_amplitude, windowed_amplitude
-from .causality import causality_trace, commutator, lightcone_estimate, nominal_causal_time
+from .causality import (causality_trace, commutator, lightcone_estimate, lightcone_samples,
+                        nominal_causal_time, rise_estimate)
 from .cloud import excitation_distribution, single_site_distributions
 from .dressing import DressingScheme, dressed_amplitude, g_min, static_dressing_amplitude
 from .errors import FermiLatticeError, NumericalFailureError, SchemaError
 from .ion2 import PulseSpec, swap_probability, swap_probability_full, symplectic_temperature
-from .modes import (
-    BasisKind,
-    ChainParams,
-    ModeBasis,
-    Scenario,
-    TrapParams,
-    build_harmonic_chain,
-    build_ion_trap,
-)
+from .modes import (BasisKind, ChainParams, ModeBasis, Scenario, TrapParams,
+                    build_harmonic_chain, build_ion_trap)
 from .openings import OpeningFunction
 from .oracle import residual_slope
-
-_SCHEMES = {
-    "sigma_x": DressingScheme.SIGMA_X,
-    "sigma_plus": DressingScheme.SIGMA_PLUS,
-    "bare": DressingScheme.BARE,
-}
 
 
 # ---------------------------------------------------------------------------
 # scenario-file schema
 # ---------------------------------------------------------------------------
+#
+# A table maps each key of one JSON object to (kind, default, *bounds).
+#   kind:    int, float, a nested table, [kind] for a non-empty list, or a
+#            tuple of literal strings optionally ending in one other kind;
+#   default: REQUIRED, None (absent; the command works the value out),
+#            SameAs(key) (the value read for that key) or a value of kind;
+#   bounds:  "> x" or ">= x", on a number and on every number in a list.
+# A Variants table takes its keys from tables[value of its selector key].
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where} must be a JSON object, got {type(value).__name__}")
-    return value
+REQUIRED = object()
+Variants = namedtuple("Variants", "key default tables")
+
+
+class SameAs(str):
+    """Default: the value read for the named key of the same object."""
+
+
+_SCHEMES = tuple(s.name.lower() for s in DressingScheme)
+
+_OPENING = Variants("variant", REQUIRED, {
+    "constant": {},
+    "sin_sq_window": {"window": (float, REQUIRED, ">= 0")},
+    "cos_sq_window": {"window": (float, REQUIRED, ">= 0")},
+    "exp_ramp": {"ramp_time": (float, REQUIRED, "> 0")},
+})
+_OPENING.tables["exp_ramp"]["inner"] = (_OPENING, REQUIRED)
+
+_SYSTEM = Variants("kind", REQUIRED, {
+    "chain": {"chain": ({"n_sites": (int, REQUIRED, ">= 2"), "length": (float, 1.0, "> 0"),
+                         "pinning": (float, 1.0, "> 0"), "speed": (float, 1.0, "> 0")},
+                        REQUIRED)},
+    "trap": {"trap": ({"n_ions": (int, REQUIRED, ">= 2"), "omega0": (float, 1.0, "> 0")},
+                      REQUIRED)},
+})
+
+_SCENARIO = {
+    "site_a": (int, 0, ">= 0"), "site_b": (int, 1, ">= 0"),
+    "omega": (float, 1.0), "omega_a": (float, SameAs("omega")),
+    "omega_b": (float, SameAs("omega")), "epsilon": (float, 1.0, ">= 0"),
+    "opening": (_OPENING, {"variant": "constant"}), "opening_a": (_OPENING, SameAs("opening")),
+    "opening_b": (_OPENING, SameAs("opening")), "duration": (float, 0.0, ">= 0"),
+}
+
+_RUNS = {
+    "causality": Variants("mode", "tau_scan", {
+        "tau_scan": {"n_samples": (int, 2000, ">= 2"), "tau_max": (float, None, "> 0"),
+                     "n_values": ([int], None, ">= 2"), "separation_fraction": (float, None)},
+        "r_scan": {"tau": (float, REQUIRED), "r_values": (("all", [int]), "all")},
+    }),
+    "bare": {"t_max": (float, None, ">= 0"), "n_times": (int, 201, ">= 1")},
+    "dressed": Variants("mode", "trace", {
+        "trace": {"t_max": (float, None, ">= 0"), "n_times": (int, 201, ">= 1"),
+                  "schemes": ([_SCHEMES], list(_SCHEMES))},
+        "g_scan": {"r_values": (("all", [int]), "all")},
+        "gmin_scan": {"n_values": ([int], REQUIRED, ">= 2")},
+    }),
+    "ion2": {"alpha_start": (float, 0.0), "alpha_stop": (float, 3.0),
+             "alpha_num": (int, 301, ">= 1"), "schmidt_cutoff": (int, 2, ">= 2")},
+    "cloud": {"scheme": (_SCHEMES, "bare"), "component": (("total", "up", "down"), "total"),
+              "t_values": ([float], None, ">= 0"), "t_max": (float, None, ">= 0"),
+              "n_times": (int, 26, ">= 1")},
+    "oracle-check": {"epsilons": ([float], [1e-2, 5e-3, 2.5e-3], ">= 0"),
+                     "t_max": (float, 1.5, "> 0"), "n_times": (int, 15, ">= 1"),
+                     "method": (("auto", "static", "rk4"), "auto"),
+                     "cutoff": (("auto", int), "auto", ">= 2")},
+}
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(repr(k) if isinstance(k, str) else _describe(k) for k in kind)
+    if isinstance(kind, list):
+        return "a non-empty list, each " + _describe(kind[0])
+    return "an integer" if kind is int else "a finite number"
+
+
+def _check(value, kind, bounds, where: str):
+    """value read as kind within bounds, or a SchemaError naming where."""
+    if isinstance(kind, (dict, Variants)):
+        return _read(value, kind, where)
+    if isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        if not isinstance(value, str) and not isinstance(kind[-1], str):
+            return _check(value, kind[-1], bounds, where)
+    elif isinstance(kind, list):
+        if isinstance(value, list) and value:
+            return [_check(v, kind[0], bounds, f"{where}[{i}]") for i, v in enumerate(value)]
+    elif (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and math.isfinite(value) and (kind is float or float(value).is_integer())):
+        value = kind(value)
+        for bound in bounds:
+            op, limit = bound.split()
+            if not (value > float(limit) if op == ">" else value >= float(limit)):
+                raise SchemaError(f"{where} must be {bound}, got {value!r}")
+        return value
+    raise SchemaError(f"{where} must be {_describe(kind)}, got {value!r}")
+
+
+def _value(section: dict, key: str, spec: tuple, where: str, read: dict):
+    kind, default, *bounds = spec
+    name = f"{where}.{key}" if where else key
+    if key in section:
+        return _check(section[key], kind, bounds, name)
+    if default is REQUIRED:
+        raise SchemaError(f"missing key {name}")
+    if isinstance(default, SameAs):
+        return read[default]
+    return None if default is None else _check(default, kind, bounds, name)
+
+
+def _read(section, table, where: str) -> dict:
+    """One JSON object checked against its table: every key of the table,
+    defaults filled in; an unknown key is an error."""
+    if not isinstance(section, dict):
+        raise SchemaError(f"{where or 'a scenario file'} must be a JSON object, "
+                          f"got {type(section).__name__}")
+    if isinstance(table, Variants):
+        selector = (tuple(table.tables), table.default)
+        choice = _value(section, table.key, selector, where, {})
+        table = {table.key: selector, **table.tables[choice]}
+    for key in section:
+        if key not in table:
+            raise SchemaError(f"unknown key {where + '.' if where else ''}{key} "
+                              f"(expected one of {', '.join(table)})")
+    read: dict = {}
+    for key, spec in table.items():
+        read[key] = _value(section, key, spec, where, read)
+    return read
+
+
+def apply_schema(doc, command: str) -> dict:
+    """The scenario file as the command reads it: every section checked
+    against its table, defaults filled in, absent optional values None."""
+    table = {"system": (_SYSTEM, REQUIRED), "run": (_RUNS[command], {})}
+    if command != "ion2":  # the two-ion swap reads no scenario section
+        table["scenario"] = (_SCENARIO, {})
+    return _read(doc, table, "")
 
 
 def _reject_constant(name: str):
     raise SchemaError(f"{name} is not a valid number in a scenario file")
 
 
-def _want(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise SchemaError(f"missing key {key!r} in {where}")
-    return mapping[key]
-
-
-def _opening_from_dict(doc: dict, where: str) -> OpeningFunction:
-    variant = _want(_object(doc, where), "variant", where)
+def load_scenario_file(path: str | Path):
+    """The parsed JSON of a scenario file; apply_schema checks its contents."""
     try:
-        if variant == "constant":
-            return OpeningFunction.constant()
-        if variant == "sin_sq_window":
-            return OpeningFunction.sin_sq_window(float(_want(doc, "window", where)))
-        if variant == "cos_sq_window":
-            return OpeningFunction.cos_sq_window(float(_want(doc, "window", where)))
-        if variant == "exp_ramp":
-            inner = _opening_from_dict(_want(doc, "inner", where), where + ".inner")
-            return OpeningFunction.exp_ramp_then(float(_want(doc, "ramp_time", where)), inner)
-    except FermiLatticeError as exc:
-        raise SchemaError(f"bad opening in {where}: {exc}") from exc
-    raise SchemaError(f"unknown opening variant {variant!r} in {where}")
-
-
-def load_scenario_file(path: str | Path) -> dict:
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
-    if not isinstance(doc, dict) or "system" not in doc:
-        raise SchemaError(f"{path}: scenario file must be an object with a 'system' section")
-    for section in ("system", "scenario", "run"):
-        if section in doc:
-            _object(doc[section], section)
-    return doc
+
+
+def _opening(doc: dict) -> OpeningFunction:
+    if "inner" in doc:
+        doc = dict(doc, inner=_opening(doc["inner"]))
+    return OpeningFunction(**doc)
 
 
 def build_basis(doc: dict) -> ModeBasis:
-    system = _want(doc, "system", "scenario file")
-    kind = _want(system, "kind", "system")
-    if kind == "chain":
-        if "chain" not in system:
-            raise SchemaError("system.kind is 'chain' but no system.chain section given")
-        if "trap" in system:
-            raise SchemaError("exactly one of system.chain / system.trap may be present")
-        c = _object(system["chain"], "system.chain")
-        try:
-            params = ChainParams(
-                n_sites=int(_want(c, "n_sites", "system.chain")),
-                length=float(c.get("length", 1.0)),
-                pinning=float(c.get("pinning", 1.0)),
-                speed=float(c.get("speed", 1.0)),
-            )
-        except FermiLatticeError as exc:
-            raise SchemaError(f"system.chain: {exc}") from exc
-        return build_harmonic_chain(params)
-    if kind == "trap":
-        if "trap" not in system:
-            raise SchemaError("system.kind is 'trap' but no system.trap section given")
-        if "chain" in system:
-            raise SchemaError("exactly one of system.chain / system.trap may be present")
-        t = _object(system["trap"], "system.trap")
-        try:
-            params = TrapParams(
-                n_ions=int(_want(t, "n_ions", "system.trap")),
-                omega0=float(t.get("omega0", 1.0)),
-            )
-        except FermiLatticeError as exc:
-            raise SchemaError(f"system.trap: {exc}") from exc
-        return build_ion_trap(params)
-    raise SchemaError(f"unknown system.kind {kind!r} (expected 'chain' or 'trap')")
+    """The mode basis of a checked scenario file (see apply_schema)."""
+    kind = doc["system"]["kind"]
+    try:
+        params = (ChainParams if kind == "chain" else TrapParams)(**doc["system"][kind])
+    except FermiLatticeError as exc:
+        raise SchemaError(f"system.{kind}: {exc}") from exc
+    return build_harmonic_chain(params) if kind == "chain" else build_ion_trap(params)
 
 
 def build_scenario(doc: dict, basis: ModeBasis) -> Scenario:
-    sc = doc.get("scenario", {})
-    if "opening" in sc:
-        opening_a = opening_b = _opening_from_dict(sc["opening"], "scenario.opening")
-    else:
-        opening_a = (_opening_from_dict(sc["opening_a"], "scenario.opening_a")
-                     if "opening_a" in sc else OpeningFunction.constant())
-        opening_b = (_opening_from_dict(sc["opening_b"], "scenario.opening_b")
-                     if "opening_b" in sc else OpeningFunction.constant())
+    """The Scenario of a checked scenario file (see apply_schema)."""
+    sc = doc["scenario"]
     try:
-        scenario = Scenario(
-            site_a=int(sc.get("site_a", 0)),
-            site_b=int(sc.get("site_b", 1)),
-            omega_a=float(sc.get("omega_a", sc.get("omega", 1.0))),
-            omega_b=float(sc.get("omega_b", sc.get("omega", 1.0))),
-            epsilon=float(sc.get("epsilon", 1.0)),
-            opening_a=opening_a,
-            opening_b=opening_b,
-            duration=float(sc.get("duration", 0.0)),
-        )
+        scenario = Scenario(sc["site_a"], sc["site_b"], sc["omega_a"], sc["omega_b"],
+                            sc["epsilon"], _opening(sc["opening_a"]), _opening(sc["opening_b"]),
+                            sc["duration"])
         scenario.check_sites(basis.n_sites)
     except (FermiLatticeError, IndexError) as exc:
         raise SchemaError(f"scenario section: {exc}") from exc
@@ -179,14 +236,10 @@ def scenario_hash(doc: dict) -> str:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
 def write_csv(path: Path, header: list[str], rows) -> Path:
     """Write the rows as 17-digit CSV; a NaN or infinite cell is a numerical
     failure and leaves no file behind."""
-    body = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    body = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
     # 'nan' and 'inf' are the only formatted values containing an 'n'
     if "n" in body:
         row = body.count("\n", 0, body.index("n")) + 1
@@ -234,66 +287,61 @@ class Reporter:
 # commands
 # ---------------------------------------------------------------------------
 
+def _window_t_max(run: dict, scenario: Scenario) -> float:
+    """run.t_max, by default the end of the opening window."""
+    t_max = scenario.opening_a.post_ramp().window_end if run["t_max"] is None else run["t_max"]
+    if not math.isfinite(t_max):
+        raise SchemaError("run.t_max is required when the opening never closes")
+    return t_max
+
+
 def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
     basis = build_basis(doc)
     scenario = build_scenario(doc, basis)
-    run = doc.get("run", {})
-    mode = run.get("mode", "tau_scan")
+    run = doc["run"]
 
-    if mode == "r_scan":
+    if run["mode"] == "r_scan":
         if basis.kind is not BasisKind.HARMONIC_CHAIN:
             raise SchemaError("r_scan mode needs a chain system")
-        tau = float(_want(run, "tau", "run"))
-        r_values = run.get("r_values", "all")
-        if r_values == "all":
-            r_values = list(range(1, basis.n_sites))
-        r_values = [int(r) for r in r_values]
+        r_values = range(1, basis.n_sites) if run["r_values"] == "all" else run["r_values"]
         for r in r_values:
             if r % basis.n_sites == 0:
                 raise SchemaError(f"run.r_values: r = {r} puts site_b on site_a "
                                   f"(r must not be a multiple of n_sites = {basis.n_sites})")
-        rows = []
-        for r in r_values:
-            f_c = commutator(basis, scenario.site_a, (scenario.site_a + r) % basis.n_sites, tau)
-            rows.append((r, f_c))
+        rows = [(r, commutator(basis, scenario.site_a, (scenario.site_a + r) % basis.n_sites,
+                               run["tau"])) for r in r_values]
         return [write_csv(out, ["r", "f_c"], rows)]
 
-    if mode != "tau_scan":
-        raise SchemaError(f"unknown causality run.mode {mode!r}")
-
-    n_samples = int(run.get("n_samples", 2000))
-    if n_samples < 2:
-        raise SchemaError("run.n_samples must be >= 2 (empty tau grid)")
+    n_samples = run["n_samples"]
 
     def one(basis_and_sites):
         b, site_a, site_b, suffix = basis_and_sites
-        tau_max = float(run.get("tau_max", 2.0 * nominal_causal_time(b, site_a, site_b)))
-        taus = np.linspace(0.0, tau_max, n_samples)
-        trace = causality_trace(b, site_a, site_b, taus)
-        est = lightcone_estimate(b, site_a, site_b, tau_max, max(n_samples, 100))
-        path = write_csv(out_variant(out, suffix) if suffix else out,
-                         ["tau", "f_a", "f_c"],
+        tau_max = run["tau_max"] or 2.0 * nominal_causal_time(b, site_a, site_b)
+        trace = causality_trace(b, site_a, site_b, np.linspace(0.0, tau_max, n_samples))
+        # one mode sum serves both unless the estimate needs a finer grid
+        grid = max(n_samples, 100)
+        est = (rise_estimate(b, trace) if lightcone_samples(b, tau_max, grid) == n_samples
+               else lightcone_estimate(b, site_a, site_b, tau_max, grid))
+        path = write_csv(out_variant(out, suffix) if suffix else out, ["tau", "f_a", "f_c"],
                          zip(trace.taus, trace.f_a, trace.f_c))
         return path, est, suffix
 
-    points = []
-    if "n_values" in run:
+    points = [(basis, scenario.site_a, scenario.site_b, "")]
+    if run["n_values"] is not None:
         if basis.kind is not BasisKind.HARMONIC_CHAIN:
             raise SchemaError("run.n_values sweeps are for chain systems")
-        frac = run.get("separation_fraction")
+        frac = run["separation_fraction"]
+        points = []
         for n in run["n_values"]:
-            n = int(n)
             chain = ChainParams(n, basis.chain.length, basis.chain.pinning, basis.chain.speed)
             if frac is not None:
-                site_a, site_b = 0, int(round(float(frac) * n)) % n
+                site_a, site_b = 0, int(round(frac * n)) % n
                 if site_b == site_a:
                     raise SchemaError(f"run.separation_fraction = {frac} puts site_b on "
                                       f"site_a for n = {n}")
             else:
                 site_a, site_b = scenario.site_a, scenario.site_b
             points.append((build_harmonic_chain(chain), site_a, site_b, f"_n{n}"))
-    else:
-        points.append((basis, scenario.site_a, scenario.site_b, ""))
 
     outputs = []
     for path, est, suffix in _sweep_map(one, points):
@@ -308,16 +356,11 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
 def cmd_bare(doc: dict, out: Path, report: Reporter) -> list[Path]:
     basis = build_basis(doc)
     scenario = build_scenario(doc, basis)
-    run = doc.get("run", {})
-    n_times = int(run.get("n_times", 201))
-    if n_times < 1:
-        raise SchemaError("run.n_times must be >= 1")
-
-    if "t_max" in run:
-        times = np.linspace(0.0, float(run["t_max"]), n_times)
-        trace = bare_amplitude(basis, scenario, times)
+    run = doc["run"]
+    if run["t_max"] is None:
+        trace = windowed_amplitude(basis, scenario, n_times=run["n_times"])
     else:
-        trace = windowed_amplitude(basis, scenario, n_times=n_times)
+        trace = bare_amplitude(basis, scenario, np.linspace(0.0, run["t_max"], run["n_times"]))
 
     report.note("ac_over_a0", trace.commutator_ratio())
     report.note("p_final", float(trace.probability[-1]))
@@ -329,44 +372,24 @@ def cmd_bare(doc: dict, out: Path, report: Reporter) -> list[Path]:
 def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
     basis = build_basis(doc)
     scenario = build_scenario(doc, basis)
-    run = doc.get("run", {})
-    mode = run.get("mode", "trace")
+    run = doc["run"]
 
-    if mode == "g_scan":
-        r_values = run.get("r_values", "all")
-        if r_values == "all":
-            r_values = list(range(0, basis.n_sites // 2 + 1))
-        omega = scenario.omega_a
-        rows = [(int(r), static_dressing_amplitude(basis, omega, int(r))) for r in r_values]
+    if run["mode"] == "g_scan":
+        r_values = range(basis.n_sites // 2 + 1) if run["r_values"] == "all" else run["r_values"]
+        rows = [(r, static_dressing_amplitude(basis, scenario.omega_a, r)) for r in r_values]
         return [write_csv(out, ["r", "g"], rows)]
 
-    if mode == "gmin_scan":
-        n_values = [int(n) for n in _want(run, "n_values", "run")]
+    if run["mode"] == "gmin_scan":
         chain = basis.chain
         if chain is None:
             raise SchemaError("gmin_scan needs a chain system")
-        values = g_min(n_values, scenario.omega_a, chain.length, chain.pinning, chain.speed)
-        return [write_csv(out, ["n", "g_min"], zip(n_values, values))]
+        values = g_min(run["n_values"], scenario.omega_a, chain.length, chain.pinning, chain.speed)
+        return [write_csv(out, ["n", "g_min"], zip(run["n_values"], values))]
 
-    if mode != "trace":
-        raise SchemaError(f"unknown dressed run.mode {mode!r}")
-
-    names = run.get("schemes", ["sigma_x", "sigma_plus", "bare"])
-    schemes = []
-    for name in names:
-        if name not in _SCHEMES:
-            raise SchemaError(f"unknown dressing scheme {name!r} "
-                              f"(expected one of {sorted(_SCHEMES)})")
-        schemes.append(_SCHEMES[name])
-
-    w_end = scenario.opening_a.post_ramp().window_end
-    t_max = float(run["t_max"]) if "t_max" in run else w_end
-    if not np.isfinite(t_max):
-        raise SchemaError("run.t_max is required when the opening never closes")
-    n_times = int(run.get("n_times", 201))
-    times = np.linspace(0.0, t_max, n_times)
-
-    traces = [dressed_amplitude(basis, scenario, s, times) for s in schemes]
+    names = run["schemes"]
+    times = np.linspace(0.0, _window_t_max(run, scenario), run["n_times"])
+    traces = [dressed_amplitude(basis, scenario, DressingScheme[name.upper()], times)
+              for name in names]
     for name, trace in zip(names, traces):
         report.note(f"p_final.{name}", float(trace.probability[-1]))
     header = ["t"] + [f"p{i + 1}" for i in range(len(traces))]
@@ -378,13 +401,9 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
     basis = build_basis(doc)
     if basis.kind is not BasisKind.ION_TRAP or basis.n_sites != 2:
         raise SchemaError("ion2 needs system.kind 'trap' with n_ions = 2")
-    run = doc.get("run", {})
-    cutoff = int(run.get("schmidt_cutoff", 2))
-    if cutoff < 2:
-        raise SchemaError(f"run.schmidt_cutoff must be >= 2, got {cutoff}")
-
-    w0, w1 = float(basis.frequencies[0]), float(basis.frequencies[1])
-    thermal = symplectic_temperature(w0, w1)
+    run = doc["run"]
+    cutoff = run["schmidt_cutoff"]
+    thermal = symplectic_temperature(float(basis.frequencies[0]), float(basis.frequencies[1]))
 
     def prob(alpha: float) -> float:
         pulse = PulseSpec(alpha, alpha)
@@ -392,9 +411,7 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
             return swap_probability(pulse, thermal)[1]
         return swap_probability_full(pulse, thermal, cutoff)[1]
 
-    alphas = np.linspace(float(run.get("alpha_start", 0.0)),
-                         float(run.get("alpha_stop", 3.0)),
-                         int(run.get("alpha_num", 301)))
+    alphas = np.linspace(run["alpha_start"], run["alpha_stop"], run["alpha_num"])
     probs = _sweep_map(prob, list(alphas))
     scan = write_csv(out, ["alpha", "probability"], zip(alphas, probs))
 
@@ -412,23 +429,12 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
 def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
     basis = build_basis(doc)
     scenario = build_scenario(doc, basis)
-    run = doc.get("run", {})
-    scheme_name = run.get("scheme", "bare")
-    if scheme_name not in _SCHEMES:
-        raise SchemaError(f"unknown dressing scheme {scheme_name!r}")
-    scheme = _SCHEMES[scheme_name]
-    component = run.get("component", "total")
-    if component not in ("total", "up", "down"):
-        raise SchemaError(f"run.component must be total/up/down, got {component!r}")
-
-    if "t_values" in run:
-        t_values = [float(t) for t in run["t_values"]]
-    else:
-        w_end = scenario.opening_a.post_ramp().window_end
-        t_max = float(run["t_max"]) if "t_max" in run else w_end
-        if not np.isfinite(t_max):
-            raise SchemaError("run.t_max is required when the opening never closes")
-        t_values = list(np.linspace(0.0, t_max, int(run.get("n_times", 26))))
+    run = doc["run"]
+    scheme = DressingScheme[run["scheme"].upper()]
+    component = run["component"]
+    t_values = run["t_values"]
+    if t_values is None:
+        t_values = list(np.linspace(0.0, _window_t_max(run, scenario), run["n_times"]))
 
     rows = []
     for t in t_values:
@@ -445,25 +451,14 @@ def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
 def cmd_oracle_check(doc: dict, out: Path, report: Reporter) -> list[Path]:
     basis = build_basis(doc)
     scenario = build_scenario(doc, basis)
-    run = doc.get("run", {})
-    epsilons = [float(e) for e in run.get("epsilons", [1e-2, 5e-3, 2.5e-3])]
-    if not all(e >= 0 for e in epsilons):
-        raise SchemaError("run.epsilons must be >= 0")
-    t_max = float(run.get("t_max", 1.5))
-    n_times = int(run.get("n_times", 15))
-    times = np.linspace(0.0, t_max, n_times + 1)[1:]
-    method = run.get("method", "auto")
-    cutoff = run.get("cutoff", "auto")
-    if cutoff != "auto":
-        cutoff = int(cutoff)
-        if cutoff < 2:
-            raise SchemaError(f"run.cutoff must be >= 2 or 'auto', got {cutoff}")
-
+    run = doc["run"]
+    times = np.linspace(0.0, run["t_max"], run["n_times"] + 1)[1:]
+    cutoff = run["cutoff"]
     residuals, slope = residual_slope(
-        basis, scenario, epsilons, times, method=method,
+        basis, scenario, run["epsilons"], times, method=run["method"],
         max_total_phonons=None if cutoff == "auto" else cutoff)
     report.note("fitted_slope", slope)
-    return [write_csv(out, ["epsilon", "residual"], zip(epsilons, residuals))]
+    return [write_csv(out, ["epsilon", "residual"], zip(run["epsilons"], residuals))]
 
 
 _COMMANDS = {
@@ -490,8 +485,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     report = Reporter(args.quiet)
     try:
-        doc = load_scenario_file(args.scenario)
-        outputs = _COMMANDS[args.command](doc, Path(args.out), report)
+        raw = load_scenario_file(args.scenario)
+        outputs = _COMMANDS[args.command](apply_schema(raw, args.command), Path(args.out), report)
     except (NumericalFailureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -502,13 +497,14 @@ def main(argv: list[str] | None = None) -> int:
     manifest = {
         "tool_version": __version__,
         "command": args.command,
-        "scenario_hash": scenario_hash(doc),
+        "scenario_hash": scenario_hash(raw),
         "wall_time_s": round(time.perf_counter() - started, 6),
         "outputs": [p.name for p in outputs],
-        "summary": report.summary,
+        # strict JSON: a non-finite summary value is written as null
+        "summary": {k: v if math.isfinite(v) else None for k, v in report.summary.items()},
     }
     manifest_path = Path(args.out).with_suffix(".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, default=float) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2, default=float, allow_nan=False) + "\n")
     if not args.quiet:
         for p in outputs:
             print(f"wrote {p}")

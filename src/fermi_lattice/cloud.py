@@ -33,7 +33,7 @@ class CloudSnapshot:
 
 
 def _dressing_coefficients(basis: ModeBasis, scenario: Scenario,
-                           scheme: DressingScheme, t: float, method: str):
+                           scheme: DressingScheme, t: float):
     """One-phonon coefficient vectors (c_Ak, c_Bk) at time t."""
     om = _require_equal_splittings(scenario)
     f0 = scenario.opening_a.post_ramp()
@@ -45,9 +45,9 @@ def _dressing_coefficients(basis: ModeBasis, scenario: Scenario,
     la = np.conj(basis.row(scenario.site_a))
     lb = np.conj(basis.row(scenario.site_b))
     c_a = la * (scheme.d1 / (om + w)
-                + 1j * opening_phase_integral(f0, -(om - w), t, method=method))
+                + 1j * opening_phase_integral(f0, -(om - w), t))
     c_b = lb * ((scheme.d1 + scheme.d2) / (om + w)
-                + 1j * opening_phase_integral(f0, +(om + w), t, method=method))
+                + 1j * opening_phase_integral(f0, +(om + w), t))
     return c_a, c_b
 
 
@@ -57,27 +57,25 @@ def _site_cloud(basis: ModeBasis, coeffs: np.ndarray, eps: float, t: float) -> n
 
 
 def excitation_distribution(basis: ModeBasis, scenario: Scenario,
-                            scheme: DressingScheme, t: float,
-                            method: str = "auto") -> CloudSnapshot:
+                            scheme: DressingScheme, t: float) -> CloudSnapshot:
     """Total excitation distribution over all sites at time t >= 0."""
     if t < 0:
         raise InvalidParametersError("cloud time must be >= 0")
     scenario.check_sites(basis.n_sites)
-    c_a, c_b = _dressing_coefficients(basis, scenario, scheme, t, method)
+    c_a, c_b = _dressing_coefficients(basis, scenario, scheme, t)
     d = (_site_cloud(basis, c_a, scenario.epsilon, t)
          + _site_cloud(basis, c_b, scenario.epsilon, t))
     return CloudSnapshot(time=t, d=d, scheme=scheme)
 
 
 def single_site_distributions(basis: ModeBasis, scenario: Scenario,
-                              scheme: DressingScheme, t: float,
-                              method: str = "auto"):
+                              scheme: DressingScheme, t: float):
     """(spin-up cloud of A, spin-down cloud of B); their sum is the total
     distribution at leading order."""
     if t < 0:
         raise InvalidParametersError("cloud time must be >= 0")
     scenario.check_sites(basis.n_sites)
-    c_a, c_b = _dressing_coefficients(basis, scenario, scheme, t, method)
+    c_a, c_b = _dressing_coefficients(basis, scenario, scheme, t)
     up = CloudSnapshot(t, _site_cloud(basis, c_a, scenario.epsilon, t), scheme)
     down = CloudSnapshot(t, _site_cloud(basis, c_b, scenario.epsilon, t), scheme)
     return up, down

@@ -207,7 +207,7 @@ def initial_dressed_state(ground: StateExpansion, scheme: DressingScheme,
 
 
 def dressed_amplitude(basis: ModeBasis, scenario: Scenario, scheme: DressingScheme,
-                      times, method: str = "auto") -> AmplitudeTrace:
+                      times) -> AmplitudeTrace:
     """Swap amplitude from the scheme's initial state, to leading order.
 
     The opening profile must be the shared post-ramp profile f0 of both
@@ -226,14 +226,12 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario, scheme: DressingSche
 
     w = basis.frequencies
     d1, d2 = scheme.d1, scheme.d2
-    f1 = -opening_nested_integral(f0, -(om + w), f0, +(om + w), times, method=method)
-    f2 = -opening_nested_integral(f0, +(om - w), f0, -(om - w), times, method=method)
+    f1 = -opening_nested_integral(f0, -(om + w), f0, +(om + w), times)
+    f2 = -opening_nested_integral(f0, +(om - w), f0, -(om - w), times)
     if d1 or d2:
-        f1 = f1 + (1j * (d1 + d2) / (om + w)) * opening_phase_integral(
-            f0, -(om + w), times, method=method)
+        f1 = f1 + (1j * (d1 + d2) / (om + w)) * opening_phase_integral(f0, -(om + w), times)
     if d1:
-        f2 = f2 + (1j * d1 / (om + w)) * opening_phase_integral(
-            f0, +(om - w), times, method=method)
+        f2 = f2 + (1j * d1 / (om + w)) * opening_phase_integral(f0, +(om - w), times)
         static = d1 / (2.0 * om * (om + w))
         f1 = f1 + static
         f2 = f2 + static

@@ -31,6 +31,9 @@ NODES_PER_PERIOD = 20
 QUAD_RTOL = 1e-10
 QUAD_ATOL = 1e-13
 MAX_DOUBLINGS = 12
+# T takes its 7-term series below |beta t| = 3e-2, where it truncates below
+# 1e-15; the difference form cancels -log10|beta t| digits, 8 of them at 1e-4
+NESTED_SERIES_BELOW = 3e-2
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
 
@@ -88,7 +91,7 @@ def nested_phase_integral(alpha, beta, t):
     )
     shape = alpha.shape
     alpha, beta, t = alpha.ravel(), beta.ravel(), t.ravel()
-    small = np.abs(beta * t) < 1e-4
+    small = np.abs(beta * t) < NESTED_SERIES_BELOW
     out = np.empty(alpha.size, dtype=complex)
 
     big = ~small

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,3 +317,134 @@ def test_write_csv_refuses_non_finite_cells(tmp_path, bad):
     with pytest.raises(NumericalFailureError, match="row 2"):
         cli.write_csv(out, ["x", "y"], [(0.0, 1.0), (1.0, bad)])
     assert not out.exists()
+
+
+# ------------------------------------------------------------- the scenario schema
+
+ORACLE = {
+    "system": {"kind": "chain", "chain": {"n_sites": 3}},
+    "scenario": {"site_a": 0, "site_b": 1, "omega": 2.0, "opening": {"variant": "constant"}},
+    "run": {"epsilons": [0.01], "t_max": 0.5, "n_times": 3},
+}
+DRESSED = {**FIG4, "run": {"mode": "trace", "n_times": 5}}
+ION2 = {"system": {"kind": "trap", "trap": {"n_ions": 2}}, "run": {"alpha_num": 5}}
+R_SCAN = {"system": {"kind": "chain", "chain": {"n_sites": 10}},
+          "scenario": {"site_a": 0, "site_b": 3}, "run": {"mode": "r_scan", "tau": 0.3}}
+
+
+def _with(doc, path, value):
+    """A deep copy of doc with the key at the dotted path set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+BAD_INPUTS = [
+    ("bare", FIG4, "runs", {}),
+    ("bare", FIG4, "system.chain.lenght", 1.0),
+    ("bare", FIG4, "scenario.epsilom", 0.5),
+    ("bare", FIG4, "scenario.opening.windw", 0.1),
+    ("bare", FIG4, "run.n_time", 5),
+    ("bare", FIG4, "scenario.site_b", 31.9),
+    ("bare", FIG4, "system.chain.n_sites", 100.7),
+    ("bare", FIG4, "scenario.epsilon", True),
+    ("bare", FIG4, "scenario.epsilon", "0.5"),
+    ("ion2", ION2, "run.alpha_num", 0),
+    ("ion2", ION2, "scenario", {}),
+    ("oracle-check", ORACLE, "run.epsilons", []),
+    ("dressed", DRESSED, "run.n_times", 0),
+    ("cloud", FIG4, "run.n_times", 0),
+    ("oracle-check", ORACLE, "run.n_times", 0),
+    ("causality", R_SCAN, "run.r_values", "al"),
+]
+
+
+@pytest.mark.parametrize("command, doc, path, value", [
+    pytest.param(*case, id=f"{case[0]}:{case[2]}={case[3]!r}") for case in BAD_INPUTS])
+def test_bad_key_or_value_names_the_key(tmp_path, capsys, command, doc, path, value):
+    code, out = run_cli(tmp_path, command, _with(doc, path, value))
+    assert code == 2
+    assert path in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_opening_is_the_default_of_each_site_opening(tmp_path):
+    window = {"variant": "sin_sq_window", "window": 0.1}
+    other = {"variant": "cos_sq_window", "window": 0.05}
+    both = _with(FIG4, "scenario.opening_a", other)
+    split = _with(_with(_with(FIG4, "scenario.opening_a", other), "scenario.opening_b", window),
+                  "scenario.opening", {"variant": "constant"})
+    assert run_cli(tmp_path, "bare", both, "both.csv")[0] == 0
+    assert run_cli(tmp_path, "bare", split, "split.csv")[0] == 0
+    assert run_cli(tmp_path, "bare", FIG4, "plain.csv")[0] == 0
+    assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "split.csv").read_bytes()
+    assert (tmp_path / "both.csv").read_bytes() != (tmp_path / "plain.csv").read_bytes()
+
+
+def test_manifest_is_strict_json(tmp_path):
+    code, out = run_cli(tmp_path, "oracle-check", _with(ORACLE, "run.epsilons", [0.0, 0.01]))
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} in the manifest")
+
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["summary"]["fitted_slope"] is None
+
+
+@pytest.mark.parametrize("n_samples, widened_calls", [(2000, 0), (150, 1)])
+def test_causality_reuses_the_trace_for_the_rise(tmp_path, monkeypatch, n_samples,
+                                                 widened_calls):
+    from fermi_lattice.causality import lightcone_estimate
+    from fermi_lattice.modes import ChainParams, build_harmonic_chain
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lightcone_estimate(*args)
+
+    monkeypatch.setattr(cli, "lightcone_estimate", counted)
+    doc = {"system": {"kind": "chain", "chain": {"n_sites": 100}},
+           "scenario": {"site_a": 0, "site_b": 31},
+           "run": {"tau_max": 1.0, "n_samples": n_samples}}
+    code, out = run_cli(tmp_path, "causality", doc)
+    assert code == 0
+    assert len(calls) == widened_calls
+    want = lightcone_estimate(build_harmonic_chain(ChainParams(100)), 0, 31, 1.0,
+                              max(n_samples, 100))
+    summary = json.loads(out.with_suffix(".manifest.json").read_text())["summary"]
+    assert summary == {"lightcone.rise_time": want.rise_time,
+                       "lightcone.nominal_causal_time": want.nominal_causal_time,
+                       "lightcone.sharpness": want.sharpness}
+
+
+def _table_words(table, seen):
+    """Every key and variant name in a schema table, nested tables included."""
+    if id(table) in seen:
+        return
+    seen.add(id(table))
+    if isinstance(table, cli.Variants):
+        yield table.key
+        for choice, sub in table.tables.items():
+            yield choice
+            yield from _table_words(sub, seen)
+        return
+    for key, (kind, *_) in table.items():
+        yield key
+        if isinstance(kind, (dict, cli.Variants)):
+            yield from _table_words(kind, seen)
+
+
+def test_readme_lists_every_scenario_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    top = {"system": (cli._SYSTEM, None), "scenario": (cli._SCENARIO, None), "run": ({}, None)}
+    tables = [top, *cli._RUNS.values()]
+    missing = {word for table in tables for word in _table_words(table, set())
+               if f"`{word}`" not in section}
+    assert not missing

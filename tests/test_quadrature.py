@@ -113,6 +113,18 @@ def test_nested_threshold_continuity(alpha, beta, t):
     assert abs(got - want) <= 1e-9 * max(1e-3, abs(want))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.3, -7.0])
+@pytest.mark.parametrize("t", [0.5, 2.0])
+@pytest.mark.parametrize("beta_t", [5e-5, 1e-4, 1.5e-4, 2.9e-2, 3e-2, 4e-2, -2e-4])
+def test_nested_series_switch_keeps_ten_digits(alpha, beta_t, t):
+    # both sides of the series/difference switch at |beta t| = 3e-2, and of
+    # 1e-4, where the difference form would cancel 8 digits
+    beta = beta_t / t
+    want = mp_nested(alpha, beta, t)
+    got = complex(nested_phase_integral(alpha, beta, t))
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
 # ---------------------------------------------------------------- profiles
 
 def test_single_integral_closed_vs_quadrature():
