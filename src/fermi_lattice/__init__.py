@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 from .amplitude import (
     AmplitudeTrace,
     bare_amplitude,
-    double_window_integral,
-    time_ordered_amplitude,
     windowed_amplitude,
 )
 from .causality import (
@@ -55,7 +53,6 @@ from .modes import (
     build_harmonic_chain,
     build_ion_trap,
     equilibrium_positions,
-    site_coupling_row,
 )
 from .openings import OpeningFunction
 from .oracle import (

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .causality import nominal_causal_time
 from .errors import InvalidParametersError
 from .modes import ModeBasis, Scenario
-from .openings import OpeningFunction
 from .quadrature import opening_nested_integral, opening_phase_integral
 
 
@@ -40,7 +38,6 @@ class AmplitudeTrace:
     ac: np.ndarray | None
     total: np.ndarray
     probability: np.ndarray
-    per_mode: np.ndarray | None = None
 
     def commutator_ratio(self) -> float:
         """max |A_c| / max |A_0| over the trace."""
@@ -67,8 +64,7 @@ def _branch_integrals(basis, scenario, times):
     return out
 
 
-def bare_amplitude(basis: ModeBasis, scenario: Scenario, times,
-                   per_mode: bool = False) -> AmplitudeTrace:
+def bare_amplitude(basis: ModeBasis, scenario: Scenario, times) -> AmplitudeTrace:
     """Amplitude trace for the bare initial state.
 
     ``times`` must be non-negative; the openings are evaluated from t = 0
@@ -93,25 +89,7 @@ def bare_amplitude(basis: ModeBasis, scenario: Scenario, times,
     return AmplitudeTrace(
         times=times, a0=a0, ac=ac, total=total,
         probability=np.abs(total) ** 2,
-        per_mode=(a0_modes + ac_modes) if per_mode else None,
     )
-
-
-def time_ordered_amplitude(basis: ModeBasis, scenario: Scenario, times) -> np.ndarray:
-    """The same amplitude assembled directly from the two time orderings
-    (emission-absorption plus absorption-emission), without the A0/Ac
-    split.  Exists as an independent composition for consistency checks."""
-    scenario.check_sites(basis.n_sites)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    w = basis.frequencies
-    mu = basis.row(scenario.site_a) * np.conj(basis.row(scenario.site_b))
-    f_a = scenario.opening_a.post_ramp()
-    f_b = scenario.opening_b.post_ramp()
-    om_a, om_b = scenario.omega_a, scenario.omega_b
-
-    n_plus = opening_nested_integral(f_a, -(om_a + w), f_b, +(om_b + w), times)
-    m_minus = opening_nested_integral(f_b, +(om_b - w), f_a, -(om_a - w), times)
-    return -scenario.epsilon**2 * np.sum(mu * n_plus + np.conj(mu) * m_minus, axis=-1)
 
 
 def windowed_amplitude(basis: ModeBasis, scenario: Scenario,
@@ -131,22 +109,3 @@ def windowed_amplitude(basis: ModeBasis, scenario: Scenario,
     times = np.linspace(0.0, w_end, n_times)
     return bare_amplitude(basis, scenario, times)
 
-
-def double_window_integral(opening: OpeningFunction, splitting: float, mode_freq: float,
-                           t: float, ordering: Literal["independent", "nested"] = "nested",
-                           method: str = "auto") -> complex:
-    """Per-mode kernel shared by A0 and A_c at phase phi = splitting + mode_freq.
-
-    independent:  int_0^t f e^{-i phi t'} dt' * int_0^t f e^{+i phi t''} dt''
-    nested:       int_0^t dt' f(t') e^{-i phi t'} int_0^t' dt'' f(t'') e^{+i phi t''}
-    """
-    if t < 0:
-        raise InvalidParametersError("t must be >= 0")
-    phi = splitting + mode_freq
-    if ordering == "independent":
-        left = opening_phase_integral(opening, -phi, t, method=method)
-        right = opening_phase_integral(opening, +phi, t, method=method)
-        return complex(left * right)
-    if ordering == "nested":
-        return complex(opening_nested_integral(opening, -phi, opening, +phi, t, method=method))
-    raise ValueError(f"unknown ordering {ordering!r}")

@@ -296,9 +296,12 @@ def _window_t_max(run: dict, scenario: Scenario) -> float:
 
 
 def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
+    run = doc["run"]
+    if run.get("separation_fraction") is not None and run["n_values"] is None:
+        raise SchemaError("run.separation_fraction needs run.n_values (it places site_b "
+                          "for each chain size of the sweep)")
     basis = build_basis(doc)
     scenario = build_scenario(doc, basis)
-    run = doc["run"]
 
     if run["mode"] == "r_scan":
         if basis.kind is not BasisKind.HARMONIC_CHAIN:
@@ -398,9 +401,12 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
 
 def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
+    system = doc["system"]
+    if system["kind"] != "trap":
+        raise SchemaError(f"ion2 needs system.kind 'trap', got {system['kind']!r}")
+    if system["trap"]["n_ions"] != 2:
+        raise SchemaError(f"ion2 needs system.trap.n_ions = 2, got {system['trap']['n_ions']}")
     basis = build_basis(doc)
-    if basis.kind is not BasisKind.ION_TRAP or basis.n_sites != 2:
-        raise SchemaError("ion2 needs system.kind 'trap' with n_ions = 2")
     run = doc["run"]
     cutoff = run["schmidt_cutoff"]
     thermal = symplectic_temperature(float(basis.frequencies[0]), float(basis.frequencies[1]))

@@ -266,11 +266,6 @@ def build_ion_trap(params: TrapParams) -> ModeBasis:
     return ModeBasis(n, freqs, couplings, BasisKind.ION_TRAP, trap=params)
 
 
-def site_coupling_row(basis: ModeBasis, n: int) -> np.ndarray:
-    """Row n of the coupling matrix (one complex entry per mode)."""
-    return basis.row(n)
-
-
 def equilibrium_positions(n_ions: int, max_iter: int = 200, tol: float = 1e-13) -> np.ndarray:
     """Dimensionless equilibrium positions (ascending) via damped Newton steps."""
     if n_ions < 2:

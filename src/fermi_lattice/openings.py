@@ -10,7 +10,7 @@ import numpy as np
 from .errors import InvalidParametersError
 
 # f(t) = sum_j c_j exp(i nu_j t) on [0, window_end); used by the closed-form
-# integral kernels.  None means "no exponential decomposition, use quadrature".
+# integral kernels.
 ExpComponents = list[tuple[complex, float]]
 
 CONSTANT = "constant"
@@ -98,8 +98,8 @@ class OpeningFunction:
         """The t >= 0 part of the profile (strips an adiabatic ramp)."""
         return self.inner if self.variant == EXP_RAMP else self
 
-    def exp_components(self) -> ExpComponents | None:
-        """Exponential decomposition of the t >= 0 part, if one exists."""
+    def exp_components(self) -> ExpComponents:
+        """Exponential decomposition of the t >= 0 part."""
         if self.variant == CONSTANT:
             return [(1.0 + 0.0j, 0.0)]
         if self.variant in (SIN_SQ_WINDOW, COS_SQ_WINDOW):

@@ -330,6 +330,8 @@ DRESSED = {**FIG4, "run": {"mode": "trace", "n_times": 5}}
 ION2 = {"system": {"kind": "trap", "trap": {"n_ions": 2}}, "run": {"alpha_num": 5}}
 R_SCAN = {"system": {"kind": "chain", "chain": {"n_sites": 10}},
           "scenario": {"site_a": 0, "site_b": 3}, "run": {"mode": "r_scan", "tau": 0.3}}
+TAU_SCAN = {"system": {"kind": "chain", "chain": {"n_sites": 20}},
+            "scenario": {"site_a": 0, "site_b": 5}, "run": {"tau_max": 0.5, "n_samples": 200}}
 
 
 def _with(doc, path, value):
@@ -360,6 +362,8 @@ BAD_INPUTS = [
     ("cloud", FIG4, "run.n_times", 0),
     ("oracle-check", ORACLE, "run.n_times", 0),
     ("causality", R_SCAN, "run.r_values", "al"),
+    ("causality", TAU_SCAN, "run.separation_fraction", 0.5),
+    ("ion2", ION2, "system.trap.n_ions", 3),
 ]
 
 
@@ -370,6 +374,15 @@ def test_bad_key_or_value_names_the_key(tmp_path, capsys, command, doc, path, va
     assert code == 2
     assert path in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_ion2_rejects_the_ion_count_before_building_a_trap(tmp_path, monkeypatch):
+    def refuse(params):
+        raise AssertionError("ion2 built a trap it then rejected")
+
+    monkeypatch.setattr(cli, "build_ion_trap", refuse)
+    code, _ = run_cli(tmp_path, "ion2", _with(ION2, "system.trap.n_ions", 3))
+    assert code == 2
 
 
 def test_opening_is_the_default_of_each_site_opening(tmp_path):

@@ -15,7 +15,6 @@ from fermi_lattice import (
     build_harmonic_chain,
     build_ion_trap,
     equilibrium_positions,
-    site_coupling_row,
 )
 from fermi_lattice.modes import _trap_hessian
 
@@ -133,7 +132,7 @@ def test_only_a_chain_omits_the_dense_matrix():
 
 def test_chain_coupling_value():
     basis = build_harmonic_chain(ChainParams(4))
-    row = site_coupling_row(basis, 0)
+    row = basis.row(0)
     np.testing.assert_allclose(row, 1.0 / np.sqrt(2 * 4 * basis.frequencies), rtol=1e-15)
 
 
@@ -214,7 +213,7 @@ def test_trap_orthonormal_modes(n):
 
 
 def test_trap_coupling_row_value(trap2):
-    row = site_coupling_row(trap2, 0)
+    row = trap2.row(0)
     w = trap2.frequencies
     np.testing.assert_allclose(row, [1 / np.sqrt(2 * w[0] * 2), 1 / np.sqrt(2 * w[1] * 2)],
                                atol=1e-12)
@@ -252,9 +251,9 @@ def test_trap_modes_diagonalize_hessian():
 
 def test_site_coupling_row_range(chain100):
     with pytest.raises(IndexError):
-        site_coupling_row(chain100, 100)
+        chain100.row(100)
     with pytest.raises(IndexError):
-        site_coupling_row(chain100, -1)
+        chain100.row(-1)
 
 
 def test_scenario_validation():
@@ -303,12 +302,17 @@ def test_opening_values_and_support():
 
 
 def test_opening_exp_components_reconstruct():
-    t = np.linspace(0, 0.2, 101)
-    for op in (OpeningFunction.sin_sq_window(0.2), OpeningFunction.cos_sq_window(0.2)):
+    # every profile has a decomposition: the closed-form kernels are the only engine
+    inners = (OpeningFunction.constant(),
+              OpeningFunction.sin_sq_window(0.2), OpeningFunction.cos_sq_window(0.2),
+              OpeningFunction.sin_sq_window(0.0), OpeningFunction.cos_sq_window(0.0))
+    for op in (*inners, *(OpeningFunction.exp_ramp_then(0.3, inner) for inner in inners)):
         comps = op.exp_components()
+        assert isinstance(comps, list)
+        t = np.linspace(0, min(op.window_end, 0.2), 101)
         rebuilt = sum(c * np.exp(1j * nu * t) for c, nu in comps)
         np.testing.assert_allclose(rebuilt.imag, 0, atol=1e-15)
-        np.testing.assert_allclose(rebuilt.real, op(t), atol=1e-14)
+        np.testing.assert_allclose(rebuilt.real, op.post_ramp()(t), atol=1e-14)
 
 
 def test_opening_ramp_evaluation():
