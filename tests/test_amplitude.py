@@ -12,6 +12,7 @@ from fermi_lattice import (
     windowed_amplitude,
 )
 from fermi_lattice.quadrature import opening_nested_integral, opening_phase_integral
+from test_quadrature import gl_nested_integral, gl_phase_integral
 
 
 def reference_time_ordered_amplitude(basis, scenario, times):
@@ -157,3 +158,16 @@ def test_dwi_independent_closed_form():
     got = opening_phase_integral(op, -phi, t) * opening_phase_integral(op, phi, t)
     one = (np.exp(-1j * phi * t) - 1.0) / (-1j * phi)
     assert got == pytest.approx(one * np.conj(one), rel=1e-12)
+
+
+def test_dwi_quadrature_agrees_with_closed_form():
+    # splitting 2 against mode frequency 17: phase 19
+    op = OpeningFunction.sin_sq_window(0.1)
+    phi = np.array([19.0])
+    t = 0.1
+    closed = opening_phase_integral(op, -phi, t) * opening_phase_integral(op, phi, t)
+    quad = gl_phase_integral(op, -phi, t) * gl_phase_integral(op, phi, t)
+    np.testing.assert_allclose(quad, closed, rtol=1e-9, atol=1e-12)
+    closed = opening_nested_integral(op, -phi, op, phi, t)
+    quad = gl_nested_integral(op, -phi, op, phi, t)
+    np.testing.assert_allclose(quad, closed, rtol=1e-9, atol=1e-12)
