@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import nominal_causal_time
+from .causality import nominal_causal_time, row_blocks
 from .errors import InvalidParametersError
 from .modes import ModeBasis, Scenario
 from .quadrature import opening_nested_integral, opening_phase_integral
@@ -77,14 +77,16 @@ def bare_amplitude(basis: ModeBasis, scenario: Scenario, times) -> AmplitudeTrac
 
     mu = basis.row(scenario.site_a) * np.conj(basis.row(scenario.site_b))
     eps2 = scenario.epsilon**2
-    g = _branch_integrals(basis, scenario, times)
-
-    a0_modes = -0.5 * eps2 * (mu * g["sa_p"] * g["sb_p"]
-                              + np.conj(mu) * g["sa_m"] * g["sb_m"])
-    ac_modes = -0.5 * eps2 * (mu * (2.0 * g["n_p"] - g["sa_p"] * g["sb_p"])
-                              - np.conj(mu) * (2.0 * g["n_m"] - g["sa_m"] * g["sb_m"]))
-    a0 = np.sum(a0_modes, axis=-1)
-    ac = np.sum(ac_modes, axis=-1)
+    a0 = np.empty(times.size, dtype=complex)
+    ac = np.empty(times.size, dtype=complex)
+    for rows in row_blocks(times.size, basis.n_modes):
+        g = _branch_integrals(basis, scenario, times[rows])
+        a0_modes = -0.5 * eps2 * (mu * g["sa_p"] * g["sb_p"]
+                                  + np.conj(mu) * g["sa_m"] * g["sb_m"])
+        ac_modes = -0.5 * eps2 * (mu * (2.0 * g["n_p"] - g["sa_p"] * g["sb_p"])
+                                  - np.conj(mu) * (2.0 * g["n_m"] - g["sa_m"] * g["sb_m"]))
+        a0[rows] = np.sum(a0_modes, axis=-1)
+        ac[rows] = np.sum(ac_modes, axis=-1)
     total = a0 + ac
     return AmplitudeTrace(
         times=times, a0=a0, ac=ac, total=total,

@@ -22,8 +22,9 @@ from .modes import BasisKind, ModeBasis
 # grid resolution floor for lightcone scans: samples per period of omega_max
 SAMPLES_PER_PERIOD = 20
 DEFAULT_SAMPLES = 2000
-# element budget of one (taus x modes) block of the mode sum
-MODE_SUM_BLOCK = 2**19
+# element budget of one (times x modes) block of a mode sum: 1 MB of
+# complex128, so a block and its temporaries stay in a core's L2 cache
+MODE_SUM_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -42,18 +43,27 @@ class LightconeEstimate:
     sharpness: float
 
 
+def row_blocks(n_rows: int, n_modes: int) -> list[slice]:
+    """Even split of the rows of a (rows x modes) grid into blocks of at most
+    about MODE_SUM_BLOCK elements.
+
+    No block is a single row unless the grid is: under a budget of at least
+    3 rows, an even split leaves 2 or more in each.  numpy's matmul takes a
+    plain dot product for one row, which rounds differently from the
+    matrix-vector product, so a mode sum over the blocks equals the
+    unblocked one bitwise.
+    """
+    n_blocks = max(1, -(-n_rows // max(3, MODE_SUM_BLOCK // n_modes)))
+    edges = [n_rows * i // n_blocks for i in range(n_blocks + 1)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
 def _mode_sum(basis: ModeBasis, site_a: int, site_b: int, taus):
     mu = basis.row(site_a) * np.conj(basis.row(site_b))
     taus = np.asarray(taus, dtype=float)
     flat = taus.ravel()
-    # phase blocks of about MODE_SUM_BLOCK elements stay in cache.  No block
-    # is a single row unless the grid is (an even split under a budget of at
-    # least 3 rows leaves 2 or more in each): numpy's matmul takes a plain dot
-    # product for one row, which rounds differently from the matrix-vector
-    # product, so every element equals the unblocked product's bitwise
-    n_blocks = max(1, -(-flat.size // max(3, MODE_SUM_BLOCK // basis.n_modes)))
-    sums = [np.exp(1j * np.multiply.outer(block, basis.frequencies)) @ mu
-            for block in np.array_split(flat, n_blocks)]
+    sums = [np.exp(1j * np.multiply.outer(flat[rows], basis.frequencies)) @ mu
+            for rows in row_blocks(flat.size, basis.n_modes)]
     return np.concatenate(sums).reshape(taus.shape)
 
 

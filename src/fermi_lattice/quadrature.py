@@ -105,20 +105,62 @@ def nested_phase_integral(alpha, beta, t):
 # ---------------------------------------------------------------------------
 # profile-aware integrals
 # ---------------------------------------------------------------------------
+#
+# Inside these, t is a (T, 1) column and phi a (K,) row.  The phases
+# nu + phi of the exponential components share one grid e^{i phi t}, so a
+# call evaluates one full-grid exponential per distinct phase row, and
+# E(nu + phi; t) = (e^{i nu t} e^{i phi t} - 1) / (i (nu + phi)) costs
+# elementwise products only.  The small-argument series run on the
+# elements that need them.
+
+def _below(phase, t, limit: float, rows=True):
+    """Grid indices (ti, ki) of |phase t| < limit among the rows selected by
+    the mask rows; only rows where the smallest |phase| qualifies are searched."""
+    rows = np.flatnonzero(rows & (np.abs(t[:, 0]) * np.min(np.abs(phase), initial=np.inf) < limit))
+    ti, ki = np.nonzero(np.abs(phase) * np.abs(t[rows]) < limit)
+    return rows[ti], ki
+
+
+def _shifted_phase_integral(nu: float, phi, t, e_phi):
+    """E(nu + phi; t) on the (T, K) grid, given e_phi = e^{i phi t}."""
+    phase = nu + phi
+    e = e_phi if nu == 0.0 else np.exp(1j * nu * t) * e_phi
+    out = (e - 1.0) / (1j * np.where(phase == 0.0, 1.0, phase))
+    ti, ki = _below(phase, t, 1e-4)
+    if ti.size:
+        out[ti, ki] = phase_integral(phase[ki], t[ti, 0])
+    return out
+
+
+def _profile_integral(components, phi, t, e_phi):
+    """sum_c c E(nu_c + phi; t): the profile integral up to t (clipped)."""
+    out = 0.0
+    for c, nu in components:
+        out = out + c * _shifted_phase_integral(nu, phi, t, e_phi)
+    return out
+
+
+def _flatten(phi, t):
+    phi = np.asarray(phi, dtype=float).reshape(-1)
+    t = np.asarray(t, dtype=float).reshape(-1, 1)
+    return phi, t
+
+
+def _restore_shape(out, t_in, phi_in):
+    if np.ndim(t_in) == 0 and np.ndim(phi_in) == 0:
+        return complex(out[0, 0])
+    return out.reshape(np.shape(t_in) + np.shape(phi_in))
+
 
 def opening_phase_integral(opening: OpeningFunction, phi, t):
     """int_0^t f(u) e^{i phi u} du for an opening profile.
 
     Result shape is t.shape + phi.shape.
     """
-    phi_in, t_in = phi, t
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    tt = np.minimum(t, opening.window_end)[..., None]
-    out = np.zeros(t.shape + phi.shape, dtype=complex)
-    for c, nu in opening.exp_components():
-        out = out + c * phase_integral(nu + phi, tt)
-    return _restore_shape(out, t_in, phi_in)
+    phi_row, t_col = _flatten(phi, t)
+    tt = np.minimum(t_col, opening.window_end)
+    out = _profile_integral(opening.exp_components(), phi_row, tt, np.exp(1j * (phi_row * tt)))
+    return _restore_shape(out, t, phi)
 
 
 def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
@@ -127,41 +169,56 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
 
     phi_outer and phi_inner must have the same shape; the result has shape
     t.shape + phi.shape.
+
+    With alpha = nu_a + phi1 and beta = nu_b + phi2 over the component
+    pairs, the integral up to s = min(t, w1, w2) is
+
+        sum_b c_b / (i beta) [sum_a c_a E(alpha + beta; s) - S1(s)]
+
+    where S1 is the outer profile integral, and T's series takes the
+    elements with |beta s| small.  alpha + beta = (nu_a + nu_b) + (phi1 +
+    phi2) is one column per pair when phi1 + phi2 is the same for every
+    mode (it is 0 for the amplitude kernels).  Past the inner window end
+    w2 < t' <= min(t, w1) the inner integral has saturated, which adds
+    [S1(min(t, w1)) - S1(s)] S2(w2).
     """
+    if np.atleast_1d(phi_outer).shape != np.atleast_1d(phi_inner).shape:
+        raise ValueError("phi_outer and phi_inner must have matching shapes")
     c1 = opening_outer.exp_components()
     c2 = opening_inner.exp_components()
-    phi1_in, t_in = phi_outer, t
-    phi1 = np.atleast_1d(np.asarray(phi_outer, dtype=float))
-    phi2 = np.atleast_1d(np.asarray(phi_inner, dtype=float))
-    if phi1.shape != phi2.shape:
-        raise ValueError("phi_outer and phi_inner must have matching shapes")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    phi1, t_col = _flatten(phi_outer, t)
+    phi2 = np.asarray(phi_inner, dtype=float).reshape(-1)
 
-    w1 = opening_outer.window_end
     w2 = opening_inner.window_end
-    cap = np.minimum(t, w1)[..., None]
+    cap = np.minimum(t_col, opening_outer.window_end)
     s = np.minimum(cap, w2)
-    out = np.zeros(t.shape + phi1.shape, dtype=complex)
-    for ca, nua in c1:
-        a = nua + phi1
-        for cb, nub in c2:
-            b = nub + phi2
-            term = nested_phase_integral(a, b, s)
-            if math.isfinite(w2):
-                # region s < t' <= cap where the inner integral has saturated
-                term = term + phase_integral(b, w2) * (
-                    phase_integral(a, cap) - phase_integral(a, s)
-                )
-            out = out + ca * cb * term
-    return _restore_shape(out, t_in, phi1_in)
+    outer = _profile_integral(c1, phi1, s, np.exp(1j * (phi1 * s)))
 
+    sigma = phi1 + phi2
+    uniform = bool(np.all(sigma == sigma[:1]))
+    e_sigma = None if uniform else np.exp(1j * (sigma * s))
+    out = np.zeros(outer.shape, dtype=complex)
+    for cb, nub in c2:
+        beta = nub + phi2
+        if uniform:
+            pair = sum(ca * phase_integral(nua + nub + sigma[:1], s) for ca, nua in c1)
+        else:
+            pair = sum(ca * _shifted_phase_integral(nua + nub, sigma, s, e_sigma)
+                       for ca, nua in c1)
+        term = (pair - outer) / (1j * np.where(beta == 0.0, 1.0, beta))
+        # T(alpha, beta; 0) = 0 needs no series
+        ti, ki = _below(beta, s, NESTED_SERIES_BELOW, s[:, 0] != 0.0)
+        if ti.size:
+            term[ti, ki] = sum(ca * nested_phase_integral(nua + phi1[ki], beta[ki], s[ti, 0])
+                               for ca, nua in c1)
+        out += cb * term
 
-def _restore_shape(out, t_in, phi_in):
-    if np.ndim(t_in) == 0 and np.ndim(phi_in) == 0:
-        return complex(out[0, 0])
-    if np.ndim(t_in) == 0:
-        return out[0]
-    if np.ndim(phi_in) == 0:
-        return out[..., 0]
-    return out
-
+    if math.isfinite(w2):
+        rows = cap[:, 0] > w2
+        if rows.any():
+            past = cap[rows]
+            w2_col = np.full((1, 1), w2)
+            inner = _profile_integral(c2, phi2, w2_col, np.exp(1j * (phi2 * w2_col)))
+            out[rows] += (_profile_integral(c1, phi1, past, np.exp(1j * (phi1 * past)))
+                          - outer[rows]) * inner
+    return _restore_shape(out, t, phi_outer)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fermi_lattice import causality
 from fermi_lattice import (
     ChainParams,
     InvalidParametersError,
@@ -171,3 +174,33 @@ def test_dwi_quadrature_agrees_with_closed_form():
     closed = opening_nested_integral(op, -phi, op, phi, t)
     quad = gl_nested_integral(op, -phi, op, phi, t)
     np.testing.assert_allclose(quad, closed, rtol=1e-9, atol=1e-12)
+
+
+def test_blocked_amplitude_equals_unblocked(chain1000, monkeypatch):
+    # 131 times over 1000 modes: blocks of MODE_SUM_BLOCK // 1000 = 65 rows
+    # would leave one row over; the even split makes 3 blocks of 43-44
+    sc = Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.sin_sq_window(0.1), 0.1)
+    times = np.linspace(0.0, 0.1, 131)
+    assert times.size % (causality.MODE_SUM_BLOCK // 1000) == 1
+    assert len(causality.row_blocks(times.size, 1000)) == 3
+    blocked = bare_amplitude(chain1000, sc, times)
+    monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 10**9)
+    assert len(causality.row_blocks(times.size, 1000)) == 1
+    whole = bare_amplitude(chain1000, sc, times)
+    for name in ("a0", "ac", "total", "probability"):
+        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+
+
+def test_windowed_amplitude_memory_is_bounded_by_the_block():
+    # 201 times over 2000 modes: one full (time, mode) grid is 6.4 MB, and
+    # the unblocked sums held about 15 of them at once (about 104 MB)
+    basis = build_harmonic_chain(ChainParams(2000))
+    sc = Scenario.symmetric(0, 600, 2.0, 1.0, OpeningFunction.sin_sq_window(0.1), 0.1)
+    tracemalloc.start()
+    try:
+        trace = windowed_amplitude(basis, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.total.shape == (201,)
+    assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -41,6 +41,21 @@ def test_bare_command_roundtrip(tmp_path):
     assert manifest["tool_version"]
 
 
+def test_warnings_reach_the_manifest(tmp_path):
+    # sites 0 and 3 of 100 are x/c = 0.03 apart, inside the 0.1 window
+    doc = dict(FIG4, scenario=dict(FIG4["scenario"], site_b=3))
+    with pytest.warns(UserWarning, match="not inside the nominal causal time") as shown:
+        code, out = run_cli(tmp_path, "bare", doc)
+    assert code == 0
+    assert len(shown) == 1
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert len(manifest["warnings"]) == 1
+    assert manifest["warnings"][0].startswith("UserWarning: interaction window T = 0.1 "
+                                              "is not inside the nominal causal time x/c = 0.03")
+    _, clean = run_cli(tmp_path, "bare", FIG4, "clean.csv")
+    assert json.loads(clean.with_suffix(".manifest.json").read_text())["warnings"] == []
+
+
 def test_determinism_byte_identical(tmp_path):
     _, out1 = run_cli(tmp_path, "bare", FIG4, "first.csv")
     _, out2 = run_cli(tmp_path, "bare", FIG4, "second.csv")

@@ -281,3 +281,90 @@ def test_broadcast_shapes():
     nested = opening_nested_integral(op, phis, op, -phis, times)
     assert nested.shape == (5, 7)
     assert isinstance(opening_phase_integral(op, 1.0, 0.05), complex)
+
+
+# ---------------------------------------------------------------- chain phases
+# The profile kernels at the phases the amplitude and dressing sums use on an
+# N = 1000 chain: phi = +-(Omega +- w_k) with Omega = 2, for the slowest and
+# the fastest mode (|phi t| up to about 5e2) and for the modes nearest to
+# resonance with a window component 2 pi / T.  The reference composes the
+# 40-digit helpers above over exp_components().
+
+CHAIN_RTOL = 1e-10
+CHAIN_ATOL = 1e-15
+CHAIN_TIMES = (0.0, 0.05, 0.1, 0.25)  # start, mid-window, window end, beyond
+CHAIN_PROFILES = (OpeningFunction.constant(), OpeningFunction.sin_sq_window(0.1),
+                  OpeningFunction.cos_sq_window(0.1))
+
+
+def _chain_modes(chain):
+    w = chain.frequencies
+    resonance = 2.0 * np.pi / 0.1
+    picks = {int(np.argmin(w)), int(np.argmax(w)),
+             int(np.argmin(np.abs(2.0 + w - resonance))),
+             int(np.argmin(np.abs(w - 2.0 - resonance)))}
+    return w[sorted(picks)]
+
+
+def mp_profile_integral(opening, phi, t):
+    t = min(t, opening.window_end)
+    return sum(c * mp_phase_integral(mpmath.mpf(nu) + mpmath.mpf(phi), t)
+               for c, nu in opening.exp_components())
+
+
+def mp_profile_nested(op1, phi1, op2, phi2, t):
+    w2 = op2.window_end
+    cap = min(t, op1.window_end)
+    s = min(cap, w2)
+    total = 0.0
+    for ca, nua in op1.exp_components():
+        alpha = mpmath.mpf(nua) + mpmath.mpf(phi1)
+        for cb, nub in op2.exp_components():
+            beta = mpmath.mpf(nub) + mpmath.mpf(phi2)
+            term = mp_nested(alpha, beta, s)
+            if cap > s:  # the inner integral has saturated on (w2, cap]
+                term += mp_phase_integral(beta, w2) * (
+                    mp_phase_integral(alpha, cap) - mp_phase_integral(alpha, s))
+            total += ca * cb * term
+    return total
+
+
+def _assert_matches(got, want_fn, phis, label):
+    for i, t in enumerate(CHAIN_TIMES):
+        for j, phi in enumerate(phis):
+            want = want_fn(phi, t)
+            assert abs(got[i, j] - want) <= CHAIN_RTOL * abs(want) + CHAIN_ATOL, (
+                f"{label} phi={phi!r} t={t}: got {got[i, j]!r}, want {want!r}")
+
+
+@pytest.mark.parametrize("opening", CHAIN_PROFILES, ids=lambda op: op.variant)
+def test_single_integral_vs_mpmath_at_chain_phases(chain1000, opening):
+    w = _chain_modes(chain1000)
+    phis = np.concatenate([-(2.0 + w), 2.0 + w, 2.0 - w, -(2.0 - w)])
+    got = opening_phase_integral(opening, phis, CHAIN_TIMES)
+    _assert_matches(got, lambda phi, t: mp_profile_integral(opening, phi, t), phis, "E")
+
+
+@pytest.mark.parametrize("opening", CHAIN_PROFILES, ids=lambda op: op.variant)
+@pytest.mark.parametrize("omega_b", [2.0, 2.5], ids=["phi2=-phi1", "phi2!=-phi1"])
+def test_nested_integral_vs_mpmath_at_chain_phases(chain1000, opening, omega_b):
+    # omega_b = 2 gives phi1 + phi2 = 0 for every mode (a column per component
+    # pair); 2.5 gives +-0.5, which differs between the two branches (a grid)
+    w = _chain_modes(chain1000)
+    phi1 = np.concatenate([-(2.0 + w), 2.0 - w])
+    phi2 = np.concatenate([omega_b + w, -(omega_b - w)])
+    got = opening_nested_integral(opening, phi1, opening, phi2, CHAIN_TIMES)
+    pairs = dict(zip(phi1, phi2))
+    _assert_matches(got, lambda phi, t: mp_profile_nested(opening, phi, opening, pairs[phi], t),
+                    phi1, "T")
+
+
+def test_nested_integral_vs_mpmath_past_the_inner_window(chain1000):
+    # the inner window ends at 0.05, inside the outer one: from there on the
+    # inner integral is constant
+    outer, inner = OpeningFunction.sin_sq_window(0.1), OpeningFunction.cos_sq_window(0.05)
+    w = _chain_modes(chain1000)
+    phi1 = np.concatenate([-(2.0 + w), 2.0 - w])
+    got = opening_nested_integral(outer, phi1, inner, -phi1, CHAIN_TIMES)
+    _assert_matches(got, lambda phi, t: mp_profile_nested(outer, phi, inner, -phi, t),
+                    phi1, "T tail")
