@@ -16,8 +16,6 @@ shape ``P`` and upper limits of shape ``S`` the result has shape ``S + P``
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .openings import OpeningFunction
@@ -106,12 +104,19 @@ def nested_phase_integral(alpha, beta, t):
 # profile-aware integrals
 # ---------------------------------------------------------------------------
 #
-# Inside these, t is a (T, 1) column and phi a (K,) row.  The phases
-# nu + phi of the exponential components share one grid e^{i phi t}, so a
-# call evaluates one full-grid exponential per distinct phase row, and
-# E(nu + phi; t) = (e^{i nu t} e^{i phi t} - 1) / (i (nu + phi)) costs
-# elementwise products only.  The small-argument series run on the
-# elements that need them.
+# Inside these, t is a (T, 1) column and the phases are (K,) rows.  Each
+# distinct phase row gets one exponential over the grid, and no more: E of
+# an outer component is shared by its three component pairs, E of a pair
+# phase that is exactly 0 (nu_a = -nu_b with phi2 = -phi1, as in every
+# amplitude kernel) is the column t, the saturated-tail term is evaluated
+# only on rows past the inner window end, and the small-argument series run
+# on the elements that need them.  Every element is computed by the same
+# floating-point operations as phase_integral and nested_phase_integral, so
+# results equal the elementwise primitives exactly.  That is deliberate:
+# the oracle's residuals are O(eps^4) differences of O(eps^2) amplitudes,
+# so a last-digit change in the kernels moves its fitted slope by ~1e-11.
+# Factoring e^{i (nu + phi) t} into e^{i nu t} e^{i phi t} would save
+# about four fifths of the exponentials but changes those last digits.
 
 def _below(phase, t, limit: float, rows=True):
     """Grid indices (ti, ki) of |phase t| < limit among the rows selected by
@@ -121,22 +126,14 @@ def _below(phase, t, limit: float, rows=True):
     return rows[ti], ki
 
 
-def _shifted_phase_integral(nu: float, phi, t, e_phi):
-    """E(nu + phi; t) on the (T, K) grid, given e_phi = e^{i phi t}."""
-    phase = nu + phi
-    e = e_phi if nu == 0.0 else np.exp(1j * nu * t) * e_phi
-    out = (e - 1.0) / (1j * np.where(phase == 0.0, 1.0, phase))
+def _grid_phase_integral(phase, t):
+    """phase_integral(phase, t) on the (T, K) grid, element for element."""
+    if not np.any(phase):
+        return np.broadcast_to(phase_integral(0.0, t), (t.size, phase.size))
+    out = (np.exp(1j * (phase * t)) - 1.0) / (1j * np.where(phase == 0.0, 1.0, phase))
     ti, ki = _below(phase, t, 1e-4)
     if ti.size:
         out[ti, ki] = phase_integral(phase[ki], t[ti, 0])
-    return out
-
-
-def _profile_integral(components, phi, t, e_phi):
-    """sum_c c E(nu_c + phi; t): the profile integral up to t (clipped)."""
-    out = 0.0
-    for c, nu in components:
-        out = out + c * _shifted_phase_integral(nu, phi, t, e_phi)
     return out
 
 
@@ -159,7 +156,9 @@ def opening_phase_integral(opening: OpeningFunction, phi, t):
     """
     phi_row, t_col = _flatten(phi, t)
     tt = np.minimum(t_col, opening.window_end)
-    out = _profile_integral(opening.exp_components(), phi_row, tt, np.exp(1j * (phi_row * tt)))
+    out = np.zeros((tt.size, phi_row.size), dtype=complex)
+    for c, nu in opening.exp_components():
+        out = out + c * _grid_phase_integral(nu + phi_row, tt)
     return _restore_shape(out, t, phi)
 
 
@@ -168,57 +167,33 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
     """int_0^t dt' f1(t') e^{i phi1 t'} int_0^t' dt'' f2(t'') e^{i phi2 t''}.
 
     phi_outer and phi_inner must have the same shape; the result has shape
-    t.shape + phi.shape.
-
-    With alpha = nu_a + phi1 and beta = nu_b + phi2 over the component
-    pairs, the integral up to s = min(t, w1, w2) is
-
-        sum_b c_b / (i beta) [sum_a c_a E(alpha + beta; s) - S1(s)]
-
-    where S1 is the outer profile integral, and T's series takes the
-    elements with |beta s| small.  alpha + beta = (nu_a + nu_b) + (phi1 +
-    phi2) is one column per pair when phi1 + phi2 is the same for every
-    mode (it is 0 for the amplitude kernels).  Past the inner window end
-    w2 < t' <= min(t, w1) the inner integral has saturated, which adds
-    [S1(min(t, w1)) - S1(s)] S2(w2).
+    t.shape + phi.shape.  Over the component pairs, with alpha = nu_a + phi1
+    and beta = nu_b + phi2, it is sum c_a c_b [T(alpha, beta; s) + E(beta; w2)
+    (E(alpha; cap) - E(alpha; s))] for cap = min(t, w1) and s = min(cap, w2):
+    past the inner window end w2 the inner integral has saturated.
     """
     if np.atleast_1d(phi_outer).shape != np.atleast_1d(phi_inner).shape:
         raise ValueError("phi_outer and phi_inner must have matching shapes")
-    c1 = opening_outer.exp_components()
-    c2 = opening_inner.exp_components()
     phi1, t_col = _flatten(phi_outer, t)
     phi2 = np.asarray(phi_inner, dtype=float).reshape(-1)
-
     w2 = opening_inner.window_end
     cap = np.minimum(t_col, opening_outer.window_end)
     s = np.minimum(cap, w2)
-    outer = _profile_integral(c1, phi1, s, np.exp(1j * (phi1 * s)))
-
-    sigma = phi1 + phi2
-    uniform = bool(np.all(sigma == sigma[:1]))
-    e_sigma = None if uniform else np.exp(1j * (sigma * s))
-    out = np.zeros(outer.shape, dtype=complex)
-    for cb, nub in c2:
-        beta = nub + phi2
-        if uniform:
-            pair = sum(ca * phase_integral(nua + nub + sigma[:1], s) for ca, nua in c1)
-        else:
-            pair = sum(ca * _shifted_phase_integral(nua + nub, sigma, s, e_sigma)
-                       for ca, nua in c1)
-        term = (pair - outer) / (1j * np.where(beta == 0.0, 1.0, beta))
-        # T(alpha, beta; 0) = 0 needs no series
-        ti, ki = _below(beta, s, NESTED_SERIES_BELOW, s[:, 0] != 0.0)
-        if ti.size:
-            term[ti, ki] = sum(ca * nested_phase_integral(nua + phi1[ki], beta[ki], s[ti, 0])
-                               for ca, nua in c1)
-        out += cb * term
-
-    if math.isfinite(w2):
-        rows = cap[:, 0] > w2
-        if rows.any():
-            past = cap[rows]
-            w2_col = np.full((1, 1), w2)
-            inner = _profile_integral(c2, phi2, w2_col, np.exp(1j * (phi2 * w2_col)))
-            out[rows] += (_profile_integral(c1, phi1, past, np.exp(1j * (phi1 * past)))
-                          - outer[rows]) * inner
+    past = np.flatnonzero(cap[:, 0] > s[:, 0])
+    started = s[:, 0] != 0.0  # T(alpha, beta; 0) = 0 needs no series
+    out = np.zeros((s.size, phi1.size), dtype=complex)
+    for ca, nua in opening_outer.exp_components():
+        a = nua + phi1
+        e_a = _grid_phase_integral(a, s)
+        for cb, nub in opening_inner.exp_components():
+            b = nub + phi2
+            # T's difference form, and its series where |beta s| is small
+            term = (_grid_phase_integral(a + b, s) - e_a) / (1j * np.where(b == 0.0, 1.0, b))
+            ti, ki = _below(b, s, NESTED_SERIES_BELOW, started)
+            if ti.size:
+                term[ti, ki] = nested_phase_integral(a[ki], b[ki], s[ti, 0])
+            if past.size:
+                term[past] += phase_integral(b, w2) * (
+                    _grid_phase_integral(a, cap[past]) - e_a[past])
+            out = out + ca * cb * term
     return _restore_shape(out, t, phi_outer)

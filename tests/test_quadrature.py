@@ -286,9 +286,10 @@ def test_broadcast_shapes():
 # ---------------------------------------------------------------- chain phases
 # The profile kernels at the phases the amplitude and dressing sums use on an
 # N = 1000 chain: phi = +-(Omega +- w_k) with Omega = 2, for the slowest and
-# the fastest mode (|phi t| up to about 5e2) and for the modes nearest to
-# resonance with a window component 2 pi / T.  The reference composes the
-# 40-digit helpers above over exp_components().
+# the fastest mode (|phi t| up to about 5e2, where rounding in the phase
+# grows) and for the modes nearest to resonance with a window component
+# 2 pi / T.  The reference composes the 40-digit helpers above over
+# exp_components().
 
 CHAIN_RTOL = 1e-10
 CHAIN_ATOL = 1e-15
@@ -368,3 +369,49 @@ def test_nested_integral_vs_mpmath_past_the_inner_window(chain1000):
     got = opening_nested_integral(outer, phi1, inner, -phi1, CHAIN_TIMES)
     _assert_matches(got, lambda phi, t: mp_profile_nested(outer, phi, inner, -phi, t),
                     phi1, "T tail")
+
+
+# ---------------------------------------------------------------- grid kernels
+# The profile kernels evaluate each distinct exponential once over the whole
+# (time, mode) grid.  These loops compose the elementwise primitives as the
+# definitions read; the kernels must equal them exactly (the sign of a zero
+# aside), since the oracle's fitted slope resolves last-digit changes.
+
+def loop_phase_integral(opening, phi, t):
+    tt = np.minimum(t, opening.window_end)[:, None]
+    out = np.zeros((t.size, phi.size), dtype=complex)
+    for c, nu in opening.exp_components():
+        out = out + c * phase_integral(nu + phi, tt)
+    return out
+
+
+def loop_nested_integral(op1, phi1, op2, phi2, t):
+    w2 = op2.window_end
+    cap = np.minimum(t, op1.window_end)[:, None]
+    s = np.minimum(cap, w2)
+    out = np.zeros((t.size, phi1.size), dtype=complex)
+    for ca, nua in op1.exp_components():
+        a = nua + phi1
+        for cb, nub in op2.exp_components():
+            b = nub + phi2
+            term = nested_phase_integral(a, b, s)
+            if math.isfinite(w2):
+                term = term + phase_integral(b, w2) * (phase_integral(a, cap)
+                                                       - phase_integral(a, s))
+            out = out + ca * cb * term
+    return out
+
+
+@pytest.mark.parametrize("opening", CHAIN_PROFILES + (OpeningFunction.sin_sq_window(0.0),),
+                         ids=lambda op: f"{op.variant}-{op.window}")
+def test_grid_kernels_equal_the_elementwise_loops(chain1000, opening):
+    w = _chain_modes(chain1000)
+    # 1e-7 takes E's series; 2 pi / 0.1 cancels a sin^2 component exactly
+    phis = np.concatenate([-(2.0 + w), 2.0 - w, [0.0, 1e-7, -3e-3, 2.0 * np.pi / 0.1]])
+    times = np.array([0.0, 1e-6, 0.013, 0.05, 0.1, 0.25])
+    np.testing.assert_array_equal(opening_phase_integral(opening, phis, times),
+                                  loop_phase_integral(opening, phis, times))
+    inner = OpeningFunction.cos_sq_window(0.05)  # ends inside the others' windows
+    for op2, phi2 in ((opening, -phis), (opening, 0.5 - phis), (inner, -phis)):
+        np.testing.assert_array_equal(opening_nested_integral(opening, phis, op2, phi2, times),
+                                      loop_nested_integral(opening, phis, op2, phi2, times))
