@@ -79,7 +79,9 @@ def bare_amplitude(basis: ModeBasis, scenario: Scenario, times) -> AmplitudeTrac
     eps2 = scenario.epsilon**2
     a0 = np.empty(times.size, dtype=complex)
     ac = np.empty(times.size, dtype=complex)
-    for rows in row_blocks(times.size, basis.n_modes):
+    # a block holds about 8 (time, mode) arrays at once: six integrals and
+    # the kernels' temporaries
+    for rows in row_blocks(times.size, basis.n_modes, grids=8):
         g = _branch_integrals(basis, scenario, times[rows])
         a0_modes = -0.5 * eps2 * (mu * g["sa_p"] * g["sb_p"]
                                   + np.conj(mu) * g["sa_m"] * g["sb_m"])

@@ -22,9 +22,8 @@ from .modes import BasisKind, ModeBasis
 # grid resolution floor for lightcone scans: samples per period of omega_max
 SAMPLES_PER_PERIOD = 20
 DEFAULT_SAMPLES = 2000
-# element budget of one (times x modes) block of a mode sum: 1 MB of
-# complex128, so a block and its temporaries stay in a core's L2 cache
-MODE_SUM_BLOCK = 2**16
+# element budget of the (times x modes) arrays one block of a mode sum holds
+MODE_SUM_BLOCK = 2**19
 
 
 @dataclass(frozen=True)
@@ -43,9 +42,9 @@ class LightconeEstimate:
     sharpness: float
 
 
-def row_blocks(n_rows: int, n_modes: int) -> list[slice]:
-    """Even split of the rows of a (rows x modes) grid into blocks of at most
-    about MODE_SUM_BLOCK elements.
+def row_blocks(n_rows: int, n_modes: int, grids: int = 1) -> list[slice]:
+    """Even split of the rows of a mode sum into blocks whose `grids`
+    (rows x modes) arrays, live at once, hold about MODE_SUM_BLOCK elements.
 
     No block is a single row unless the grid is: under a budget of at least
     3 rows, an even split leaves 2 or more in each.  numpy's matmul takes a
@@ -53,7 +52,7 @@ def row_blocks(n_rows: int, n_modes: int) -> list[slice]:
     matrix-vector product, so a mode sum over the blocks equals the
     unblocked one bitwise.
     """
-    n_blocks = max(1, -(-n_rows // max(3, MODE_SUM_BLOCK // n_modes)))
+    n_blocks = max(1, -(-n_rows // max(3, MODE_SUM_BLOCK // (grids * n_modes))))
     edges = [n_rows * i // n_blocks for i in range(n_blocks + 1)]
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 

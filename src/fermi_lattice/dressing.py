@@ -234,7 +234,9 @@ def dressed_amplitudes(basis: ModeBasis, scenario: Scenario,
     c_ba = np.conj(lam_b) * lam_a
     c_ab = np.conj(lam_a) * lam_b
     totals = np.empty((len(schemes), times.size), dtype=complex)
-    for rows in row_blocks(times.size, basis.n_modes):
+    # a block holds about 8 (time, mode) arrays at once: four integrals,
+    # F1/F2 and the kernels' temporaries
+    for rows in row_blocks(times.size, basis.n_modes, grids=8):
         t = times[rows]
         n1 = opening_nested_integral(f0, -(om + w), f0, +(om + w), t)
         n2 = opening_nested_integral(f0, +(om - w), f0, -(om - w), t)

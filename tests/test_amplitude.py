@@ -177,15 +177,15 @@ def test_dwi_quadrature_agrees_with_closed_form():
 
 
 def test_blocked_amplitude_equals_unblocked(chain1000, monkeypatch):
-    # 131 times over 1000 modes: blocks of MODE_SUM_BLOCK // 1000 = 65 rows
-    # would leave one row over; the even split makes 3 blocks of 43-44
+    # 131 times over 1000 modes: blocks of MODE_SUM_BLOCK // (8 * 1000) = 65
+    # rows would leave one row over; the even split makes 3 blocks of 43-44
     sc = Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.sin_sq_window(0.1), 0.1)
     times = np.linspace(0.0, 0.1, 131)
-    assert times.size % (causality.MODE_SUM_BLOCK // 1000) == 1
-    assert len(causality.row_blocks(times.size, 1000)) == 3
+    assert times.size % (causality.MODE_SUM_BLOCK // 8000) == 1
+    assert len(causality.row_blocks(times.size, 1000, grids=8)) == 3
     blocked = bare_amplitude(chain1000, sc, times)
     monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 10**9)
-    assert len(causality.row_blocks(times.size, 1000)) == 1
+    assert len(causality.row_blocks(times.size, 1000, grids=8)) == 1
     whole = bare_amplitude(chain1000, sc, times)
     for name in ("a0", "ac", "total", "probability"):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()

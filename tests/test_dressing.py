@@ -268,7 +268,7 @@ def test_dressed_schemes_share_the_integrals(tmp_path, monkeypatch):
 def test_blocked_dressed_amplitudes_equal_unblocked(chain1000, monkeypatch):
     sc = Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.cos_sq_window(0.1), 0.1)
     times = np.linspace(0.0, 0.1, 131)
-    assert len(causality.row_blocks(times.size, 1000)) == 3
+    assert len(causality.row_blocks(times.size, 1000, grids=8)) == 3
     schemes = list(DressingScheme)
     blocked = dressed_amplitudes(chain1000, sc, schemes, times)
     monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 10**9)
