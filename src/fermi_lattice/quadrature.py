@@ -112,7 +112,8 @@ def nested_phase_integral(alpha, beta, t):
 # only on rows past the inner window end, and the small-argument series run
 # on the elements that need them.  Every element is computed by the same
 # floating-point operations as phase_integral and nested_phase_integral, so
-# results equal the elementwise primitives exactly.  That is deliberate:
+# results equal the elementwise primitives exactly (up to the sign of a zero
+# at t = 0, where T's series is skipped).  That is deliberate:
 # the oracle's residuals are O(eps^4) differences of O(eps^2) amplitudes,
 # so a last-digit change in the kernels moves its fitted slope by ~1e-11.
 # Factoring e^{i (nu + phi) t} into e^{i nu t} e^{i phi t} would save
