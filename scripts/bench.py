@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Run the benchmark's workloads and record the results in BENCH_<label>.json.
 
-Usage: python scripts/bench.py LABEL [--workload W ...] [--seed N]
-                               [--seconds S] [--trace]
+Usage: python scripts/bench.py LABEL [--workload W ...] [--seed N] [--trace]
 
 For each workload (default: figures, continuum, oracle) this runs
 
-    python3 perfbench/run.py --workload W --seed N --seconds S --trace 0|1
+    python3 perfbench/run.py --workload W --seed N --trace 0|1
 
-from the repository root, once, and appends one run record to
-BENCH_<label>.json at the root: the result JSON (the last line of
-perfbench's output), the lines printed before it (environment, per-operation
-medians, failures), the git commit, nproc, the numpy and scipy versions and
-the thread environment.  Running the script again appends, so alternating
+from the repository root, once, for perfbench's own run length, and appends
+one run record to BENCH_<label>.json at the root: the result JSON (the last
+line of perfbench's output), the lines printed before it (environment,
+per-operation medians, failures), the git commit, nproc, the numpy and scipy
+versions and the thread environment.  Running the script again appends, so alternating
 invocations on two checkouts give paired runs of each.  The file's summary
 holds, per workload, seed and trace mode, the median and quartiles of every
 metric over the recorded runs.  Exits 1 when a perfbench run gives no result.
@@ -49,9 +48,9 @@ def _commit() -> str:
     return head + ("+uncommitted" if dirty else "")
 
 
-def run_one(workload: str, seed: int, seconds: float, trace: bool) -> dict:
+def run_one(workload: str, seed: int, trace: bool) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "1" if trace else "0"]
+           "--trace", "1" if trace else "0"]
     started = datetime.datetime.now(datetime.timezone.utc)
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
@@ -59,7 +58,7 @@ def run_one(workload: str, seed: int, seconds: float, trace: bool) -> dict:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"bench: {workload} exited {proc.returncode} without a result")
     return {
-        "workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
+        "workload": workload, "seed": seed, "trace": trace,
         "started": started.isoformat(timespec="seconds"),
         "commit": _commit(),
         "host": {"nproc": os.cpu_count(), "numpy": numpy.__version__,
@@ -94,14 +93,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="repeat for several; default: all three")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", action="store_true", help="per-layer metrics of a traced run")
     args = parser.parse_args(argv)
 
     path = ROOT / f"BENCH_{args.label}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"label": args.label, "runs": []}
     for workload in args.workload or WORKLOADS:
-        run = run_one(workload, args.seed, args.seconds, args.trace)
+        run = run_one(workload, args.seed, args.trace)
         doc["runs"].append(run)
         doc["summary"] = summarise(doc["runs"])
         path.write_text(json.dumps(doc, indent=1) + "\n")

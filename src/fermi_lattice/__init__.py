@@ -24,7 +24,6 @@ from .dressing import (
     SpinPattern,
     StateExpansion,
     dressed_amplitude,
-    dressed_amplitudes,
     dressed_ground_state,
     g_min,
     initial_dressed_state,

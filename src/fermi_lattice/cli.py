@@ -35,9 +35,7 @@ from .amplitude import bare_amplitude, windowed_amplitude
 from .causality import (causality_trace, commutator, lightcone_estimate, lightcone_samples,
                         nominal_causal_time, rise_estimate)
 from .cloud import excitation_distribution, single_site_distributions
-# dressed_amplitude is not called here; perfbench's tracer wraps it under this name
-from .dressing import (DressingScheme, dressed_amplitude, dressed_amplitudes,  # noqa: F401
-                       g_min, static_dressing_amplitude)
+from .dressing import DressingScheme, dressed_amplitude, g_min, static_dressing_amplitude
 from .errors import FermiLatticeError, NumericalFailureError, SchemaError
 from .ion2 import PulseSpec, swap_probability, swap_probability_full, symplectic_temperature
 from .modes import (BasisKind, ChainParams, ModeBasis, Scenario, TrapParams,
@@ -395,7 +393,8 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
     names = run["schemes"]
     times = np.linspace(0.0, _window_t_max(run, scenario), run["n_times"])
-    traces = dressed_amplitudes(basis, scenario, [DressingScheme[n.upper()] for n in names], times)
+    traces = [dressed_amplitude(basis, scenario, DressingScheme[name.upper()], times)
+              for name in names]
     for name, trace in zip(names, traces):
         report.note(f"p_final.{name}", float(trace.probability[-1]))
     header = ["t"] + [f"p{i + 1}" for i in range(len(traces))]
@@ -494,19 +493,22 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     report = Reporter(args.quiet)
     failure = None
-    # warnings raised by the command go to the manifest, and are shown after it
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            raw = load_scenario_file(args.scenario)
-            outputs = _COMMANDS[args.command](apply_schema(raw, args.command), Path(args.out),
-                                              report)
-        except (NumericalFailureError, ArithmeticError) as exc:
-            failure = 3, f"numerical failure: {exc}"
-        except (FermiLatticeError, ValueError, TypeError, IndexError, OSError) as exc:
-            failure = 2, f"error: {exc}"
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    caught: list[warnings.WarningMessage] = []
+    # the warnings the caller's filters let through go to the manifest, and
+    # are shown once the command ends, however it ends
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                raw = load_scenario_file(args.scenario)
+                outputs = _COMMANDS[args.command](apply_schema(raw, args.command),
+                                                  Path(args.out), report)
+            except (NumericalFailureError, ArithmeticError) as exc:
+                failure = 3, f"numerical failure: {exc}"
+            except (FermiLatticeError, ValueError, TypeError, IndexError, OSError) as exc:
+                failure = 2, f"error: {exc}"
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     if failure is not None:
         print(failure[1], file=sys.stderr)
         return failure[0]

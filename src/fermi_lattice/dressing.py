@@ -19,7 +19,6 @@ or d1, and the static term d1 / (2 Omega (Omega + w_k)).
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,15 +207,12 @@ def initial_dressed_state(ground: StateExpansion, scheme: DressingScheme,
     return out
 
 
-def dressed_amplitudes(basis: ModeBasis, scenario: Scenario,
-                       schemes: Sequence[DressingScheme], times) -> list[AmplitudeTrace]:
-    """Swap amplitude from each scheme's initial state, to leading order.
+def dressed_amplitude(basis: ModeBasis, scenario: Scenario, scheme: DressingScheme,
+                      times) -> AmplitudeTrace:
+    """Swap amplitude from the scheme's initial state, to leading order.
 
     The opening profile must be the shared post-ramp profile f0 of both
     sites.  With (d1, d2) = (0, 0) this reproduces bare_amplitude exactly.
-    The nested and single integrals behind F1/F2 do not depend on the
-    scheme, only their weights (d1, d2) do: they are evaluated once per
-    block of time rows and combined for every scheme.
     """
     scenario.check_sites(basis.n_sites)
     om = _require_equal_splittings(scenario)
@@ -230,39 +226,27 @@ def dressed_amplitudes(basis: ModeBasis, scenario: Scenario,
         raise InvalidParametersError("amplitude times must be >= 0")
 
     w = basis.frequencies
+    d1, d2 = scheme.d1, scheme.d2
     lam_a, lam_b = basis.row(scenario.site_a), basis.row(scenario.site_b)
     c_ba = np.conj(lam_b) * lam_a
     c_ab = np.conj(lam_a) * lam_b
-    totals = np.empty((len(schemes), times.size), dtype=complex)
-    # a block holds about 8 (time, mode) arrays at once: four integrals,
+    total = np.empty(times.size, dtype=complex)
+    # a block holds about 8 (time, mode) arrays at once: the integrals,
     # F1/F2 and the kernels' temporaries
     for rows in row_blocks(times.size, basis.n_modes, grids=8):
         t = times[rows]
-        n1 = opening_nested_integral(f0, -(om + w), f0, +(om + w), t)
-        n2 = opening_nested_integral(f0, +(om - w), f0, -(om - w), t)
-        if any(sc.d1 or sc.d2 for sc in schemes):
-            s1 = opening_phase_integral(f0, -(om + w), t)
-        if any(sc.d1 for sc in schemes):
-            s2 = opening_phase_integral(f0, +(om - w), t)
-        for i, scheme in enumerate(schemes):
-            d1, d2 = scheme.d1, scheme.d2
-            f1, f2 = -n1, -n2
-            if d1 or d2:
-                f1 = f1 + (1j * (d1 + d2) / (om + w)) * s1
-            if d1:
-                f2 = f2 + (1j * d1 / (om + w)) * s2
-                static = d1 / (2.0 * om * (om + w))
-                f1 = f1 + static
-                f2 = f2 + static
-            totals[i, rows] = scenario.epsilon**2 * np.sum(c_ba * f1 + c_ab * f2, axis=-1)
-    return [AmplitudeTrace(times=times, a0=None, ac=None, total=total,
-                           probability=np.abs(total) ** 2) for total in totals]
-
-
-def dressed_amplitude(basis: ModeBasis, scenario: Scenario, scheme: DressingScheme,
-                      times) -> AmplitudeTrace:
-    """Swap amplitude from one scheme's initial state (see dressed_amplitudes)."""
-    return dressed_amplitudes(basis, scenario, [scheme], times)[0]
+        f1 = -opening_nested_integral(f0, -(om + w), f0, +(om + w), t)
+        f2 = -opening_nested_integral(f0, +(om - w), f0, -(om - w), t)
+        if d1 or d2:
+            f1 = f1 + (1j * (d1 + d2) / (om + w)) * opening_phase_integral(f0, -(om + w), t)
+        if d1:
+            f2 = f2 + (1j * d1 / (om + w)) * opening_phase_integral(f0, +(om - w), t)
+            static = d1 / (2.0 * om * (om + w))
+            f1 = f1 + static
+            f2 = f2 + static
+        total[rows] = scenario.epsilon**2 * np.sum(c_ba * f1 + c_ab * f2, axis=-1)
+    return AmplitudeTrace(times=times, a0=None, ac=None, total=total,
+                          probability=np.abs(total) ** 2)
 
 
 def static_dressing_amplitude(basis: ModeBasis, omega: float, separation: int) -> float:

@@ -41,11 +41,13 @@ def test_bare_command_roundtrip(tmp_path):
     assert manifest["tool_version"]
 
 
+# sites 0 and 3 of 100 are x/c = 0.03 apart, inside the 0.1 window
+OUTSIDE_CONE = dict(FIG4, scenario=dict(FIG4["scenario"], site_b=3))
+
+
 def test_warnings_reach_the_manifest(tmp_path):
-    # sites 0 and 3 of 100 are x/c = 0.03 apart, inside the 0.1 window
-    doc = dict(FIG4, scenario=dict(FIG4["scenario"], site_b=3))
     with pytest.warns(UserWarning, match="not inside the nominal causal time") as shown:
-        code, out = run_cli(tmp_path, "bare", doc)
+        code, out = run_cli(tmp_path, "bare", OUTSIDE_CONE)
     assert code == 0
     assert len(shown) == 1
     manifest = json.loads(out.with_suffix(".manifest.json").read_text())
@@ -54,6 +56,26 @@ def test_warnings_reach_the_manifest(tmp_path):
                                               "is not inside the nominal causal time x/c = 0.03")
     _, clean = run_cli(tmp_path, "bare", FIG4, "clean.csv")
     assert json.loads(clean.with_suffix(".manifest.json").read_text())["warnings"] == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_warnings_keep_the_callers_filters(tmp_path):
+    # an error filter stops the command at the warning, before any output
+    with pytest.raises(UserWarning, match="not inside the nominal causal time"):
+        run_cli(tmp_path, "bare", OUTSIDE_CONE)
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
+def test_warnings_are_shown_when_the_command_raises(tmp_path, monkeypatch):
+    def broken_write(*args):
+        raise KeyError("disk gone")
+
+    monkeypatch.setattr(cli, "write_csv", broken_write)
+    with pytest.warns(UserWarning, match="not inside the nominal causal time") as shown:
+        with pytest.raises(KeyError, match="disk gone"):
+            run_cli(tmp_path, "bare", OUTSIDE_CONE)
+    assert len(shown) == 1
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,10 +1,7 @@
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from fermi_lattice import causality, cli, dressing
+from fermi_lattice import causality
 from fermi_lattice import (
     ChainParams,
     DressingScheme,
@@ -20,7 +17,6 @@ from fermi_lattice import (
     build_ion_trap,
     TrapParams,
     dressed_amplitude,
-    dressed_amplitudes,
     dressed_ground_state,
     expansion_to_vector,
     g_min,
@@ -242,36 +238,12 @@ def test_gmin_rejects_odd_n():
         g_min([10, 11], 2.0)
 
 
-FIG7 = Path(__file__).resolve().parents[1] / "figures" / "fig7.json"
-
-
-def test_dressed_schemes_share_the_integrals(tmp_path, monkeypatch):
-    # F1/F2's nested integrals do not depend on the scheme: two calls serve
-    # all three schemes of fig7 (one per scheme and kernel would be six)
-    calls = []
-    nested = dressing.opening_nested_integral
-    monkeypatch.setattr(dressing, "opening_nested_integral",
-                        lambda *args: calls.append(args) or nested(*args))
-    out = tmp_path / "fig7.csv"
-    assert cli.main(["dressed", "--scenario", str(FIG7), "--out", str(out), "--quiet"]) == 0
-    assert len(calls) == 2
-    doc = cli.apply_schema(json.loads(FIG7.read_text()), "dressed")
-    basis = cli.build_basis(doc)
-    scenario = cli.build_scenario(doc, basis)
-    data = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert doc["run"]["schemes"] == ["sigma_x", "sigma_plus", "bare"]
-    for column, scheme in enumerate(DressingScheme, start=1):
-        one = dressed_amplitude(basis, scenario, scheme, data[:, 0]).probability
-        assert data[:, column].tobytes() == one.tobytes()
-
-
-def test_blocked_dressed_amplitudes_equal_unblocked(chain1000, monkeypatch):
+@pytest.mark.parametrize("scheme", list(DressingScheme))
+def test_blocked_dressed_amplitude_equals_unblocked(chain1000, monkeypatch, scheme):
     sc = Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.cos_sq_window(0.1), 0.1)
     times = np.linspace(0.0, 0.1, 131)
     assert len(causality.row_blocks(times.size, 1000, grids=8)) == 3
-    schemes = list(DressingScheme)
-    blocked = dressed_amplitudes(chain1000, sc, schemes, times)
+    blocked = dressed_amplitude(chain1000, sc, scheme, times)
     monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 10**9)
-    whole = dressed_amplitudes(chain1000, sc, schemes, times)
-    for b, w in zip(blocked, whole):
-        assert b.total.tobytes() == w.total.tobytes()
+    whole = dressed_amplitude(chain1000, sc, scheme, times)
+    assert blocked.total.tobytes() == whole.total.tobytes()
