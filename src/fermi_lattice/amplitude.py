@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import nominal_causal_time, row_blocks
+from .causality import map_row_blocks, nominal_causal_time
 from .errors import InvalidParametersError
 from .modes import ModeBasis, Scenario
 from .quadrature import opening_nested_integral, opening_phase_integral
@@ -51,16 +51,17 @@ class AmplitudeTrace:
 
 
 def _branch_integrals(basis, scenario, times):
-    """Single and nested profile integrals for both phase branches."""
-    w = basis.frequencies
+    """Single and nested profile integrals for both phase branches, each
+    evaluated on the distinct frequencies and expanded to every mode."""
+    w = basis.distinct_frequencies
     om_a, om_b = scenario.omega_a, scenario.omega_b
     f_a = scenario.opening_a.post_ramp()
     f_b = scenario.opening_b.post_ramp()
     out = {}
     for tag, pa, pb in (("p", om_a + w, om_b + w), ("m", om_a - w, om_b - w)):
-        out["sa_" + tag] = opening_phase_integral(f_a, -pa, times)
-        out["sb_" + tag] = opening_phase_integral(f_b, +pb, times)
-        out["n_" + tag] = opening_nested_integral(f_a, -pa, f_b, +pb, times)
+        out["sa_" + tag] = basis.expand(opening_phase_integral(f_a, -pa, times))
+        out["sb_" + tag] = basis.expand(opening_phase_integral(f_b, +pb, times))
+        out["n_" + tag] = basis.expand(opening_nested_integral(f_a, -pa, f_b, +pb, times))
     return out
 
 
@@ -77,18 +78,20 @@ def bare_amplitude(basis: ModeBasis, scenario: Scenario, times) -> AmplitudeTrac
 
     mu = basis.row(scenario.site_a) * np.conj(basis.row(scenario.site_b))
     eps2 = scenario.epsilon**2
-    a0 = np.empty(times.size, dtype=complex)
-    ac = np.empty(times.size, dtype=complex)
-    # a block holds about 8 (time, mode) arrays at once: six integrals and
-    # the kernels' temporaries
-    for rows in row_blocks(times.size, basis.n_modes, grids=8):
+
+    def block(rows):
         g = _branch_integrals(basis, scenario, times[rows])
         a0_modes = -0.5 * eps2 * (mu * g["sa_p"] * g["sb_p"]
                                   + np.conj(mu) * g["sa_m"] * g["sb_m"])
         ac_modes = -0.5 * eps2 * (mu * (2.0 * g["n_p"] - g["sa_p"] * g["sb_p"])
                                   - np.conj(mu) * (2.0 * g["n_m"] - g["sa_m"] * g["sb_m"]))
-        a0[rows] = np.sum(a0_modes, axis=-1)
-        ac[rows] = np.sum(ac_modes, axis=-1)
+        return np.sum(a0_modes, axis=-1), np.sum(ac_modes, axis=-1)
+
+    # a block holds about 8 (time, mode) arrays at once: six integrals and
+    # the kernels' temporaries
+    sums = map_row_blocks(block, times.size, basis.n_modes, grids=8)
+    a0 = np.concatenate([a for a, _ in sums])
+    ac = np.concatenate([c for _, c in sums])
     total = a0 + ac
     return AmplitudeTrace(
         times=times, a0=a0, ac=ac, total=total,

@@ -12,11 +12,13 @@ rises at the effective causal time.
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, SchemaError
 from .modes import BasisKind, ModeBasis
 
 # grid resolution floor for lightcone scans: samples per period of omega_max
@@ -57,25 +59,69 @@ def row_blocks(n_rows: int, n_modes: int, grids: int = 1) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _mode_sum(basis: ModeBasis, site_a: int, site_b: int, taus):
+def thread_count() -> int:
+    """Worker threads: FERMI_LATTICE_THREADS, by default min(4, cpu count)."""
+    env = os.environ.get("FERMI_LATTICE_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise SchemaError(f"FERMI_LATTICE_THREADS must be an integer, got {env!r}") from exc
+    return min(4, os.cpu_count() or 1)
+
+
+def thread_map(fn, items) -> list:
+    """[fn(x) for x in items], computed on up to thread_count() threads."""
+    workers = thread_count()
+    if workers == 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def map_row_blocks(fn, n_rows: int, n_modes: int, grids: int = 1) -> list:
+    """[fn(rows) for rows in the row blocks of a mode sum] on the worker
+    threads; each worker's blocks get 1/workers of MODE_SUM_BLOCK, so the
+    blocks in flight together hold about MODE_SUM_BLOCK elements."""
+    return thread_map(fn, row_blocks(n_rows, n_modes, grids * thread_count()))
+
+
+def _mode_sum(basis: ModeBasis, site_a: int, site_b, taus):
+    """sum_k mu_k e^{i w_k tau} on a tau grid, or for an array of sites b at
+    one tau."""
+    if np.ndim(site_b):
+        # sum_k lam[a,k] conj(lam[b,k]) x_k at every b is conj(synthesize(conj(lam[a] x)))
+        sites = np.asarray(site_b)
+        if np.ndim(taus):
+            raise ValueError("an array of site_b needs a single tau")
+        if sites.size and not (0 <= sites.min() and sites.max() < basis.n_sites):
+            raise IndexError(f"site index out of range for {basis.n_sites} sites")
+        x = basis.row(site_a) * np.exp(1j * basis.frequencies * float(taus))
+        return np.conj(basis.synthesize(np.conj(x)))[sites]
     mu = basis.row(site_a) * np.conj(basis.row(site_b))
     taus = np.asarray(taus, dtype=float)
     flat = taus.ravel()
-    sums = [np.exp(1j * np.multiply.outer(flat[rows], basis.frequencies)) @ mu
-            for rows in row_blocks(flat.size, basis.n_modes)]
-    return np.concatenate(sums).reshape(taus.shape)
+    w = basis.distinct_frequencies
+
+    def block(rows):
+        return basis.expand(np.exp(1j * np.multiply.outer(flat[rows], w))) @ mu
+
+    return np.concatenate(map_row_blocks(block, flat.size, basis.n_modes)).reshape(taus.shape)
 
 
-def anticommutator(basis: ModeBasis, site_a: int, site_b: int, tau):
-    """F_a(tau); tau may be a scalar or an array."""
+def anticommutator(basis: ModeBasis, site_a: int, site_b, tau):
+    """F_a(tau); tau may be a scalar or an array, or site_b an array of
+    sites at a scalar tau."""
     out = 2.0 * np.real(_mode_sum(basis, site_a, site_b, tau))
-    return float(out) if np.ndim(tau) == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def commutator(basis: ModeBasis, site_a: int, site_b: int, tau):
-    """F_c(tau), the real function with <0|[q_A(t'), q_B(t'')]|0> = i F_c."""
+def commutator(basis: ModeBasis, site_a: int, site_b, tau):
+    """F_c(tau), the real function with <0|[q_A(t'), q_B(t'')]|0> = i F_c;
+    tau may be a scalar or an array, or site_b an array of sites at a
+    scalar tau (one synthesize for all of them)."""
     out = 2.0 * np.imag(_mode_sum(basis, site_a, site_b, tau))
-    return float(out) if np.ndim(tau) == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def causality_trace(basis: ModeBasis, site_a: int, site_b: int, taus) -> CausalityTrace:

@@ -11,17 +11,16 @@ significant digits) plus a small .manifest.json next to it, which also
 lists every warning the command raised; identical scenario files produce
 byte-identical CSV.  Exit codes: 0 success, 2 schema or usage error (NaN or
 Infinity in a scenario included), 3 numerical failure (a non-finite result
-included).  FERMI_LATTICE_THREADS caps sweep threads.
+included).  FERMI_LATTICE_THREADS caps the worker threads, which share
+the row blocks of a mode sum and the alpha points of the ion2 scan.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -33,7 +32,7 @@ import numpy as np
 from . import __version__
 from .amplitude import bare_amplitude, windowed_amplitude
 from .causality import (causality_trace, commutator, lightcone_estimate, lightcone_samples,
-                        nominal_causal_time, rise_estimate)
+                        nominal_causal_time, rise_estimate, thread_map)
 from .cloud import excitation_distribution, single_site_distributions
 from .dressing import DressingScheme, dressed_amplitude, g_min, static_dressing_amplitude
 from .errors import FermiLatticeError, NumericalFailureError, SchemaError
@@ -241,7 +240,8 @@ def scenario_hash(doc: dict) -> str:
 def write_csv(path: Path, header: list[str], rows) -> Path:
     """Write the rows as 17-digit CSV; a NaN or infinite cell is a numerical
     failure and leaves no file behind."""
-    body = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    body = "".join(line % tuple(row) for row in rows)
     # 'nan' and 'inf' are the only formatted values containing an 'n'
     if "n" in body:
         row = body.count("\n", 0, body.index("n")) + 1
@@ -253,25 +253,6 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
 
 def out_variant(out: Path, suffix: str) -> Path:
     return out.with_name(out.stem + suffix + out.suffix)
-
-
-def thread_count() -> int:
-    env = os.environ.get("FERMI_LATTICE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise SchemaError(f"FERMI_LATTICE_THREADS must be an integer, got {env!r}") from exc
-    return min(4, os.cpu_count() or 1)
-
-
-def _sweep_map(fn, items):
-    """Ordered map over sweep points, fanning out across threads."""
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class Reporter:
@@ -313,23 +294,9 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
             if r % basis.n_sites == 0:
                 raise SchemaError(f"run.r_values: r = {r} puts site_b on site_a "
                                   f"(r must not be a multiple of n_sites = {basis.n_sites})")
-        rows = [(r, commutator(basis, scenario.site_a, (scenario.site_a + r) % basis.n_sites,
-                               run["tau"])) for r in r_values]
-        return [write_csv(out, ["r", "f_c"], rows)]
-
-    n_samples = run["n_samples"]
-
-    def one(basis_and_sites):
-        b, site_a, site_b, suffix = basis_and_sites
-        tau_max = run["tau_max"] or 2.0 * nominal_causal_time(b, site_a, site_b)
-        trace = causality_trace(b, site_a, site_b, np.linspace(0.0, tau_max, n_samples))
-        # one mode sum serves both unless the estimate needs a finer grid
-        grid = max(n_samples, 100)
-        est = (rise_estimate(b, trace) if lightcone_samples(b, tau_max, grid) == n_samples
-               else lightcone_estimate(b, site_a, site_b, tau_max, grid))
-        path = write_csv(out_variant(out, suffix) if suffix else out, ["tau", "f_a", "f_c"],
-                         zip(trace.taus, trace.f_a, trace.f_c))
-        return path, est, suffix
+        sites = (scenario.site_a + np.asarray(r_values, dtype=int)) % basis.n_sites
+        f_c = commutator(basis, scenario.site_a, sites, run["tau"])
+        return [write_csv(out, ["r", "f_c"], zip(r_values, f_c))]
 
     points = [(basis, scenario.site_a, scenario.site_b, "")]
     if run["n_values"] is not None:
@@ -348,9 +315,18 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
                 site_a, site_b = scenario.site_a, scenario.site_b
             points.append((build_harmonic_chain(chain), site_a, site_b, f"_n{n}"))
 
+    n_samples = run["n_samples"]
     outputs = []
-    for path, est, suffix in _sweep_map(one, points):
-        outputs.append(path)
+    # one point after another: the worker threads share each point's mode sum
+    for b, site_a, site_b, suffix in points:
+        tau_max = run["tau_max"] or 2.0 * nominal_causal_time(b, site_a, site_b)
+        trace = causality_trace(b, site_a, site_b, np.linspace(0.0, tau_max, n_samples))
+        # one mode sum serves both unless the estimate needs a finer grid
+        grid = max(n_samples, 100)
+        est = (rise_estimate(b, trace) if lightcone_samples(b, tau_max, grid) == n_samples
+               else lightcone_estimate(b, site_a, site_b, tau_max, grid))
+        outputs.append(write_csv(out_variant(out, suffix) if suffix else out,
+                                 ["tau", "f_a", "f_c"], zip(trace.taus, trace.f_a, trace.f_c)))
         tag = suffix.lstrip("_") or "lightcone"
         report.note(f"{tag}.rise_time", est.rise_time)
         report.note(f"{tag}.nominal_causal_time", est.nominal_causal_time)
@@ -420,7 +396,7 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
         return swap_probability_full(pulse, thermal, cutoff)[1]
 
     alphas = np.linspace(run["alpha_start"], run["alpha_stop"], run["alpha_num"])
-    probs = _sweep_map(prob, list(alphas))
+    probs = thread_map(prob, list(alphas))
     scan = write_csv(out, ["alpha", "probability"], zip(alphas, probs))
 
     p1 = prob(1.0)

@@ -41,13 +41,13 @@ def _dressing_coefficients(basis: ModeBasis, scenario: Scenario,
         raise UnsupportedConfigurationError(
             "excitation distribution needs identical post-ramp openings"
         )
-    w = basis.frequencies
+    w = basis.distinct_frequencies
     la = np.conj(basis.row(scenario.site_a))
     lb = np.conj(basis.row(scenario.site_b))
-    c_a = la * (scheme.d1 / (om + w)
-                + 1j * opening_phase_integral(f0, -(om - w), t))
-    c_b = lb * ((scheme.d1 + scheme.d2) / (om + w)
-                + 1j * opening_phase_integral(f0, +(om + w), t))
+    c_a = la * basis.expand(scheme.d1 / (om + w)
+                            + 1j * opening_phase_integral(f0, -(om - w), t))
+    c_b = lb * basis.expand((scheme.d1 + scheme.d2) / (om + w)
+                            + 1j * opening_phase_integral(f0, +(om + w), t))
     return c_a, c_b
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitude import AmplitudeTrace
-from .causality import row_blocks
+from .causality import map_row_blocks
 from .errors import InvalidParametersError, UnsupportedConfigurationError
 from .modes import BasisKind, ChainParams, ModeBasis, Scenario, build_harmonic_chain
 from .quadrature import opening_nested_integral, opening_phase_integral
@@ -225,15 +225,14 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario, scheme: DressingSche
     if np.any(times < 0):
         raise InvalidParametersError("amplitude times must be >= 0")
 
-    w = basis.frequencies
+    w = basis.distinct_frequencies
     d1, d2 = scheme.d1, scheme.d2
     lam_a, lam_b = basis.row(scenario.site_a), basis.row(scenario.site_b)
     c_ba = np.conj(lam_b) * lam_a
     c_ab = np.conj(lam_a) * lam_b
-    total = np.empty(times.size, dtype=complex)
-    # a block holds about 8 (time, mode) arrays at once: the integrals,
-    # F1/F2 and the kernels' temporaries
-    for rows in row_blocks(times.size, basis.n_modes, grids=8):
+
+    def block(rows):
+        # F1/F2 on the distinct frequencies, expanded to every mode
         t = times[rows]
         f1 = -opening_nested_integral(f0, -(om + w), f0, +(om + w), t)
         f2 = -opening_nested_integral(f0, +(om - w), f0, -(om - w), t)
@@ -244,7 +243,12 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario, scheme: DressingSche
             static = d1 / (2.0 * om * (om + w))
             f1 = f1 + static
             f2 = f2 + static
-        total[rows] = scenario.epsilon**2 * np.sum(c_ba * f1 + c_ab * f2, axis=-1)
+        return scenario.epsilon**2 * np.sum(c_ba * basis.expand(f1) + c_ab * basis.expand(f2),
+                                            axis=-1)
+
+    # a block holds about 8 (time, mode) arrays at once: the integrals,
+    # F1/F2 and the kernels' temporaries
+    total = np.concatenate(map_row_blocks(block, times.size, basis.n_modes, grids=8))
     return AmplitudeTrace(times=times, a0=None, ac=None, total=total,
                           probability=np.abs(total) ** 2)
 

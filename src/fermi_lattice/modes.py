@@ -135,6 +135,11 @@ class ModeBasis:
     chain holds none (``dense`` is None): its plane-wave rows are gathered
     from one length-N table of roots of unity and its synthesis is an
     inverse FFT, so a chain basis takes O(N) memory.
+
+    A per-mode grid that depends on the mode only through omega_k is
+    evaluated on :attr:`distinct_frequencies` and spread to every mode by
+    :meth:`expand`.  A chain has about N/2 distinct frequencies, since
+    omega_k == omega_{N-k} bitwise; a trap has no repeated one.
     """
 
     n_sites: int
@@ -146,6 +151,9 @@ class ModeBasis:
     # chain only: e^{2 pi i j / N} for j < N, and sqrt(2 N omega_k)
     _roots: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _scale: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # the distinct frequencies and, per mode, the index of its frequency among them
+    _distinct: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _index: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -155,6 +163,15 @@ class ModeBasis:
             raise InvalidParametersError("trap frequencies must be ascending")
         freqs.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)
+        if np.array_equal(freqs[1:], freqs[:0:-1]):
+            # mirror pairs omega_k == omega_{N-k}, as on a chain: what np.unique
+            # gives there, without the sort
+            k = np.arange(freqs.size)
+            distinct, index = freqs[: freqs.size // 2 + 1], np.minimum(k, freqs.size - k)
+        else:
+            distinct, index = np.unique(freqs, return_inverse=True)
+        object.__setattr__(self, "_distinct", distinct)
+        object.__setattr__(self, "_index", index)
         if self.dense is None:
             if self.kind is not BasisKind.HARMONIC_CHAIN or freqs.size != self.n_sites:
                 raise InvalidParametersError(
@@ -177,6 +194,19 @@ class ModeBasis:
     @property
     def n_modes(self) -> int:
         return self.frequencies.size
+
+    @property
+    def distinct_frequencies(self) -> np.ndarray:
+        """The distinct values of omega_k; expand() maps them back onto the modes."""
+        return self._distinct
+
+    def expand(self, grid: np.ndarray) -> np.ndarray:
+        """A grid over distinct_frequencies (last axis) spread to every mode,
+        as a C-contiguous array: equal, element for element, to the same grid
+        evaluated on frequencies."""
+        # a fancy index grid[..., index] would return an F-ordered array, over
+        # which matmul and np.sum round differently
+        return np.take(grid, self._index, axis=-1)
 
     def row(self, n: int) -> np.ndarray:
         """lambda[n, :], one complex entry per mode."""

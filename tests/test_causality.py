@@ -168,3 +168,50 @@ def test_million_site_trace_stays_under_a_gigabyte():
     print(f"N = 10^6, 16 taus: {elapsed:.2f} s, traced peak {peak / 1e6:.0f} MB")
     assert peak < 1e9
     assert np.all(np.isfinite(trace.f_c))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 1001])
+def test_site_array_is_one_synthesize_matching_the_per_site_loop(n):
+    basis = build_harmonic_chain(ChainParams(n))
+    sites = np.arange(1, n)
+    for fn in (commutator, anticommutator):
+        loop = np.array([fn(basis, 0, int(b), 0.31) for b in sites])
+        fast = fn(basis, 0, sites, 0.31)
+        assert fast.shape == sites.shape
+        # the synthesize tolerance of tests/test_modes.py
+        assert np.max(np.abs(fast - loop)) <= 1e-13 * np.max(np.abs(loop))
+
+
+def test_site_array_on_a_dense_basis_and_its_checks():
+    basis = build_ion_trap(TrapParams(5))
+    sites = np.array([1, 4, 2])
+    loop = [commutator(basis, 3, int(b), 0.7) for b in sites]
+    np.testing.assert_allclose(commutator(basis, 3, sites, 0.7), loop, rtol=1e-13, atol=0)
+    with pytest.raises(ValueError, match="single tau"):
+        commutator(basis, 3, sites, [0.1, 0.2])
+    with pytest.raises(IndexError):
+        commutator(basis, 3, np.array([1, 5]), 0.7)
+
+
+@pytest.mark.parametrize("name", ["causality_trace", "bare_amplitude", "dressed_amplitude"])
+def test_mode_sums_give_the_same_bytes_on_one_or_three_threads(chain1000, monkeypatch, name):
+    from fermi_lattice import DressingScheme, OpeningFunction, Scenario
+    from fermi_lattice.amplitude import bare_amplitude
+    from fermi_lattice.dressing import dressed_amplitude
+
+    sc = Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.cos_sq_window(0.1), 0.1)
+    times = np.linspace(0.0, 0.1, 131)
+    run = {
+        "causality_trace": lambda: causality_trace(chain1000, 0, 300,
+                                                   np.linspace(0.0, 0.6, 2001)).f_c,
+        "bare_amplitude": lambda: bare_amplitude(chain1000, sc, times).total,
+        "dressed_amplitude": lambda: dressed_amplitude(chain1000, sc, DressingScheme.SIGMA_X,
+                                                       times).total,
+    }[name]
+    # one worker: 4 blocks of the trace, 3 of each amplitude; three workers
+    # split the budget three ways: 12 and 7 blocks
+    results = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("FERMI_LATTICE_THREADS", threads)
+        results.append(run().tobytes())
+    assert results[0] == results[1]

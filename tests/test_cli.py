@@ -101,6 +101,19 @@ def test_threaded_sweep_is_deterministic(tmp_path, monkeypatch):
         assert a == b
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("causality", {"system": {"kind": "chain", "chain": {"n_sites": 20}},
+                   "scenario": {"site_a": 0, "site_b": 5}, "run": {"n_samples": 100}}),
+    ("ion2", {"system": {"kind": "trap", "trap": {"n_ions": 2}}, "run": {"alpha_num": 5}}),
+])
+def test_non_integer_thread_count_is_rejected(tmp_path, monkeypatch, capsys, command, doc):
+    monkeypatch.setenv("FERMI_LATTICE_THREADS", "two")
+    code, out = run_cli(tmp_path, command, doc)
+    assert code == 2
+    assert "FERMI_LATTICE_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_causality_r_scan(tmp_path):
     doc = {
         "system": {"kind": "chain", "chain": {"n_sites": 50}},
@@ -345,6 +358,26 @@ def test_overflow_exit_code(tmp_path):
     doc["scenario"]["epsilon"] = 1e200
     code, out = run_cli(tmp_path, "bare", doc)
     assert code == 3
+    assert not out.exists()
+
+
+def test_write_csv_cells_read_as_format_17g(tmp_path):
+    rows = [(0, -0.0, 5e-324), (1.7976931348623157e308, -7, 0.1),
+            (np.float64(1 / 3), np.int64(12), 10**20)]
+    out = cli.write_csv(tmp_path / "o.csv", ["a", "b", "c"], rows)
+    want = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
+    assert out.read_text() == "a,b,c\n" + want
+    assert want.splitlines()[0] == "0,-0,4.9406564584124654e-324"
+
+
+def test_non_finite_row_exits_3_naming_the_data_row(tmp_path, monkeypatch, capsys):
+    def nan_in_row_3(doc, out, report):
+        return [cli.write_csv(out, ["x"], [(0.0,), (1.0,), (float("nan"),)])]
+
+    monkeypatch.setitem(cli._COMMANDS, "bare", nan_in_row_3)
+    code, out = run_cli(tmp_path, "bare", FIG4)
+    assert code == 3
+    assert "non-finite value in data row 3" in capsys.readouterr().err
     assert not out.exists()
 
 

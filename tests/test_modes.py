@@ -327,3 +327,40 @@ def test_zero_window_is_switched_off():
     op = OpeningFunction.sin_sq_window(0.0)
     assert np.all(op(np.linspace(-1, 1, 11)) == 0)
     assert op.window_end == 0.0
+
+
+def _basis(kind, n):
+    if kind == "chain":
+        return build_harmonic_chain(ChainParams(n))
+    if kind == "trap":
+        return build_ion_trap(TrapParams(n))
+    # omega = (1, 2, 1, 3, 3): repeated values that are not mirror pairs k, N-k
+    freqs = np.array([1.0, 2.0, 1.0, 3.0, 3.0])
+    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(5, 5)))
+    return ModeBasis(5, freqs, q.astype(complex) / np.sqrt(2.0 * freqs), BasisKind.CUSTOM)
+
+
+@pytest.mark.parametrize("kind, n", [*(("chain", n) for n in (2, 3, 4, 5, 7, 100, 101, 1000)),
+                                     ("trap", 5), ("custom", 5)])
+def test_grids_on_distinct_frequencies_expand_to_the_full_grids_bitwise(kind, n):
+    from fermi_lattice.quadrature import opening_nested_integral, opening_phase_integral
+
+    basis = _basis(kind, n)
+    w, distinct = basis.frequencies, basis.distinct_frequencies
+    # the same pair as np.unique's: distinct values, and a map back onto w
+    assert distinct.tobytes() == np.unique(w).tobytes()
+    assert basis.expand(distinct).tobytes() == w.tobytes()
+    if basis.kind is BasisKind.HARMONIC_CHAIN:
+        assert distinct.size == basis.n_sites // 2 + 1
+    times = np.array([0.0, 1e-6, 0.013, 0.05, 0.1, 0.25])
+    op = OpeningFunction.sin_sq_window(0.1)
+    grids = [
+        lambda v: np.exp(1j * np.multiply.outer(times, v)),
+        lambda v: opening_phase_integral(op, -(2.0 + v), times),
+        lambda v: opening_nested_integral(op, -(2.0 + v), op, 2.0 + v, times),
+        lambda v: opening_nested_integral(op, 2.0 - v, op, -(2.0 - v), times),
+    ]
+    for grid in grids:
+        expanded = basis.expand(grid(distinct))
+        assert expanded.flags.c_contiguous
+        assert expanded.tobytes() == grid(w).tobytes()
