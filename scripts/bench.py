@@ -52,7 +52,7 @@ def _commit(checkout: Path) -> str:
     return head + ("+uncommitted" if dirty else "")
 
 
-def run_one(workload: str, seed: int, trace: bool, checkout: Path = ROOT) -> dict:
+def run_one(workload: str, seed: int, trace: bool, checkout: Path) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "1" if trace else "0"]
     started = datetime.datetime.now(datetime.timezone.utc)

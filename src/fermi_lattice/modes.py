@@ -151,8 +151,9 @@ class ModeBasis:
     # chain only: e^{2 pi i j / N} for j < N, and sqrt(2 N omega_k)
     _roots: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _scale: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # the distinct frequencies and, per mode, the index of its frequency among them
-    _distinct: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    # the distinct values of omega_k, and per mode the index of its value among them
+    distinct_frequencies: np.ndarray = field(default=None, init=False, repr=False,
+                                             compare=False)
     _index: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -164,13 +165,14 @@ class ModeBasis:
         freqs.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)
         if np.array_equal(freqs[1:], freqs[:0:-1]):
-            # mirror pairs omega_k == omega_{N-k}, as on a chain: what np.unique
-            # gives there, without the sort
+            # mirror pairs omega_k == omega_{N-k}: on a chain this is np.unique's
+            # pair, without the sort
             k = np.arange(freqs.size)
             distinct, index = freqs[: freqs.size // 2 + 1], np.minimum(k, freqs.size - k)
         else:
             distinct, index = np.unique(freqs, return_inverse=True)
-        object.__setattr__(self, "_distinct", distinct)
+        distinct.setflags(write=False)
+        object.__setattr__(self, "distinct_frequencies", distinct)
         object.__setattr__(self, "_index", index)
         if self.dense is None:
             if self.kind is not BasisKind.HARMONIC_CHAIN or freqs.size != self.n_sites:
@@ -194,11 +196,6 @@ class ModeBasis:
     @property
     def n_modes(self) -> int:
         return self.frequencies.size
-
-    @property
-    def distinct_frequencies(self) -> np.ndarray:
-        """The distinct values of omega_k; expand() maps them back onto the modes."""
-        return self._distinct
 
     def expand(self, grid: np.ndarray) -> np.ndarray:
         """A grid over distinct_frequencies (last axis) spread to every mode,
