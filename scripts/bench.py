@@ -2,23 +2,19 @@
 """Run the benchmark's workloads and record the results in BENCH_<label>.json.
 
 Usage: python scripts/bench.py LABEL [--workload W ...] [--seed N] [--trace]
-                               [--checkout DIR]
 
 For each workload (default: figures, continuum, oracle) this runs
 
     python3 perfbench/run.py --workload W --seed N --trace 0|1
 
-from the root of the checkout DIR (default: this repository), once, for
-perfbench's own run length, and appends one run record to BENCH_<label>.json
-at the root of this repository: the result JSON (the last line of
-perfbench's output), the lines printed before it (environment,
-per-operation medians, failures), the checkout's git commit, nproc, the
-numpy and scipy versions and the thread environment.  Running the script
-again appends, so alternating invocations with and without --checkout (a
-clone of the parent commit, say) give paired runs of two commits in one
-file.  The file's summary holds, per workload, seed, trace mode and commit,
-the median and quartiles of every metric over the recorded runs.  Exits 1
-when a perfbench run gives no result.
+from the repository root, once, for perfbench's own run length, and appends
+one run record to BENCH_<label>.json at the root: the result JSON (the last
+line of perfbench's output), the lines printed before it (environment,
+per-operation medians, failures), the git commit, nproc, the numpy and scipy
+versions and the thread environment.  Running the script again appends, so alternating
+invocations on two checkouts give paired runs of each.  The file's summary
+holds, per workload, seed and trace mode, the median and quartiles of every
+metric over the recorded runs.  Exits 1 when a perfbench run gives no result.
 """
 
 import argparse
@@ -40,9 +36,9 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
                     "FERMI_LATTICE_THREADS")
 
 
-def _commit(checkout: Path) -> str:
+def _commit() -> str:
     def git(*args):
-        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                               check=True).stdout.strip()
     try:
         head = git("rev-parse", "HEAD")
@@ -52,11 +48,11 @@ def _commit(checkout: Path) -> str:
     return head + ("+uncommitted" if dirty else "")
 
 
-def run_one(workload: str, seed: int, trace: bool, checkout: Path) -> dict:
+def run_one(workload: str, seed: int, trace: bool) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "1" if trace else "0"]
     started = datetime.datetime.now(datetime.timezone.utc)
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stdout + proc.stderr)
@@ -64,7 +60,7 @@ def run_one(workload: str, seed: int, trace: bool, checkout: Path) -> dict:
     return {
         "workload": workload, "seed": seed, "trace": trace,
         "started": started.isoformat(timespec="seconds"),
-        "commit": _commit(checkout),
+        "commit": _commit(),
         "host": {"nproc": os.cpu_count(), "numpy": numpy.__version__,
                  "scipy": scipy.__version__, "python": platform.python_version(),
                  "threads": {v: os.environ.get(v) for v in THREAD_VARIABLES}},
@@ -74,13 +70,10 @@ def run_one(workload: str, seed: int, trace: bool, checkout: Path) -> dict:
 
 
 def summarise(runs: list[dict]) -> dict:
-    """Median and quartiles of every metric, per workload, seed, trace mode
-    and commit (its first 7 characters, plus any "+uncommitted")."""
+    """Median and quartiles of every metric, per workload, seed and trace mode."""
     groups: dict[str, dict[str, list[float]]] = {}
     for run in runs:
-        commit = run["commit"][:7] + run["commit"][40:]
-        key = (f"{run['workload']}/seed{run['seed']}" + ("/trace" if run["trace"] else "")
-               + f"@{commit}")
+        key = f"{run['workload']}/seed{run['seed']}" + ("/trace" if run["trace"] else "")
         metrics = groups.setdefault(key, {})
         for name, metric in run["result"]["metrics"].items():
             metrics.setdefault(name, []).append(metric["value"])
@@ -101,22 +94,19 @@ def main(argv=None) -> int:
                         help="repeat for several; default: all three")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace", action="store_true", help="per-layer metrics of a traced run")
-    parser.add_argument("--checkout", type=Path, default=ROOT,
-                        help="run perfbench in this checkout; the record still goes here")
     args = parser.parse_args(argv)
 
     path = ROOT / f"BENCH_{args.label}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"label": args.label, "runs": []}
     for workload in args.workload or WORKLOADS:
-        run = run_one(workload, args.seed, args.trace, args.checkout.resolve())
+        run = run_one(workload, args.seed, args.trace)
         doc["runs"].append(run)
         doc["summary"] = summarise(doc["runs"])
         path.write_text(json.dumps(doc, indent=1) + "\n")
         result = run["result"]
         values = ", ".join(f"{k} {m['value']:.4g}" for k, m in result["metrics"].items()
                            if not args.trace or k.endswith("self_s"))
-        print(f"{args.label} {workload} seed {args.seed} @{run['commit'][:7]}: "
-              f"correct {result['correct']}, "
+        print(f"{args.label} {workload} seed {args.seed}: correct {result['correct']}, "
               f"failed {result['failed']}/{result['attempted']}; {values}")
     return 0
 

@@ -70,9 +70,10 @@ def thread_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def thread_map(fn, items) -> list:
-    """[fn(x) for x in items], computed on up to thread_count() threads."""
-    workers = thread_count()
+def thread_map(fn, items, workers: int | None = None) -> list:
+    """[fn(x) for x in items], computed on up to `workers` threads (by
+    default thread_count())."""
+    workers = thread_count() if workers is None else workers
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -83,7 +84,8 @@ def map_row_blocks(fn, n_rows: int, n_modes: int, grids: int = 1) -> list:
     """[fn(rows) for rows in the row blocks of a mode sum] on the worker
     threads; each worker's blocks get 1/workers of MODE_SUM_BLOCK, so the
     blocks in flight together hold about MODE_SUM_BLOCK elements."""
-    return thread_map(fn, row_blocks(n_rows, n_modes, grids * thread_count()))
+    workers = thread_count()
+    return thread_map(fn, row_blocks(n_rows, n_modes, grids * workers), workers)
 
 
 def _mode_sum(basis: ModeBasis, site_a: int, site_b, taus):

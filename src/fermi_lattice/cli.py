@@ -294,7 +294,8 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
             if r % basis.n_sites == 0:
                 raise SchemaError(f"run.r_values: r = {r} puts site_b on site_a "
                                   f"(r must not be a multiple of n_sites = {basis.n_sites})")
-        sites = (scenario.site_a + np.asarray(r_values, dtype=int)) % basis.n_sites
+        # reduced one by one: an r need not fit a numpy integer
+        sites = np.array([(scenario.site_a + r) % basis.n_sites for r in r_values], dtype=int)
         f_c = commutator(basis, scenario.site_a, sites, run["tau"])
         return [write_csv(out, ["r", "f_c"], zip(r_values, f_c))]
 

@@ -164,13 +164,7 @@ class ModeBasis:
             raise InvalidParametersError("trap frequencies must be ascending")
         freqs.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)
-        if np.array_equal(freqs[1:], freqs[:0:-1]):
-            # mirror pairs omega_k == omega_{N-k}: on a chain this is np.unique's
-            # pair, without the sort
-            k = np.arange(freqs.size)
-            distinct, index = freqs[: freqs.size // 2 + 1], np.minimum(k, freqs.size - k)
-        else:
-            distinct, index = np.unique(freqs, return_inverse=True)
+        distinct, index = np.unique(freqs, return_inverse=True)
         distinct.setflags(write=False)
         object.__setattr__(self, "distinct_frequencies", distinct)
         object.__setattr__(self, "_index", index)

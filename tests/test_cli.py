@@ -139,6 +139,22 @@ def test_r_scan_onto_source_site_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_r_scan_takes_offsets_beyond_the_integer_range(tmp_path):
+    # each r is reduced modulo n_sites as a Python integer, so an r past
+    # 2**63 still names a site; both huge offsets here reduce to r = 7
+    doc = {
+        "system": {"kind": "chain", "chain": {"n_sites": 50}},
+        "scenario": {"site_a": 0, "site_b": 15},
+        "run": {"mode": "r_scan", "tau": 0.31,
+                "r_values": [7, 50 * 2**70 + 7, -50 * 2**80 - 43]},
+    }
+    code, out = run_cli(tmp_path, "causality", doc)
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r for r, _ in rows] == [format(float(r), ".17g") for r in doc["run"]["r_values"]]
+    assert rows[1][1] == rows[2][1] == rows[0][1]
+
+
 def test_separation_fraction_onto_source_site_rejected(tmp_path, capsys):
     doc = {
         "system": {"kind": "chain", "chain": {"n_sites": 100}},

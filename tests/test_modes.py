@@ -334,14 +334,17 @@ def _basis(kind, n):
         return build_harmonic_chain(ChainParams(n))
     if kind == "trap":
         return build_ion_trap(TrapParams(n))
-    # omega = (1, 2, 1, 3, 3): repeated values that are not mirror pairs k, N-k
-    freqs = np.array([1.0, 2.0, 1.0, 3.0, 3.0])
+    # repeated values that are not mirror pairs k, N-k; (1, 2, 2, 2, 2) reads
+    # the same backwards after omega_0, as a chain's spectrum does
+    freqs = np.array([1.0, 2.0, 1.0, 3.0, 3.0] if kind == "custom"
+                     else [1.0, 2.0, 2.0, 2.0, 2.0])
     q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(5, 5)))
     return ModeBasis(5, freqs, q.astype(complex) / np.sqrt(2.0 * freqs), BasisKind.CUSTOM)
 
 
 @pytest.mark.parametrize("kind, n", [*(("chain", n) for n in (2, 3, 4, 5, 7, 100, 101, 1000)),
-                                     ("trap", 5), ("custom", 5)])
+                                     ("trap", 5), ("custom", 5),
+                                     ("palindrome", 5)])
 def test_grids_on_distinct_frequencies_expand_to_the_full_grids_bitwise(kind, n):
     from fermi_lattice.quadrature import opening_nested_integral, opening_phase_integral
 
