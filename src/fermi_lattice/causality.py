@@ -60,7 +60,8 @@ def row_blocks(n_rows: int, n_modes: int, grids: int = 1) -> list[slice]:
 
 
 def thread_count() -> int:
-    """Worker threads: FERMI_LATTICE_THREADS, by default min(4, cpu count)."""
+    """Worker threads: FERMI_LATTICE_THREADS, by default min(4, cpu count).
+    A value that is not an integer raises SchemaError (exit 2 in the CLI)."""
     env = os.environ.get("FERMI_LATTICE_THREADS")
     if env:
         try:
