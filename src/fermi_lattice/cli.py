@@ -421,16 +421,18 @@ def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
     if t_values is None:
         t_values = list(np.linspace(0.0, _window_t_max(run, scenario), run["n_times"]))
 
-    rows = []
-    for t in t_values:
+    d = np.empty((len(t_values), basis.n_sites))
+    for i, t in enumerate(t_values):
         if component == "total":
             snap = excitation_distribution(basis, scenario, scheme, t)
         else:
             up, down = single_site_distributions(basis, scenario, scheme, t)
             snap = up if component == "up" else down
-        rows.extend((t, n, snap.d[n]) for n in range(basis.n_sites))
-    report.note("d_max", max(r[2] for r in rows))
-    return [write_csv(out, ["t", "n", "d_n"], rows)]
+        d[i] = snap.d
+    report.note("d_max", float(np.max(d)))
+    t = np.repeat(np.asarray(t_values, dtype=float), basis.n_sites)
+    n = np.tile(np.arange(basis.n_sites), len(t_values))
+    return [write_csv(out, ["t", "n", "d_n"], zip(t.tolist(), n.tolist(), d.ravel().tolist()))]
 
 
 def cmd_oracle_check(doc: dict, out: Path, report: Reporter) -> list[Path]:

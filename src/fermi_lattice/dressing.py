@@ -19,6 +19,8 @@ or d1, and the static term d1 / (2 Omega (Omega + w_k)).
 from __future__ import annotations
 
 import enum
+import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +71,13 @@ class DressingScheme(enum.Enum):
 # phonon content of a term: tuple of (mode index, count), sorted by mode
 Occupation = tuple[tuple[int, int], ...]
 
+# a term's spin code indexes this tuple
+SPIN_PATTERNS = tuple(SpinPattern)
+_SPIN_CODE = {p: i for i, p in enumerate(SPIN_PATTERNS)}
+_DD, _UD, _DU, _UU = (_SPIN_CODE[SpinPattern(v)] for v in ("dd", "ud", "du", "uu"))
+_FLIP_A_CODE = np.array([_SPIN_CODE[p.flip_a()] for p in SPIN_PATTERNS], dtype=np.int8)
+_A_UP_CODE = np.array([p.a_is_up for p in SPIN_PATTERNS])
+
 
 @dataclass(frozen=True)
 class ExpansionTerm:
@@ -82,40 +91,92 @@ class ExpansionTerm:
         return sum(c for _, c in self.phonons)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class StateExpansion:
     """A perturbative ket as a sum of configurations, graded by powers of
-    epsilon; coefficients are stored without their epsilon^order factor."""
+    epsilon; coefficients are stored without their epsilon^order factor.
 
-    terms: tuple[ExpansionTerm, ...]
+    The terms are stored as columns, one row per term: ``order``, ``spins``
+    (a code into SPIN_PATTERNS), ``modes``/``counts`` (the term's
+    (mode, count) pairs, padded with -1/0 to a common width) and ``coeff``.
+    ``StateExpansion(terms, epsilon)`` builds the columns from ExpansionTerm
+    objects; ``terms`` gives the rows back as ExpansionTerm objects, built
+    on first access."""
+
     epsilon: float
+    order: np.ndarray
+    spins: np.ndarray
+    modes: np.ndarray
+    counts: np.ndarray
+    coeff: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        zero_order = [t for t in self.terms if t.order == 0]
-        if len(zero_order) != 1 or zero_order[0].coeff != 1.0 or zero_order[0].phonons:
+    def __init__(self, terms: Iterable[ExpansionTerm], epsilon: float):
+        terms = tuple(terms)
+        if any(m < 0 or c < 0 for t in terms for m, c in t.phonons):
+            raise InvalidParametersError("phonon modes and counts must be >= 0")
+        width = max((len(t.phonons) for t in terms), default=0)
+        phonons = np.array([t.phonons + ((-1, 0),) * (width - len(t.phonons)) for t in terms],
+                           dtype=np.int64).reshape(len(terms), width, 2)
+        self._fill(epsilon, [t.order for t in terms], [_SPIN_CODE[t.spins] for t in terms],
+                   phonons[..., 0], phonons[..., 1], [t.coeff for t in terms])
+
+    @classmethod
+    def _from_columns(cls, epsilon, order, spins, modes, counts, coeff) -> "StateExpansion":
+        expansion = cls.__new__(cls)
+        expansion._fill(epsilon, order, spins, modes, counts, coeff)
+        return expansion
+
+    def _fill(self, epsilon, order, spins, modes, counts, coeff):
+        object.__setattr__(self, "epsilon", epsilon)
+        for name, values, dtype in (("order", order, np.int8), ("spins", spins, np.int8),
+                                    ("modes", modes, np.int64), ("counts", counts, np.int64),
+                                    ("coeff", coeff, complex)):
+            column = np.array(values, dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        zero = np.flatnonzero(self.order == 0)
+        if zero.size != 1 or self.coeff[zero[0]] != 1.0 or np.any(self.modes[zero[0]] >= 0):
             raise InvalidParametersError(
                 "expansion must have exactly one unit-coefficient zero-phonon order-0 term"
             )
-        for t in self.terms:
-            if t.order % 2 != t.n_phonons % 2:
-                raise InvalidParametersError(
-                    f"order/phonon parity mismatch in term {t}"
-                )
+        bad = np.flatnonzero(self.order % 2 != self.counts.sum(axis=1) % 2)
+        if bad.size:
+            raise InvalidParametersError(
+                f"order/phonon parity mismatch in term {self._terms(bad[:1])[0]}"
+            )
+
+    def _terms(self, rows) -> list[ExpansionTerm]:
+        """The selected rows as ExpansionTerm objects, with Python numbers."""
+        modes, counts = self.modes[rows], self.counts[rows]
+        filled = modes >= 0
+        pairs = list(zip(modes[filled].tolist(), counts[filled].tolist()))
+        ends = np.cumsum(filled.sum(axis=1)).tolist()
+        return [ExpansionTerm(order, SPIN_PATTERNS[spins], tuple(pairs[start:end]), coeff)
+                for order, spins, start, end, coeff in zip(
+                    self.order[rows].tolist(), self.spins[rows].tolist(), [0] + ends[:-1],
+                    ends, self.coeff[rows].tolist())]
+
+    @functools.cached_property
+    def terms(self) -> tuple[ExpansionTerm, ...]:
+        """Every row as an ExpansionTerm, in storage order (built once)."""
+        return tuple(self._terms(slice(None)))
 
     def coefficient(self, spins: SpinPattern, phonons: Occupation) -> complex:
         """Total coefficient of one configuration, epsilon powers applied."""
-        return sum(
-            (self.epsilon**t.order) * t.coeff
-            for t in self.terms
-            if t.spins is spins and t.phonons == phonons
-        )
+        width = self.modes.shape[1]
+        if len(phonons) > width:
+            return 0j
+        want = np.array(tuple(phonons) + ((-1, 0),) * (width - len(phonons)),
+                        dtype=np.int64).reshape(width, 2)
+        match = ((self.spins == _SPIN_CODE[spins]) & np.all(self.modes == want[:, 0], axis=1)
+                 & np.all(self.counts == want[:, 1], axis=1))
+        return complex(np.sum(self.epsilon ** self.order[match] * self.coeff[match]))
 
     def order_terms(self, order: int) -> list[ExpansionTerm]:
-        return [t for t in self.terms if t.order == order]
+        return self._terms(self.order == order)
 
     def first_order_norm_sq(self) -> float:
-        return float(sum(abs(t.coeff) ** 2 for t in self.order_terms(1)))
+        return float(np.sum(np.abs(self.coeff[self.order == 1]) ** 2))
 
 
 def _require_equal_splittings(scenario: Scenario) -> float:
@@ -145,38 +206,37 @@ def dressed_ground_state(basis: ModeBasis, scenario: Scenario) -> StateExpansion
     la = np.conj(basis.row(scenario.site_a))
     lb = np.conj(basis.row(scenario.site_b))
     n_modes = basis.n_modes
+    denom = om + w
 
-    terms = [ExpansionTerm(0, SpinPattern.DOWN_DOWN, (), 1.0 + 0.0j)]
+    mutual_static = complex(np.sum((la * np.conj(lb) + lb * np.conj(la)) / (2.0 * om * denom)))
 
-    for k in range(n_modes):
-        denom = om + w[k]
-        terms.append(ExpansionTerm(1, SpinPattern.UP_DOWN, ((k, 1),), -la[k] / denom))
-        terms.append(ExpansionTerm(1, SpinPattern.DOWN_UP, ((k, 1),), -lb[k] / denom))
+    # order 2, one (k, l >= k) pair per entry in row-major order; k == l is |2_k>
+    k, l = np.triu_indices(n_modes)
+    diagonal = k == l
+    sym = 1.0 / (om + w[k]) + 1.0 / (om + w[l])
+    down_down = (la[k] * la[l] + lb[k] * lb[l]) * sym / (w[k] + w[l])
+    up_up = (la[k] * lb[l] + la[l] * lb[k]) * sym / (2.0 * om + w[k] + w[l])
+    down_down[diagonal] = (la**2 + lb**2) / (np.sqrt(2.0) * denom * w)
+    up_up[diagonal] = np.sqrt(2.0) * la * lb / denom**2
 
-    mutual_static = complex(np.sum((la * np.conj(lb) + lb * np.conj(la)) / (2.0 * om * (om + w))))
-    terms.append(ExpansionTerm(2, SpinPattern.UP_UP, (), mutual_static))
-
-    for k in range(n_modes):
-        denom = om + w[k]
-        terms.append(ExpansionTerm(
-            2, SpinPattern.DOWN_DOWN, ((k, 2),),
-            (la[k] ** 2 + lb[k] ** 2) / (np.sqrt(2.0) * denom * w[k]),
-        ))
-        terms.append(ExpansionTerm(
-            2, SpinPattern.UP_UP, ((k, 2),),
-            np.sqrt(2.0) * la[k] * lb[k] / denom**2,
-        ))
-        for l in range(k + 1, n_modes):
-            sym = 1.0 / (om + w[k]) + 1.0 / (om + w[l])
-            terms.append(ExpansionTerm(
-                2, SpinPattern.DOWN_DOWN, ((k, 1), (l, 1)),
-                (la[k] * la[l] + lb[k] * lb[l]) * sym / (w[k] + w[l]),
-            ))
-            terms.append(ExpansionTerm(
-                2, SpinPattern.UP_UP, ((k, 1), (l, 1)),
-                (la[k] * lb[l] + la[l] * lb[k]) * sym / (2.0 * om + w[k] + w[l]),
-            ))
-    return StateExpansion(tuple(terms), scenario.epsilon)
+    # rows: the order-0 term; per mode k, A then B up with |1_k>; the mutual
+    # static term; per pair, down-down then up-up
+    n_pairs = k.size
+    order = np.concatenate(([0], np.ones(2 * n_modes), [2], np.full(2 * n_pairs, 2)))
+    spins = np.concatenate(([_DD], np.tile([_UD, _DU], n_modes), [_UU],
+                            np.tile([_DD, _UU], n_pairs)))
+    first = np.concatenate(([-1], np.repeat(np.arange(n_modes), 2), [-1], np.repeat(k, 2)))
+    second = np.concatenate((np.full(2 + 2 * n_modes, -1),
+                             np.repeat(np.where(diagonal, -1, l), 2)))
+    first_count = np.concatenate(([0], np.ones(2 * n_modes), [0],
+                                  np.repeat(np.where(diagonal, 2, 1), 2)))
+    coeff = np.concatenate((
+        [1.0], np.column_stack((-la / denom, -lb / denom)).ravel(), [mutual_static],
+        np.column_stack((down_down, up_up)).ravel()))
+    # a second mode, when there is one, holds one phonon
+    return StateExpansion._from_columns(
+        scenario.epsilon, order, spins, np.column_stack((first, second)),
+        np.column_stack((first_count, second >= 0)), coeff)
 
 
 def initial_dressed_state(ground: StateExpansion, scheme: DressingScheme,
@@ -193,18 +253,17 @@ def initial_dressed_state(ground: StateExpansion, scheme: DressingScheme,
         return StateExpansion(
             (ExpansionTerm(0, SpinPattern.UP_DOWN, (), 1.0 + 0.0j),), ground.epsilon
         )
-    terms = []
-    for t in ground.terms:
-        if scheme is DressingScheme.SIGMA_PLUS and t.spins.a_is_up:
-            continue
-        terms.append(ExpansionTerm(t.order, t.spins.flip_a(), t.phonons, t.coeff))
-    out = StateExpansion(tuple(terms), ground.epsilon)
-    if include_normalization:
-        counter = ExpansionTerm(
-            2, SpinPattern.UP_DOWN, (), -0.5 * out.first_order_norm_sq()
-        )
-        out = StateExpansion(out.terms + (counter,), out.epsilon)
-    return out
+    rows = ~_A_UP_CODE[ground.spins] if scheme is DressingScheme.SIGMA_PLUS else slice(None)
+    order, spins = ground.order[rows], _FLIP_A_CODE[ground.spins[rows]]
+    modes, counts, coeff = ground.modes[rows], ground.counts[rows], ground.coeff[rows]
+    out = StateExpansion._from_columns(ground.epsilon, order, spins, modes, counts, coeff)
+    if not include_normalization:
+        return out
+    blank = np.full((1, modes.shape[1]), -1)
+    return StateExpansion._from_columns(
+        ground.epsilon, np.append(order, 2), np.append(spins, _UD), np.vstack((modes, blank)),
+        np.vstack((counts, np.zeros_like(blank))),
+        np.append(coeff, -0.5 * out.first_order_norm_sq()))
 
 
 def dressed_amplitude(basis: ModeBasis, scenario: Scenario, scheme: DressingScheme,

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .amplitude import bare_amplitude
-from .dressing import SpinPattern, StateExpansion, dressed_ground_state
+from .dressing import SPIN_PATTERNS, SpinPattern, StateExpansion, dressed_ground_state
 from .errors import InvalidParametersError, NumericalFailureError
 from .modes import ModeBasis, Scenario
 from .openings import CONSTANT, OpeningFunction
@@ -29,12 +29,9 @@ NORM_DRIFT_LIMIT = 1e-6
 NORM_DRIFT_TARGET = 1e-9
 DENSE_DIMENSION = 512  # below this, dense coupling matrices beat CSR matvecs
 
-_SPIN_INDEX = {
-    SpinPattern.DOWN_DOWN: (0, 0),
-    SpinPattern.UP_DOWN: (1, 0),
-    SpinPattern.DOWN_UP: (0, 1),
-    SpinPattern.UP_UP: (1, 1),
-}
+# Fock sector 2 spin_A + spin_B of each spin code of a StateExpansion
+_SECTOR = np.array([{SpinPattern.DOWN_DOWN: 0, SpinPattern.UP_DOWN: 2, SpinPattern.DOWN_UP: 1,
+                     SpinPattern.UP_UP: 3}[p] for p in SPIN_PATTERNS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,15 +410,17 @@ def adiabatic_dressing_check(basis: ModeBasis, scenario: Scenario, ramp_tau: flo
 
 
 def expansion_to_vector(expansion: StateExpansion, fock: FockSpace) -> np.ndarray:
-    """Embed a perturbative StateExpansion in the truncated Fock space."""
+    """Embed a perturbative StateExpansion in the truncated Fock space;
+    terms in the same configuration add up, in storage order."""
+    rows, slots = np.nonzero(expansion.modes >= 0)
+    occ = np.zeros((expansion.coeff.size, fock.n_modes), dtype=np.int64)
+    np.add.at(occ, (rows, expansion.modes[rows, slots]), expansion.counts[rows, slots])
+    total = occ.sum(axis=1)
+    over = total[total > fock.max_total_phonons]
+    if over.size:
+        raise InvalidParametersError(f"expansion term with {over[0]} phonons exceeds "
+                                     "the Fock cutoff")
+    index = _SECTOR[expansion.spins] * len(fock.occupations) + fock.rank(occ)
     psi = np.zeros(fock.dimension, dtype=complex)
-    for term in expansion.terms:
-        occ = [0] * fock.n_modes
-        for mode, count in term.phonons:
-            occ[mode] += count
-        if sum(occ) > fock.max_total_phonons:
-            raise InvalidParametersError(f"expansion term with {sum(occ)} phonons exceeds "
-                                         "the Fock cutoff")
-        sa, sb = _SPIN_INDEX[term.spins]
-        psi[fock.state_index(sa, sb, occ)] += expansion.epsilon**term.order * term.coeff
+    np.add.at(psi, index, expansion.epsilon ** expansion.order * expansion.coeff)
     return psi

@@ -5,11 +5,13 @@ from fermi_lattice import causality
 from fermi_lattice import (
     ChainParams,
     DressingScheme,
+    ExpansionTerm,
     FockSpace,
     InvalidParametersError,
     OpeningFunction,
     Scenario,
     SpinPattern,
+    StateExpansion,
     UnsupportedConfigurationError,
     bare_amplitude,
     build_harmonic_chain,
@@ -23,6 +25,7 @@ from fermi_lattice import (
     initial_dressed_state,
     static_dressing_amplitude,
 )
+from fermi_lattice.dressing import SPIN_PATTERNS
 from fermi_lattice.oracle import _dense
 
 
@@ -247,3 +250,175 @@ def test_blocked_dressed_amplitude_equals_unblocked(chain1000, monkeypatch, sche
     monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 10**9)
     whole = dressed_amplitude(chain1000, sc, scheme, times)
     assert blocked.total.tobytes() == whole.total.tobytes()
+
+
+# ---------------------------------------------------------------- array-backed expansion
+# The per-term loops below are the reference for the column code of
+# dressed_ground_state, initial_dressed_state and expansion_to_vector.
+
+def loop_ground_state(basis, scenario):
+    """Term list of the dressed ground state, one ExpansionTerm per configuration."""
+    om = scenario.omega_a
+    w = basis.frequencies
+    la = np.conj(basis.row(scenario.site_a))
+    lb = np.conj(basis.row(scenario.site_b))
+    n_modes = basis.n_modes
+
+    terms = [ExpansionTerm(0, SpinPattern.DOWN_DOWN, (), 1.0 + 0.0j)]
+    for k in range(n_modes):
+        denom = om + w[k]
+        terms.append(ExpansionTerm(1, SpinPattern.UP_DOWN, ((k, 1),), -la[k] / denom))
+        terms.append(ExpansionTerm(1, SpinPattern.DOWN_UP, ((k, 1),), -lb[k] / denom))
+
+    mutual_static = complex(np.sum((la * np.conj(lb) + lb * np.conj(la)) / (2.0 * om * (om + w))))
+    terms.append(ExpansionTerm(2, SpinPattern.UP_UP, (), mutual_static))
+
+    for k in range(n_modes):
+        denom = om + w[k]
+        terms.append(ExpansionTerm(
+            2, SpinPattern.DOWN_DOWN, ((k, 2),),
+            (la[k] ** 2 + lb[k] ** 2) / (np.sqrt(2.0) * denom * w[k]),
+        ))
+        terms.append(ExpansionTerm(
+            2, SpinPattern.UP_UP, ((k, 2),),
+            np.sqrt(2.0) * la[k] * lb[k] / denom**2,
+        ))
+        for l in range(k + 1, n_modes):
+            sym = 1.0 / (om + w[k]) + 1.0 / (om + w[l])
+            terms.append(ExpansionTerm(
+                2, SpinPattern.DOWN_DOWN, ((k, 1), (l, 1)),
+                (la[k] * la[l] + lb[k] * lb[l]) * sym / (w[k] + w[l]),
+            ))
+            terms.append(ExpansionTerm(
+                2, SpinPattern.UP_UP, ((k, 1), (l, 1)),
+                (la[k] * lb[l] + la[l] * lb[k]) * sym / (2.0 * om + w[k] + w[l]),
+            ))
+    return terms
+
+
+def loop_initial_state(ground_terms, scheme, include_normalization):
+    if scheme is DressingScheme.BARE:
+        return [ExpansionTerm(0, SpinPattern.UP_DOWN, (), 1.0 + 0.0j)]
+    terms = [ExpansionTerm(t.order, t.spins.flip_a(), t.phonons, t.coeff) for t in ground_terms
+             if not (scheme is DressingScheme.SIGMA_PLUS and t.spins.a_is_up)]
+    if include_normalization:
+        norm_sq = float(sum(abs(t.coeff) ** 2 for t in terms if t.order == 1))
+        terms.append(ExpansionTerm(2, SpinPattern.UP_DOWN, (), -0.5 * norm_sq))
+    return terms
+
+
+def loop_expansion_to_vector(expansion, fock):
+    psi = np.zeros(fock.dimension, dtype=complex)
+    for term in expansion.terms:
+        occ = [0] * fock.n_modes
+        for mode, count in term.phonons:
+            occ[mode] += count
+        sa, sb = int(term.spins.a_is_up), int(term.spins in (SpinPattern.DOWN_UP,
+                                                                SpinPattern.UP_UP))
+        psi[fock.state_index(sa, sb, occ)] += expansion.epsilon**term.order * term.coeff
+    return psi
+
+
+def assert_same_terms(expansion, reference):
+    """Columns and ``terms`` view against a reference term list: the same
+    configurations in the same order, coefficients within 1e-15."""
+    view = expansion.terms
+    assert view is expansion.terms
+    assert [(t.order, t.spins, t.phonons, t.n_phonons) for t in view] == \
+        [(t.order, t.spins, t.phonons, t.n_phonons) for t in reference]
+    assert {type(t.order) for t in view} == {int} and {type(t.coeff) for t in view} == {complex}
+    assert {type(x) for t in view for p in t.phonons for x in p} <= {int}
+    # the public constructor's columns, which round-trip through the view
+    columns = StateExpansion(reference, expansion.epsilon)
+    for name in ("order", "spins", "modes", "counts"):
+        assert np.array_equal(getattr(expansion, name), getattr(columns, name)), name
+    want = np.array([t.coeff for t in reference], dtype=complex)
+    assert np.max(np.abs(expansion.coeff - want)) <= 1e-15
+    assert np.max(np.abs(np.array([t.coeff for t in view]) - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 300])
+def test_array_ground_state_matches_the_term_loop(n):
+    basis = build_harmonic_chain(ChainParams(n))
+    scenario = Scenario.symmetric(0, n // 2, 2.0, 0.7, OpeningFunction.constant(), 1.0)
+    ground = dressed_ground_state(basis, scenario)
+    reference = loop_ground_state(basis, scenario)
+    assert len(reference) == 2 + 2 * n + n * (n + 1)
+    assert_same_terms(ground, reference)
+    if n > 100:
+        return  # the scheme selection is a mask per row; N <= 100 covers it
+    for scheme in DressingScheme:
+        for normalization in (False, True):
+            init = initial_dressed_state(ground, scheme, include_normalization=normalization)
+            assert_same_terms(init, loop_initial_state(reference, scheme, normalization))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_expansion_to_vector_equals_the_term_loop_bitwise(n):
+    basis = build_harmonic_chain(ChainParams(n))
+    ground = dressed_ground_state(basis, small_scenario(epsilon=0.3))
+    fock = FockSpace.build(n, 2)
+    states = [ground] + [initial_dressed_state(ground, scheme, include_normalization=norm)
+                         for scheme in DressingScheme for norm in (False, True)]
+    for state in states:
+        got = expansion_to_vector(state, fock)
+        assert got.tobytes() == loop_expansion_to_vector(state, fock).tobytes()
+    # repeated configurations add up: the same term twice doubles its amplitude
+    twice = StateExpansion(ground.terms[:2] + ground.terms[1:2], ground.epsilon)
+    once = StateExpansion(ground.terms[:2], ground.epsilon)
+    g0 = fock.state_index(0, 0, (0,) * n)
+    diff = expansion_to_vector(twice, fock) - expansion_to_vector(once, fock)
+    diff[g0] = 0.0
+    assert np.allclose(diff, expansion_to_vector(once, fock) - fock.basis_state(0, 0))
+    with pytest.raises(InvalidParametersError, match="exceeds the Fock cutoff"):
+        expansion_to_vector(ground, FockSpace.build(n, 1))
+
+
+def test_hand_built_expansion_round_trips_and_is_read_only():
+    terms = (ExpansionTerm(0, SpinPattern.DOWN_UP, (), 1.0 + 0j),
+             ExpansionTerm(1, SpinPattern.UP_UP, ((4, 1),), 0.25 - 0.5j),
+             ExpansionTerm(2, SpinPattern.DOWN_DOWN, ((0, 1), (2, 2), (5, 1)), -1.5 + 0j))
+    expansion = StateExpansion(terms, 0.5)
+    assert expansion.terms == terms
+    assert expansion.modes.shape == (3, 3)
+    assert expansion.coefficient(SpinPattern.UP_UP, ((4, 1),)) == 0.5 * (0.25 - 0.5j)
+    assert expansion.coefficient(SpinPattern.UP_UP, ((4, 1), (5, 1))) == 0
+    assert expansion.order_terms(2) == [terms[2]]
+    assert expansion.first_order_norm_sq() == abs(0.25 - 0.5j) ** 2
+    with pytest.raises(AttributeError):
+        expansion.terms = ()
+    with pytest.raises(ValueError):
+        expansion.coeff[0] = 2.0
+
+
+@pytest.mark.parametrize("terms", [
+    [ExpansionTerm(1, SpinPattern.UP_DOWN, ((0, 1),), 0.5)],
+    [ExpansionTerm(0, SpinPattern.DOWN_DOWN, (), 1.0), ExpansionTerm(0, SpinPattern.UP_DOWN, (), 1.0)],
+    [ExpansionTerm(0, SpinPattern.DOWN_DOWN, (), 0.5)],
+    [ExpansionTerm(0, SpinPattern.DOWN_DOWN, ((0, 2),), 1.0)],
+    [ExpansionTerm(0, SpinPattern.DOWN_DOWN, (), 1.0),
+     ExpansionTerm(1, SpinPattern.UP_DOWN, ((0, 2),), 0.3)],
+    [ExpansionTerm(0, SpinPattern.DOWN_DOWN, (), 1.0),
+     ExpansionTerm(1, SpinPattern.UP_DOWN, ((-1, 1),), 0.3)],
+], ids=["no-order-0", "two-order-0", "order-0-coefficient", "order-0-phonons",
+        "parity", "negative-mode"])
+def test_expansion_invariants_are_enforced(terms):
+    with pytest.raises(InvalidParametersError):
+        StateExpansion(terms, 0.1)
+
+
+def test_dressed_ground_state_deficit_against_the_exact_ground_state(chain3):
+    """ROADMAP item 9's static referee: 1 - |<a|g>|^2/<a|a> is O(eps^6) for
+    the second-order state a against the eigh ground state g."""
+    epsilons = np.array([0.2, 0.1, 0.05, 0.025])
+    fock = FockSpace.build(chain3.n_modes, 4)
+    deficits = []
+    for eps in epsilons:
+        scenario = small_scenario(epsilon=eps)
+        _, vecs = np.linalg.eigh(build_hamiltonian(chain3, scenario, fock).matrix(0.0))
+        a = expansion_to_vector(dressed_ground_state(chain3, scenario), fock)
+        deficits.append(1.0 - abs(np.vdot(a, vecs[:, 0])) ** 2 / np.vdot(a, a).real)
+    deficits = np.array(deficits)
+    assert np.all(np.diff(deficits) < 0) and deficits[-1] > 0
+    slope = np.polyfit(np.log(epsilons), np.log(deficits), 1)[0]
+    assert 5.7 <= slope <= 6.3
