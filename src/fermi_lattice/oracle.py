@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .amplitude import bare_amplitude
+from .causality import row_blocks
 from .dressing import SPIN_PATTERNS, SpinPattern, StateExpansion, dressed_ground_state
 from .errors import InvalidParametersError, NumericalFailureError
 from .modes import ModeBasis, Scenario
@@ -412,15 +413,21 @@ def adiabatic_dressing_check(basis: ModeBasis, scenario: Scenario, ramp_tau: flo
 def expansion_to_vector(expansion: StateExpansion, fock: FockSpace) -> np.ndarray:
     """Embed a perturbative StateExpansion in the truncated Fock space;
     terms in the same configuration add up, in storage order."""
-    rows, slots = np.nonzero(expansion.modes >= 0)
-    occ = np.zeros((expansion.coeff.size, fock.n_modes), dtype=np.int64)
-    np.add.at(occ, (rows, expansion.modes[rows, slots]), expansion.counts[rows, slots])
-    total = occ.sum(axis=1)
+    total = expansion.counts.sum(axis=1)
     over = total[total > fock.max_total_phonons]
     if over.size:
         raise InvalidParametersError(f"expansion term with {over[0]} phonons exceeds "
                                      "the Fock cutoff")
-    index = _SECTOR[expansion.spins] * len(fock.occupations) + fock.rank(occ)
+    # occupation tables of (terms x modes), ranked a block of terms at a
+    # time: rank holds about 4 such arrays at once
+    rank = np.empty(total.size, dtype=np.int64)
+    for block in row_blocks(total.size, fock.n_modes, grids=4):
+        modes, counts = expansion.modes[block], expansion.counts[block]
+        rows, slots = np.nonzero(modes >= 0)
+        occ = np.zeros((modes.shape[0], fock.n_modes), dtype=np.int64)
+        np.add.at(occ, (rows, modes[rows, slots]), counts[rows, slots])
+        rank[block] = fock.rank(occ)
     psi = np.zeros(fock.dimension, dtype=complex)
-    np.add.at(psi, index, expansion.epsilon ** expansion.order * expansion.coeff)
+    np.add.at(psi, _SECTOR[expansion.spins] * len(fock.occupations) + rank,
+              expansion.epsilon ** expansion.order * expansion.coeff)
     return psi

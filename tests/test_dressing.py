@@ -354,15 +354,19 @@ def test_array_ground_state_matches_the_term_loop(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_expansion_to_vector_equals_the_term_loop_bitwise(n):
+def test_expansion_to_vector_equals_the_term_loop_bitwise(n, monkeypatch):
     basis = build_harmonic_chain(ChainParams(n))
     ground = dressed_ground_state(basis, small_scenario(epsilon=0.3))
     fock = FockSpace.build(n, 2)
     states = [ground] + [initial_dressed_state(ground, scheme, include_normalization=norm)
                          for scheme in DressingScheme for norm in (False, True)]
     for state in states:
-        got = expansion_to_vector(state, fock)
-        assert got.tobytes() == loop_expansion_to_vector(state, fock).tobytes()
+        want = loop_expansion_to_vector(state, fock).tobytes()
+        assert expansion_to_vector(state, fock).tobytes() == want
+        # ranked in blocks of 5 terms or fewer
+        monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 64)
+        assert expansion_to_vector(state, fock).tobytes() == want
+        monkeypatch.undo()
     # repeated configurations add up: the same term twice doubles its amplitude
     twice = StateExpansion(ground.terms[:2] + ground.terms[1:2], ground.epsilon)
     once = StateExpansion(ground.terms[:2], ground.epsilon)
