@@ -127,7 +127,7 @@ class StateExpansion:
         return expansion
 
     def _fill(self, epsilon, order, spins, modes, counts, coeff):
-        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "epsilon", float(epsilon))
         for name, values, dtype in (("order", order, np.int8), ("spins", spins, np.int8),
                                     ("modes", modes, np.int64), ("counts", counts, np.int64),
                                     ("coeff", coeff, complex)):
