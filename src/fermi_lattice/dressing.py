@@ -79,7 +79,7 @@ _FLIP_A_CODE = np.array([_SPIN_CODE[p.flip_a()] for p in SPIN_PATTERNS], dtype=n
 _A_UP_CODE = np.array([p.a_is_up for p in SPIN_PATTERNS])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionTerm:
     order: int
     spins: SpinPattern
@@ -146,10 +146,13 @@ class StateExpansion:
             )
 
     def _terms(self, rows) -> list[ExpansionTerm]:
-        """The selected rows as ExpansionTerm objects, with Python numbers."""
+        """The selected rows as ExpansionTerm objects, with Python numbers;
+        equal (mode, count) pairs share one tuple."""
         modes, counts = self.modes[rows], self.counts[rows]
         filled = modes >= 0
-        pairs = list(zip(modes[filled].tolist(), counts[filled].tolist()))
+        shared = {}
+        pairs = [shared.setdefault(p, p) for p in zip(modes[filled].tolist(),
+                                                       counts[filled].tolist())]
         ends = np.cumsum(filled.sum(axis=1)).tolist()
         return [ExpansionTerm(order, SPIN_PATTERNS[spins], tuple(pairs[start:end]), coeff)
                 for order, spins, start, end, coeff in zip(
