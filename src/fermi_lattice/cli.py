@@ -31,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .amplitude import bare_amplitude, windowed_amplitude
-from .causality import (causality_trace, commutator, lightcone_estimate, lightcone_samples,
-                        nominal_causal_time, rise_estimate, thread_map)
+from .causality import (SWEEP_ELEMENT_LIMIT, causality_trace, commutator, lightcone_estimate,
+                        lightcone_samples, nominal_causal_time, rise_estimate, thread_map)
 from .cloud import excitation_distribution, single_site_distributions
 from .dressing import DressingScheme, dressed_amplitude, g_min, static_dressing_amplitude
 from .errors import FermiLatticeError, NumericalFailureError, SchemaError
@@ -317,15 +317,26 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
             points.append((build_harmonic_chain(chain), site_a, site_b, f"_n{n}"))
 
     n_samples = run["n_samples"]
-    outputs = []
-    # one point after another: the worker threads share each point's mode sum
+    grid = max(n_samples, 100)
+    sweep, elements = [], 0
     for b, site_a, site_b, suffix in points:
         tau_max = run["tau_max"] or 2.0 * nominal_causal_time(b, site_a, site_b)
-        trace = causality_trace(b, site_a, site_b, np.linspace(0.0, tau_max, n_samples))
         # one mode sum serves both unless the estimate needs a finer grid
-        grid = max(n_samples, 100)
-        est = (rise_estimate(b, trace) if lightcone_samples(b, tau_max, grid) == n_samples
-               else lightcone_estimate(b, site_a, site_b, tau_max, grid))
+        estimate_samples = lightcone_samples(b, tau_max, grid)
+        widen = estimate_samples != n_samples
+        elements += (n_samples + widen * estimate_samples) * b.distinct_frequencies.size
+        sweep.append((b, site_a, site_b, suffix, tau_max, widen))
+    if elements > SWEEP_ELEMENT_LIMIT:
+        key = "run.n_samples" if run["n_values"] is None else "run.n_values"
+        raise SchemaError(f"{key}: the mode sums need {elements:.3g} (tau x frequency) "
+                          f"elements, over the limit of {SWEEP_ELEMENT_LIMIT:.3g}; "
+                          f"use fewer samples or smaller chains")
+    outputs = []
+    # one point after another: the worker threads share each point's mode sum
+    for b, site_a, site_b, suffix, tau_max, widen in sweep:
+        trace = causality_trace(b, site_a, site_b, np.linspace(0.0, tau_max, n_samples))
+        est = (lightcone_estimate(b, site_a, site_b, tau_max, grid) if widen
+               else rise_estimate(b, trace))
         outputs.append(write_csv(out_variant(out, suffix) if suffix else out,
                                  ["tau", "f_a", "f_c"], zip(trace.taus, trace.f_a, trace.f_c)))
         tag = suffix.lstrip("_") or "lightcone"

@@ -22,7 +22,7 @@ import numpy as np
 from .dressing import DressingScheme, _require_equal_splittings
 from .errors import InvalidParametersError, UnsupportedConfigurationError
 from .modes import ModeBasis, Scenario
-from .quadrature import opening_phase_integral
+from .quadrature import cis, opening_phase_integral
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _dressing_coefficients(basis: ModeBasis, scenario: Scenario,
 
 
 def _site_cloud(basis: ModeBasis, coeffs: np.ndarray, eps: float, t: float) -> np.ndarray:
-    u = basis.synthesize(coeffs * np.exp(-1j * basis.frequencies * t))
+    u = basis.synthesize(coeffs * cis(-basis.frequencies * t))
     return eps**2 * np.abs(u) ** 2
 
 

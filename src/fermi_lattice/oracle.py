@@ -24,6 +24,7 @@ from .dressing import SPIN_PATTERNS, SpinPattern, StateExpansion, dressed_ground
 from .errors import InvalidParametersError, NumericalFailureError
 from .modes import ModeBasis, Scenario
 from .openings import CONSTANT, OpeningFunction
+from .quadrature import cis
 
 DIMENSION_LIMIT = 2_000_000
 NORM_DRIFT_LIMIT = 1e-6
@@ -33,6 +34,14 @@ DENSE_DIMENSION = 512  # below this, dense coupling matrices beat CSR matvecs
 # Fock sector 2 spin_A + spin_B of each spin code of a StateExpansion
 _SECTOR = np.array([{SpinPattern.DOWN_DOWN: 0, SpinPattern.UP_DOWN: 2, SpinPattern.DOWN_UP: 1,
                      SpinPattern.UP_UP: 3}[p] for p in SPIN_PATTERNS])
+
+
+def _tail_counts(n_modes: int, cutoff: int) -> np.ndarray:
+    """counts[l, s] = C(l + s, l): occupation vectors of l modes with total <= s."""
+    counts = np.ones((n_modes + 1, cutoff + 1), dtype=np.int64)
+    for s in range(1, cutoff + 1):
+        counts[:, s] = np.cumsum(counts[:, s - 1])
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,23 +62,26 @@ class FockSpace:
                 f"Fock dimension {dim} exceeds {DIMENSION_LIMIT}; "
                 f"reduce the cutoff (currently {max_total_phonons}) or the mode count"
             )
-        # prepend one mode at a time: value v in front of every (sorted) tail
-        # that leaves room for it, v ascending, keeps the table lexicographic
-        occs = np.zeros((1, 0), dtype=np.int64)
-        for _ in range(n_modes):
-            total = occs.sum(axis=1)
-            tails = [occs[total <= max_total_phonons - v] for v in range(max_total_phonons + 1)]
-            occs = np.concatenate([np.column_stack((np.full(len(t), v), t))
-                                   for v, t in enumerate(tails)])
+        # unrank every row, one mode per pass: with l modes after mode i and
+        # budget b, the rows before value v number sum_{u<v} counts[l, b - u]
+        # = counts[l+1, b] - counts[l+1, b - v] (hockey stick), so the budget
+        # left after mode i is the first s with counts[l+1, s] >= counts[l+1, b] - rank
+        counts = _tail_counts(n_modes, max_total_phonons)
+        occs = np.empty((n_occ, n_modes), dtype=np.int64)
+        rank = np.arange(n_occ)
+        budget = np.full(n_occ, max_total_phonons)
+        for i in range(n_modes):
+            c = counts[n_modes - i]
+            before = c[budget] - rank
+            left = np.searchsorted(c, before)
+            occs[:, i] = budget - left
+            rank = c[left] - before
+            budget = left
         occs.setflags(write=False)
         return cls(n_modes, max_total_phonons, occs, dim)
 
     def __post_init__(self):
-        # counts[l, s] = C(l + s, l): occupation vectors of l modes with total <= s
-        counts = np.ones((self.n_modes + 1, self.max_total_phonons + 1), dtype=np.int64)
-        for s in range(1, self.max_total_phonons + 1):
-            counts[:, s] = np.cumsum(counts[:, s - 1])
-        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_counts", _tail_counts(self.n_modes, self.max_total_phonons))
 
     def rank(self, occ) -> np.ndarray:
         """Row of each occupation vector (last axis = modes) in ``occupations``:
@@ -286,7 +298,7 @@ def evolve_static(action: HamiltonianAction, initial: np.ndarray, times,
     record = _Recorder(times, coeff.size, projections, record_states)
     psi = None
     for j, t in enumerate(times):
-        psi = evecs @ (np.exp(-1j * evals * (t - times[0])) * coeff)
+        psi = evecs @ (cis(-evals * (t - times[0])) * coeff)
         record(j, psi)
     return record.result(psi)
 
@@ -320,7 +332,7 @@ def exact_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
 
     swap = result.projections["swap"][1:] if prepend else result.projections["swap"]
     e_final = 0.5 * (scenario.omega_b - scenario.omega_a)
-    return np.exp(1j * e_final * times) * swap
+    return cis(e_final * times) * swap
 
 
 def converged_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,

@@ -25,6 +25,20 @@ from .openings import OpeningFunction
 NESTED_SERIES_BELOW = 3e-2
 
 
+def cis(x) -> np.ndarray:
+    """e^{ix} for real x: cos and sin written into one complex array.
+
+    Byte for byte np.exp(1j * x), without its complex temporary and
+    complex exponential, except at x = -0.0: there 1j * x is (-0, +0), so
+    exp has imaginary part +0, where cis keeps sin(-0) = -0.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def phase_integral(phi, t):
     """E(phi; t) = int_0^t e^{i phi u} du, elementwise over broadcast inputs."""
     phi = np.asarray(phi, dtype=float)
@@ -34,7 +48,7 @@ def phase_integral(phi, t):
     xs = np.where(small, x, 0.0)
     series = t * (1.0 + 1j * xs / 2.0 - xs**2 / 6.0 - 1j * xs**3 / 24.0 + xs**4 / 120.0)
     safe_phi = np.where(small, 1.0, phi)
-    direct = (np.exp(1j * x) - 1.0) / (1j * safe_phi)
+    direct = (cis(x) - 1.0) / (1j * safe_phi)
     return np.where(small, series, direct)
 
 
@@ -63,7 +77,7 @@ def phase_moment(m: int, phi, t):
         # upward recurrence M_j = (t^j e^{ix} - j M_{j-1}) / (i phi), fine for |x| >= 2
         pb, tb = phi[big], t[big]
         rec = phase_integral(pb, tb)
-        e = np.exp(1j * x[big])
+        e = cis(x[big])
         for j in range(1, m + 1):
             rec = (tb**j * e - j * rec) / (1j * pb)
         out[big] = rec
@@ -131,7 +145,7 @@ def _grid_phase_integral(phase, t):
     """phase_integral(phase, t) on the (T, K) grid, element for element."""
     if not np.any(phase):
         return np.broadcast_to(phase_integral(0.0, t), (t.size, phase.size))
-    out = (np.exp(1j * (phase * t)) - 1.0) / (1j * np.where(phase == 0.0, 1.0, phase))
+    out = (cis(phase * t) - 1.0) / (1j * np.where(phase == 0.0, 1.0, phase))
     ti, ki = _below(phase, t, 1e-4)
     if ti.size:
         out[ti, ki] = phase_integral(phase[ki], t[ti, 0])

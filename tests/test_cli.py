@@ -1,11 +1,16 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fermi_lattice import cli
+from fermi_lattice.causality import SWEEP_ELEMENT_LIMIT, lightcone_samples
 from fermi_lattice.errors import NumericalFailureError
+from fermi_lattice.modes import ChainParams, build_harmonic_chain
+
+FIGURES = Path(__file__).resolve().parent.parent / "figures"
 
 FIG4 = {
     "system": {"kind": "chain", "chain": {"n_sites": 100}},
@@ -520,6 +525,59 @@ def test_causality_reuses_the_trace_for_the_rise(tmp_path, monkeypatch, n_sample
     assert summary == {"lightcone.rise_time": want.rise_time,
                        "lightcone.nominal_causal_time": want.nominal_causal_time,
                        "lightcone.sharpness": want.sharpness}
+
+
+class _SumsStarted(Exception):
+    """Raised in place of the first mode sum, once the work guard has passed."""
+
+
+def _stop_at_the_sums(monkeypatch):
+    def stop(*args):
+        raise _SumsStarted
+    monkeypatch.setattr(cli, "causality_trace", stop)
+
+
+def test_causality_work_guard_exits_2_before_any_mode_sum(tmp_path, monkeypatch, capsys):
+    _stop_at_the_sums(monkeypatch)
+    sweep = json.loads((FIGURES / "fig1.json").read_text())
+    sweep["run"]["n_values"] = [100, 300, 10**6]
+    single = {"system": {"kind": "chain", "chain": {"n_sites": 10**6}},
+              "scenario": {"site_a": 0, "site_b": 300_000}, "run": {"tau_max": 0.6}}
+    for doc, key in ((sweep, "run.n_values"), (single, "run.n_samples")):
+        started = time.perf_counter()
+        code, _ = run_cli(tmp_path, "causality", doc)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+
+def test_causality_configs_stay_well_under_the_work_guard(tmp_path, monkeypatch, capsys):
+    _stop_at_the_sums(monkeypatch)
+    # the continuum benchmark's largest sweep point: a 2000-sample trace and
+    # the 7641-sample widened grid, each over 1001 distinct frequencies
+    doc = {"system": {"kind": "chain", "chain": {"n_sites": 2000}},
+           "scenario": {"site_a": 0, "site_b": 1},
+           "run": {"mode": "tau_scan", "n_values": [2000], "separation_fraction": 0.3,
+                   "tau_max": 0.6, "n_samples": 2000}}
+    basis = build_harmonic_chain(ChainParams(2000))
+    elements = (2000 + lightcone_samples(basis, 0.6, 2000)) * basis.distinct_frequencies.size
+    assert 9e6 < elements < SWEEP_ELEMENT_LIMIT / 100
+    monkeypatch.setattr(cli, "SWEEP_ELEMENT_LIMIT", elements - 1)
+    assert run_cli(tmp_path, "causality", doc)[0] == 2
+    assert "run.n_values" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "SWEEP_ELEMENT_LIMIT", elements)
+    with pytest.raises(_SumsStarted):
+        run_cli(tmp_path, "causality", doc)
+
+    # the whole continuum sweep and every tau-scan figure config, at 1% of the budget
+    monkeypatch.setattr(cli, "SWEEP_ELEMENT_LIMIT", SWEEP_ELEMENT_LIMIT // 100)
+    doc["run"]["n_values"] = [500, 1000, 2000]
+    configs = [json.loads(p.read_text()) for p in sorted(FIGURES.glob("*.json"))]
+    scans = [c for c in configs if c["run"].get("mode") == "tau_scan"]
+    assert len(scans) == 2  # fig1 and fig2
+    for config in [doc, *scans]:
+        with pytest.raises(_SumsStarted):
+            run_cli(tmp_path, "causality", config)
 
 
 def _table_words(table, seen):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,37 @@ def test_fock_dimension_count():
 def test_fock_dimension_guard():
     with pytest.raises(InvalidParametersError, match="reduce the cutoff"):
         FockSpace.build(8, 16)
+
+
+def prepend_occupations(n_modes, cutoff):
+    """The occupation table built by prepending one mode at a time: value v
+    in front of every (sorted) tail that leaves room for it, v ascending."""
+    occs = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_modes):
+        total = occs.sum(axis=1)
+        tails = [occs[total <= cutoff - v] for v in range(cutoff + 1)]
+        occs = np.concatenate([np.column_stack((np.full(len(t), v), t))
+                               for v, t in enumerate(tails)])
+    return occs
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 6, 8])
+@pytest.mark.parametrize("c", [1, 2, 4, 7])
+def test_unranked_occupations_equal_the_prepend_build(m, c):
+    want = prepend_occupations(m, c)
+    got = FockSpace.build(m, c).occupations
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_occupation_table_is_built_in_place():
+    tracemalloc.start()
+    try:
+        fock = FockSpace.build(60, 3)  # 39 711 rows, a 19 MB table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * fock.occupations.nbytes
 
 
 @pytest.mark.parametrize("m, c", [(1, 3), (2, 1), (3, 4), (5, 3), (8, 4), (20, 2), (30, 2)])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fermi_lattice import NumericalFailureError, OpeningFunction
 from fermi_lattice.quadrature import (
+    cis,
     nested_phase_integral,
     opening_nested_integral,
     opening_phase_integral,
@@ -415,3 +416,22 @@ def test_grid_kernels_equal_the_elementwise_loops(chain1000, opening):
     for op2, phi2 in ((opening, -phis), (opening, 0.5 - phis), (inner, -phis)):
         np.testing.assert_array_equal(opening_nested_integral(opening, phis, op2, phi2, times),
                                       loop_nested_integral(opening, phis, op2, phi2, times))
+
+
+def test_cis_equals_the_complex_exponential_bytewise():
+    rng = np.random.default_rng(7)
+    magnitudes = np.logspace(-320, 15, 3000)
+    inputs = [
+        rng.uniform(-3000.0, 3000.0, 10**6),
+        rng.uniform(-1e-3, 1e-3, 10**6),
+        rng.normal(size=10**6) * 1e5,
+        np.concatenate([magnitudes, -magnitudes]),
+        np.array([0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e15, -1e15]),
+    ]
+    for x in inputs:
+        assert cis(x).tobytes() == np.exp(1j * x).tobytes()
+    assert cis(0.5).shape == () and cis(0.5).dtype == complex
+    # the one exception: 1j * -0.0 is (-0, +0), whose exp has imaginary part +0
+    minus_zero = np.array([-0.0])
+    assert np.signbit(cis(minus_zero).imag) and not np.signbit(np.exp(1j * minus_zero).imag)
+    assert cis(minus_zero).real == 1.0
