@@ -381,8 +381,7 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
     names = run["schemes"]
     times = np.linspace(0.0, _window_t_max(run, scenario), run["n_times"])
-    traces = [dressed_amplitude(basis, scenario, DressingScheme[name.upper()], times)
-              for name in names]
+    traces = dressed_amplitude(basis, scenario, [DressingScheme[n.upper()] for n in names], times)
     for name, trace in zip(names, traces):
         report.note(f"p_final.{name}", float(trace.probability[-1]))
     header = ["t"] + [f"p{i + 1}" for i in range(len(traces))]

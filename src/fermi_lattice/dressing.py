@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,13 +269,21 @@ def initial_dressed_state(ground: StateExpansion, scheme: DressingScheme,
         np.append(coeff, -0.5 * out.first_order_norm_sq()))
 
 
-def dressed_amplitude(basis: ModeBasis, scenario: Scenario, scheme: DressingScheme,
-                      times) -> AmplitudeTrace:
+def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
+                      scheme: DressingScheme | Sequence[DressingScheme],
+                      times) -> AmplitudeTrace | list[AmplitudeTrace]:
     """Swap amplitude from the scheme's initial state, to leading order.
 
     The opening profile must be the shared post-ramp profile f0 of both
     sites.  With (d1, d2) = (0, 0) this reproduces bare_amplitude exactly.
+    A sequence of schemes gives a list of traces in the same order; the
+    schemes share F1/F2's integrals, and each trace equals the one-scheme
+    call byte for byte.
     """
+    schemes = (scheme,) if isinstance(scheme, DressingScheme) else tuple(scheme)
+    if not schemes or not all(isinstance(s, DressingScheme) for s in schemes):
+        raise InvalidParametersError("dressed_amplitude needs one or more of the schemes "
+                                     f"{[s.name for s in DressingScheme]}, got {scheme!r}")
     scenario.check_sites(basis.n_sites)
     om = _require_equal_splittings(scenario)
     f0 = scenario.opening_a.post_ramp()
@@ -288,31 +296,45 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario, scheme: DressingSche
         raise InvalidParametersError("amplitude times must be >= 0")
 
     w = basis.distinct_frequencies
-    d1, d2 = scheme.d1, scheme.d2
     lam_a, lam_b = basis.row(scenario.site_a), basis.row(scenario.site_b)
     c_ba = np.conj(lam_b) * lam_a
     c_ab = np.conj(lam_a) * lam_b
+    any_d = any(s.d1 or s.d2 for s in schemes)
+    any_d1 = any(s.d1 for s in schemes)
 
     def block(rows):
-        # F1/F2 on the distinct frequencies, expanded to every mode
+        # the integrals on the distinct frequencies, once for all schemes
         t = times[rows]
-        f1 = -opening_nested_integral(f0, -(om + w), f0, +(om + w), t)
-        f2 = -opening_nested_integral(f0, +(om - w), f0, -(om - w), t)
-        if d1 or d2:
-            f1 = f1 + (1j * (d1 + d2) / (om + w)) * opening_phase_integral(f0, -(om + w), t)
-        if d1:
-            f2 = f2 + (1j * d1 / (om + w)) * opening_phase_integral(f0, +(om - w), t)
-            static = d1 / (2.0 * om * (om + w))
-            f1 = f1 + static
-            f2 = f2 + static
-        return scenario.epsilon**2 * np.sum(c_ba * basis.expand(f1) + c_ab * basis.expand(f2),
-                                            axis=-1)
+        n1 = -opening_nested_integral(f0, -(om + w), f0, +(om + w), t)
+        n2 = -opening_nested_integral(f0, +(om - w), f0, -(om - w), t)
+        p1 = opening_phase_integral(f0, -(om + w), t) if any_d else None
+        p2 = opening_phase_integral(f0, +(om - w), t) if any_d1 else None
+        out = []
+        for s in schemes:
+            # F1/F2 of the scheme, expanded to every mode
+            d1, d2 = s.d1, s.d2
+            f1, f2 = n1, n2
+            if d1 or d2:
+                f1 = f1 + (1j * (d1 + d2) / (om + w)) * p1
+            if d1:
+                f2 = f2 + (1j * d1 / (om + w)) * p2
+                static = d1 / (2.0 * om * (om + w))
+                f1 = f1 + static
+                f2 = f2 + static
+            out.append(scenario.epsilon**2
+                       * np.sum(c_ba * basis.expand(f1) + c_ab * basis.expand(f2), axis=-1))
+        return out
 
-    # a block holds about 8 (time, mode) arrays at once: the integrals,
-    # F1/F2 and the kernels' temporaries
-    total = np.concatenate(map_row_blocks(block, times.size, basis.n_modes, grids=8))
-    return AmplitudeTrace(times=times, a0=None, ac=None, total=total,
-                          probability=np.abs(total) ** 2)
+    # a block holds about 4 (time, mode) arrays at once for a scheme's F1/F2
+    # and kernels, and 2 for each integral that the schemes share
+    grids = 4 + 2 * (2 + any_d + any_d1)
+    blocks = map_row_blocks(block, times.size, basis.n_modes, grids=grids)
+    traces = []
+    for total in zip(*blocks):
+        total = np.concatenate(total)
+        traces.append(AmplitudeTrace(times=times, a0=None, ac=None, total=total,
+                                     probability=np.abs(total) ** 2))
+    return traces[0] if isinstance(scheme, DressingScheme) else traces
 
 
 def static_dressing_amplitude(basis: ModeBasis, omega: float, separation: int) -> float:

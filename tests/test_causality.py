@@ -193,7 +193,8 @@ def test_site_array_on_a_dense_basis_and_its_checks():
         commutator(basis, 3, np.array([1, 5]), 0.7)
 
 
-@pytest.mark.parametrize("name", ["causality_trace", "bare_amplitude", "dressed_amplitude"])
+@pytest.mark.parametrize("name", ["causality_trace", "bare_amplitude", "dressed_amplitude",
+                                  "dressed_amplitude_schemes"])
 def test_mode_sums_give_the_same_bytes_on_one_or_three_threads(chain1000, monkeypatch, name):
     from fermi_lattice import DressingScheme, OpeningFunction, Scenario
     from fermi_lattice.amplitude import bare_amplitude
@@ -207,9 +208,12 @@ def test_mode_sums_give_the_same_bytes_on_one_or_three_threads(chain1000, monkey
         "bare_amplitude": lambda: bare_amplitude(chain1000, sc, times).total,
         "dressed_amplitude": lambda: dressed_amplitude(chain1000, sc, DressingScheme.SIGMA_X,
                                                        times).total,
+        "dressed_amplitude_schemes": lambda: np.concatenate(
+            [tr.total for tr in dressed_amplitude(chain1000, sc, list(DressingScheme), times)]),
     }[name]
-    # one worker: 4 blocks of the trace, 3 of each amplitude; three workers
-    # split the budget three ways: 12 and 7 blocks
+    # one worker: 4 blocks of the trace, 3 of the bare amplitude and 4 of
+    # the sigma_x ones; three workers split the budget three ways: 12, 7 and
+    # 10 blocks
     results = []
     for threads in ("1", "3"):
         monkeypatch.setenv("FERMI_LATTICE_THREADS", threads)

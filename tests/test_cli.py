@@ -189,6 +189,26 @@ def test_dressed_trace_columns(tmp_path):
     assert first[1] > 0 and first[2] == 0 and first[3] == 0
 
 
+@pytest.mark.parametrize("names", [["sigma_x", "sigma_plus", "bare"], ["bare", "sigma_x"]])
+def test_dressed_notes_and_columns_follow_the_schemes(tmp_path, names):
+    from fermi_lattice import dressing
+
+    doc = json.loads((FIGURES / "fig7.json").read_text())
+    doc["run"].update(n_times=31, schemes=names)
+    code, out = run_cli(tmp_path, "dressed", doc)
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(["t"] + [f"p{i + 1}" for i in range(len(names))])
+    summary = json.loads(out.with_suffix(".manifest.json").read_text())["summary"]
+    assert list(summary) == [f"p_final.{name}" for name in names]
+    basis = build_harmonic_chain(ChainParams(100))
+    scenario = cli.build_scenario(cli.apply_schema(doc, "dressed"), basis)
+    for name in names:
+        trace = dressing.dressed_amplitude(basis, scenario, dressing.DressingScheme[name.upper()],
+                                           np.linspace(0.0, 0.1, 31))
+        assert summary[f"p_final.{name}"] == float(trace.probability[-1])
+
+
 def test_ion2_summary(tmp_path):
     doc = {"system": {"kind": "trap", "trap": {"n_ions": 2}},
            "run": {"alpha_num": 31}}
@@ -450,6 +470,7 @@ BAD_INPUTS = [
     ("ion2", ION2, "scenario", {}),
     ("oracle-check", ORACLE, "run.epsilons", []),
     ("dressed", DRESSED, "run.n_times", 0),
+    ("dressed", DRESSED, "run.schemes", []),
     ("cloud", FIG4, "run.n_times", 0),
     ("oracle-check", ORACLE, "run.n_times", 0),
     ("causality", R_SCAN, "run.r_values", "al"),

@@ -241,7 +241,8 @@ def test_gmin_rejects_odd_n():
         g_min([10, 11], 2.0)
 
 
-@pytest.mark.parametrize("scheme", list(DressingScheme))
+@pytest.mark.parametrize("scheme", list(DressingScheme)
+                         + [pytest.param(list(DressingScheme), id="all_schemes")])
 def test_blocked_dressed_amplitude_equals_unblocked(chain1000, monkeypatch, scheme):
     sc = Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.cos_sq_window(0.1), 0.1)
     times = np.linspace(0.0, 0.1, 131)
@@ -249,7 +250,76 @@ def test_blocked_dressed_amplitude_equals_unblocked(chain1000, monkeypatch, sche
     blocked = dressed_amplitude(chain1000, sc, scheme, times)
     monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 10**9)
     whole = dressed_amplitude(chain1000, sc, scheme, times)
-    assert blocked.total.tobytes() == whole.total.tobytes()
+    if isinstance(scheme, DressingScheme):
+        blocked, whole = [blocked], [whole]
+    assert [tr.total.tobytes() for tr in blocked] == [tr.total.tobytes() for tr in whole]
+
+
+# ---------------------------------------------------------------- several schemes in one call
+
+SCHEME_CASES = {
+    # fig6: constant opening; fig7: cos^2 window (both on chain100)
+    "fig6": (lambda: build_harmonic_chain(ChainParams(100)),
+             Scenario.symmetric(0, 31, 2.0, 1.0, OpeningFunction.constant(), 2.0),
+             np.linspace(0.0, 2.0, 401), list(DressingScheme)),
+    "fig7": (lambda: build_harmonic_chain(ChainParams(100)),
+             Scenario.symmetric(0, 31, 2.0, 1.0, OpeningFunction.cos_sq_window(0.1), 0.1),
+             np.linspace(0.0, 0.1, 201), list(DressingScheme)),
+    "trap3": (lambda: build_ion_trap(TrapParams(3)),
+              Scenario.symmetric(0, 2, 2.0, 0.3, OpeningFunction.sin_sq_window(1.5), 1.5),
+              np.linspace(0.0, 1.5, 61), list(DressingScheme)),
+    "repeated": (lambda: build_harmonic_chain(ChainParams(100)),
+                 Scenario.symmetric(0, 31, 2.0, 1.0, OpeningFunction.cos_sq_window(0.1), 0.1),
+                 np.linspace(0.0, 0.1, 51),
+                 [DressingScheme.BARE, DressingScheme.SIGMA_X, DressingScheme.BARE,
+                  DressingScheme.SIGMA_PLUS, DressingScheme.SIGMA_X]),
+}
+
+
+@pytest.mark.parametrize("case", list(SCHEME_CASES))
+def test_scheme_list_equals_one_call_per_scheme(case):
+    make_basis, sc, times, schemes = SCHEME_CASES[case]
+    basis = make_basis()
+    together = dressed_amplitude(basis, sc, schemes, times)
+    assert isinstance(together, list) and len(together) == len(schemes)
+    for scheme, trace in zip(schemes, together):
+        alone = dressed_amplitude(basis, sc, scheme, times)
+        assert trace.total.tobytes() == alone.total.tobytes()
+        assert trace.probability.tobytes() == alone.probability.tobytes()
+        assert trace.times.tobytes() == alone.times.tobytes()
+
+
+@pytest.mark.parametrize("schemes, nested, phase", [
+    (list(DressingScheme), 2, 2),
+    ([DressingScheme.BARE], 2, 0),
+    ([DressingScheme.SIGMA_PLUS], 2, 1),
+    (DressingScheme.SIGMA_X, 2, 2),
+])
+def test_schemes_share_the_integrals(chain100, fig7_scenario, monkeypatch, schemes, nested,
+                                     phase):
+    from fermi_lattice import dressing
+
+    calls = {"nested": 0, "phase": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dressing, "opening_nested_integral",
+                        counting("nested", dressing.opening_nested_integral))
+    monkeypatch.setattr(dressing, "opening_phase_integral",
+                        counting("phase", dressing.opening_phase_integral))
+    monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 10**9)
+    dressed_amplitude(chain100, fig7_scenario, schemes, np.linspace(0.0, 0.1, 41))
+    assert calls == {"nested": nested, "phase": phase}
+
+
+@pytest.mark.parametrize("schemes", [[], (), ["sigma_x"], "SIGMA_X"])
+def test_scheme_sequence_must_hold_schemes(chain100, fig7_scenario, schemes):
+    with pytest.raises(InvalidParametersError, match="SIGMA_X.*SIGMA_PLUS.*BARE"):
+        dressed_amplitude(chain100, fig7_scenario, schemes, [0.0, 0.05])
 
 
 # ---------------------------------------------------------------- array-backed expansion
