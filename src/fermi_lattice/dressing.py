@@ -310,9 +310,8 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
         p1 = opening_phase_integral(f0, -(om + w), t) if any_d else None
         p2 = opening_phase_integral(f0, +(om - w), t) if any_d1 else None
         out = []
-        for s in schemes:
+        for d1, d2 in (s.value for s in schemes):
             # F1/F2 of the scheme, expanded to every mode
-            d1, d2 = s.d1, s.d2
             f1, f2 = n1, n2
             if d1 or d2:
                 f1 = f1 + (1j * (d1 + d2) / (om + w)) * p1
@@ -326,14 +325,12 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
         return out
 
     # a block holds about 4 (time, mode) arrays at once for a scheme's F1/F2
-    # and kernels, and 2 for each integral that the schemes share
+    # and kernels, and 2 for each integral that the schemes share; the next
+    # scheme reuses the first one's 4
     grids = 4 + 2 * (2 + any_d + any_d1)
-    blocks = map_row_blocks(block, times.size, basis.n_modes, grids=grids)
-    traces = []
-    for total in zip(*blocks):
-        total = np.concatenate(total)
-        traces.append(AmplitudeTrace(times=times, a0=None, ac=None, total=total,
-                                     probability=np.abs(total) ** 2))
+    totals = map(np.concatenate, zip(*map_row_blocks(block, times.size, basis.n_modes, grids)))
+    traces = [AmplitudeTrace(times=times, a0=None, ac=None, total=total,
+                             probability=np.abs(total) ** 2) for total in totals]
     return traces[0] if isinstance(scheme, DressingScheme) else traces
 
 
