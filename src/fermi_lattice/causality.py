@@ -13,6 +13,7 @@ rises at the effective causal time.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 from dataclasses import dataclass
 
@@ -27,8 +28,10 @@ SAMPLES_PER_PERIOD = 20
 DEFAULT_SAMPLES = 2000
 # element budget of the (times x modes) arrays one block of a mode sum holds
 MODE_SUM_BLOCK = 2**19
-# most (tau x distinct frequency) elements one causality run may sum: about
-# a minute at the ~25 ns per element measured with two threads on two cores
+# most (tau x distinct frequency) elements one causality run may sum.  With
+# two threads on two cores an element took 20-25 ns at m = 1 (one tau per
+# base row: chains of more than 2**19 sites, or uneven grids), which puts the
+# limit at about 45 s, and 1-2.5 ns at the capped m of 10-52 (2e4 to 1e5 sites)
 SWEEP_ELEMENT_LIMIT = 2**31
 
 
@@ -95,7 +98,8 @@ def map_row_blocks(fn, n_rows: int, n_modes: int, grids: int = 1) -> list:
 
 def _mode_sum(basis: ModeBasis, site_a: int, site_b, taus):
     """sum_k mu_k e^{i w_k tau} on a tau grid, or for an array of sites b at
-    one tau."""
+    one tau.  On a grid the sum runs over the distinct frequencies, with mu
+    folded onto them."""
     if np.ndim(site_b):
         # sum_k lam[a,k] conj(lam[b,k]) x_k at every b is conj(synthesize(conj(lam[a] x)))
         sites = np.asarray(site_b)
@@ -105,15 +109,41 @@ def _mode_sum(basis: ModeBasis, site_a: int, site_b, taus):
             raise IndexError(f"site index out of range for {basis.n_sites} sites")
         x = basis.row(site_a) * cis(basis.frequencies * float(taus))
         return np.conj(basis.synthesize(np.conj(x)))[sites]
-    mu = basis.row(site_a) * np.conj(basis.row(site_b))
+    mu = basis.fold(basis.row(site_a) * np.conj(basis.row(site_b)))
     taus = np.asarray(taus, dtype=float)
     flat = taus.ravel()
     w = basis.distinct_frequencies
+    # tau_{bm+j} = tau_{bm} + delta_j with delta_j = tau_j - tau_0, so the sum
+    # over d of mu_d e^{i w_d tau} is the product of a base table, one row per
+    # m taus, and an offset table that carries mu
+    m = _block_length(flat, w.size)
+    offsets = cis(np.multiply.outer(flat[:m] - flat[:1], w)) * mu
+    bases = flat[::m]
 
     def block(rows):
-        return basis.expand(cis(np.multiply.outer(flat[rows], w))) @ mu
+        return cis(np.multiply.outer(bases[rows], w)) @ offsets.T
 
-    return np.concatenate(map_row_blocks(block, flat.size, basis.n_modes)).reshape(taus.shape)
+    # a block of base rows covers rows x m taus, so it is budgeted in (tau x
+    # frequency) elements.  The blocks do not depend on the worker count:
+    # a matrix product's bytes depend on its row count
+    sums = thread_map(block, row_blocks(bases.size, m * w.size))
+    return np.concatenate(sums).ravel()[:flat.size].reshape(taus.shape)
+
+
+def _block_length(taus: np.ndarray, n_freqs: int) -> int:
+    """Taus per row of a mode sum's base table: ceil(sqrt(n)), capped so
+    that the (m x n_freqs) offset table holds at most MODE_SUM_BLOCK
+    elements.  1 unless every tau_{bm+j} lies within 4 ulp of max|tau| of
+    tau_{bm} + (tau_j - tau_0), i.e. unless the grid is uniform; with m = 1
+    the sum is cis(tau x w) @ mu, one tau per row."""
+    n = taus.size
+    m = min(math.isqrt(max(n - 1, 0)) + 1, max(1, MODE_SUM_BLOCK // n_freqs))
+    if m > 1:
+        grid = np.add.outer(taus[::m], taus[:m] - taus[0]).ravel()[:n]
+        drift = np.max(np.abs(grid - taus))
+        if not drift <= 4.0 * np.finfo(float).eps * np.max(np.abs(taus)):
+            return 1
+    return m
 
 
 def anticommutator(basis: ModeBasis, site_a: int, site_b, tau):

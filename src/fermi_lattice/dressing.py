@@ -299,8 +299,9 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
     lam_a, lam_b = basis.row(scenario.site_a), basis.row(scenario.site_b)
     c_ba = np.conj(lam_b) * lam_a
     c_ab = np.conj(lam_a) * lam_b
-    any_d = any(s.d1 or s.d2 for s in schemes)
-    any_d1 = any(s.d1 for s in schemes)
+    values = [s.value for s in schemes]
+    any_d = any(d1 or d2 for d1, d2 in values)
+    any_d1 = any(d1 for d1, _ in values)
 
     def block(rows):
         # the integrals on the distinct frequencies, once for all schemes
@@ -309,8 +310,10 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
         n2 = -opening_nested_integral(f0, +(om - w), f0, -(om - w), t)
         p1 = opening_phase_integral(f0, -(om + w), t) if any_d else None
         p2 = opening_phase_integral(f0, +(om - w), t) if any_d1 else None
-        out = []
-        for d1, d2 in (s.value for s in schemes):
+        # each distinct scheme once, sigma_x first; F2 of sigma_+ and bare is
+        # n2 itself, weighted once and held only while those two run
+        out, plain2 = {}, None
+        for d1, d2 in sorted(set(values), reverse=True):
             # F1/F2 of the scheme, expanded to every mode
             f1, f2 = n1, n2
             if d1 or d2:
@@ -320,9 +323,13 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
                 static = d1 / (2.0 * om * (om + w))
                 f1 = f1 + static
                 f2 = f2 + static
-            out.append(scenario.epsilon**2
-                       * np.sum(c_ba * basis.expand(f1) + c_ab * basis.expand(f2), axis=-1))
-        return out
+                g2 = c_ab * basis.expand(f2)
+            else:
+                if plain2 is None:
+                    plain2 = c_ab * basis.expand(n2)
+                g2 = plain2
+            out[d1, d2] = scenario.epsilon**2 * np.sum(c_ba * basis.expand(f1) + g2, axis=-1)
+        return [out[v] for v in values]
 
     # a block holds about 4 (time, mode) arrays at once for a scheme's F1/F2
     # and kernels, and 2 for each integral that the schemes share; the next

@@ -138,7 +138,8 @@ class ModeBasis:
 
     A per-mode grid that depends on the mode only through omega_k is
     evaluated on :attr:`distinct_frequencies` and spread to every mode by
-    :meth:`expand`.  A chain has about N/2 distinct frequencies, since
+    :meth:`expand`; per-mode weights of a sum over modes are gathered onto
+    them by :meth:`fold`.  A chain has about N/2 distinct frequencies, since
     omega_k == omega_{N-k} bitwise; a trap has no repeated one.
     """
 
@@ -198,6 +199,15 @@ class ModeBasis:
         # a fancy index grid[..., index] would return an F-ordered array, over
         # which matmul and np.sum round differently
         return np.take(grid, self._index, axis=-1)
+
+    def fold(self, weights: np.ndarray) -> np.ndarray:
+        """Per-mode weights (last axis) summed per distinct frequency, in
+        mode order: the adjoint of expand, fold(mu) @ grid equalling
+        mu @ expand(grid) up to rounding."""
+        weights = np.asarray(weights)
+        out = np.zeros(weights.shape[:-1] + self.distinct_frequencies.shape, weights.dtype)
+        np.add.at(out, (..., self._index), weights)
+        return out
 
     def row(self, n: int) -> np.ndarray:
         """lambda[n, :], one complex entry per mode."""

@@ -1,6 +1,8 @@
+import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -143,16 +145,42 @@ def test_lightcone_parameter_validation(chain100):
         lightcone_estimate(chain100, 0, 31, 1.0, n_samples=10)
 
 
-@pytest.mark.parametrize("n, n_taus", [(2000, 1001), (500, 1049), (100, 5243), (3, 10)])
-def test_blocked_mode_sum_equals_unblocked_product(n, n_taus):
-    # the tau counts are not multiples of the block; 1049 and 5243 leave a
-    # remainder of one row under a naive split
-    basis = build_harmonic_chain(ChainParams(n))
-    taus = np.linspace(0.0, 0.6, n_taus)
-    assert n_taus % (causality.MODE_SUM_BLOCK // n) != 0
-    mu = basis.row(0) * np.conj(basis.row(n // 3))
-    want = np.exp(1j * np.multiply.outer(taus, basis.frequencies)) @ mu
-    assert causality._mode_sum(basis, 0, n // 3, taus).tobytes() == want.tobytes()
+def mp_mode_sum(basis, site_a, site_b, taus):
+    """sum_k mu_k e^{i w_k tau} of the double mu_k, w_k and taus in 30 digits,
+    with mu summed per distinct frequency first (exactly, at that precision)."""
+    mu = basis.row(site_a) * np.conj(basis.row(site_b))
+    with mpmath.workdps(30):
+        folded = [mpmath.mpc(0)] * basis.distinct_frequencies.size
+        for d, value in zip(basis._index, mu):
+            folded[d] += mpmath.mpc(value.real, value.imag)
+        w = [mpmath.mpf(x) for x in basis.distinct_frequencies]
+        return np.array([complex(mpmath.fsum(m * mpmath.expj(x * mpmath.mpf(t))
+                                             for m, x in zip(folded, w))) for t in taus])
+
+
+@pytest.mark.parametrize("kind, n, n_taus", [("chain", 2000, 1001), ("chain", 500, 1049),
+                                             ("chain", 100, 5243), ("chain", 3, 10),
+                                             ("trap", 5, 777), ("uneven", 300, 500)])
+def test_mode_sum_is_within_32_ulp_of_mpmath(kind, n, n_taus):
+    # the factored sum against the 30-digit one at 40 of the taus, in units of
+    # u sum_k |mu_k|: 1.1-7.9 here, where exp(1j tau x w) @ mu reads 1.1-6.5
+    if kind == "trap":
+        basis, taus = build_ion_trap(TrapParams(n)), np.linspace(0.0, 4.0, n_taus)
+    else:
+        basis, taus = build_harmonic_chain(ChainParams(n)), np.linspace(0.0, 0.6, n_taus)
+    if kind == "uneven":
+        taus = np.sort(np.random.default_rng(1).uniform(0.0, 0.6, n_taus))
+    m = causality._block_length(taus, basis.distinct_frequencies.size)
+    # blocks of ceil(sqrt(n)) taus on a uniform grid, the last one partial;
+    # one tau per row on an uneven grid
+    assert m == (1 if kind == "uneven" else math.isqrt(n_taus - 1) + 1)
+    assert kind == "uneven" or n_taus % m != 0
+    site_b = n // 3 if kind != "trap" else 3
+    got = causality._mode_sum(basis, 0, site_b, taus)
+    pick = np.unique(np.linspace(0, n_taus - 1, 40).astype(int))
+    scale = np.sum(np.abs(basis.row(0) * basis.row(site_b)))
+    err = np.max(np.abs(got[pick] - mp_mode_sum(basis, 0, site_b, taus[pick])))
+    assert err <= 32 * 2.0**-53 * scale
 
 
 def test_million_site_trace_stays_under_a_gigabyte():
@@ -211,9 +239,9 @@ def test_mode_sums_give_the_same_bytes_on_one_or_three_threads(chain1000, monkey
         "dressed_amplitude_schemes": lambda: np.concatenate(
             [tr.total for tr in dressed_amplitude(chain1000, sc, list(DressingScheme), times)]),
     }[name]
-    # one worker: 4 blocks of the trace, 3 of the bare amplitude and 4 of
-    # the sigma_x ones; three workers split the budget three ways: 12, 7 and
-    # 10 blocks
+    # one worker: 2 blocks of the trace, 3 of the bare amplitude and 4 of
+    # the sigma_x ones; three workers split the amplitudes' budget three
+    # ways (7 and 10 blocks) but not the trace's, whose blocks are fixed
     results = []
     for threads in ("1", "3"):
         monkeypatch.setenv("FERMI_LATTICE_THREADS", threads)

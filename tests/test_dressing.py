@@ -8,6 +8,7 @@ from fermi_lattice import (
     ExpansionTerm,
     FockSpace,
     InvalidParametersError,
+    ModeBasis,
     OpeningFunction,
     Scenario,
     SpinPattern,
@@ -314,6 +315,30 @@ def test_schemes_share_the_integrals(chain100, fig7_scenario, monkeypatch, schem
     monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 10**9)
     dressed_amplitude(chain100, fig7_scenario, schemes, np.linspace(0.0, 0.1, 41))
     assert calls == {"nested": nested, "phase": phase}
+
+
+@pytest.mark.parametrize("schemes, expands", [
+    (list(DressingScheme), 5),
+    ([DressingScheme.BARE, DressingScheme.SIGMA_PLUS], 3),
+    (SCHEME_CASES["repeated"][3], 5),
+    ([DressingScheme.BARE], 2),
+    (DressingScheme.SIGMA_X, 2),
+], ids=["all", "bare_and_sigma_plus", "repeated", "bare", "sigma_x"])
+def test_schemes_weigh_each_unmodified_grid_once(chain100, fig7_scenario, monkeypatch, schemes,
+                                                 expands):
+    # F1 and F2 of each distinct scheme, except that sigma_+ and bare share
+    # F2, the nested integral alone
+    calls = []
+    expand = ModeBasis.expand
+
+    def counting(self, grid):
+        calls.append(grid.shape)
+        return expand(self, grid)
+
+    monkeypatch.setattr(ModeBasis, "expand", counting)
+    monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 10**9)
+    dressed_amplitude(chain100, fig7_scenario, schemes, np.linspace(0.0, 0.1, 41))
+    assert len(calls) == expands
 
 
 @pytest.mark.parametrize("schemes", [[], (), ["sigma_x"], "SIGMA_X"])

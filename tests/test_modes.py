@@ -367,3 +367,23 @@ def test_grids_on_distinct_frequencies_expand_to_the_full_grids_bitwise(kind, n)
         expanded = basis.expand(grid(distinct))
         assert expanded.flags.c_contiguous
         assert expanded.tobytes() == grid(w).tobytes()
+
+
+@pytest.mark.parametrize("kind, n", [("chain", 2), ("chain", 7), ("chain", 100), ("trap", 5),
+                                     ("custom", 5), ("palindrome", 5)])
+def test_fold_sums_weights_per_distinct_frequency(kind, n):
+    basis = _basis(kind, n)
+    rng = np.random.default_rng(3)
+    mu = rng.normal(size=basis.n_modes) + 1j * rng.normal(size=basis.n_modes)
+    folded = basis.fold(mu)
+    assert folded.shape == basis.distinct_frequencies.shape and folded.dtype == mu.dtype
+    # each distinct frequency's modes, summed in mode order
+    for d, value in enumerate(basis.distinct_frequencies):
+        want = 0j
+        for k in np.flatnonzero(basis.frequencies == value):
+            want += mu[k]
+        assert folded[d] == want
+    # the adjoint of expand, on the leading axes too
+    grid = rng.normal(size=(3, basis.distinct_frequencies.size))
+    np.testing.assert_allclose(grid @ folded, basis.expand(grid) @ mu, rtol=1e-13)
+    np.testing.assert_array_equal(basis.fold(np.stack([mu, 2 * mu]))[1], 2 * folded)
