@@ -23,6 +23,8 @@ from .openings import OpeningFunction
 # T takes its 7-term series below |beta t| = 3e-2, where it truncates below
 # 1e-15; the difference form cancels -log10|beta t| digits, 8 of them at 1e-4
 NESTED_SERIES_BELOW = 3e-2
+# the moments M_1 ... M_7 that series takes
+NESTED_ORDERS = range(1, 8)
 
 
 def cis(x) -> np.ndarray:
@@ -52,25 +54,32 @@ def phase_integral(phi, t):
     return np.where(small, series, direct)
 
 
-def phase_moment(m: int, phi, t):
-    """int_0^t u^m e^{i phi u} du."""
+def phase_moments(orders: range, phi, t):
+    """int_0^t u^m e^{i phi u} du for each m in a range of consecutive
+    orders, stacked: the result has shape (len(orders),) + the broadcast
+    shape of phi and t.
+
+    The series terms and the recurrence do not depend on m, so each runs
+    once for all orders; row m equals what one order alone would give."""
     phi, t = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(t, dtype=float))
     shape = phi.shape
     phi, t = phi.ravel(), t.ravel()
     x = phi * t
     small = np.abs(x) < 2.0
-    out = np.empty(phi.size, dtype=complex)
+    out = np.empty((len(orders), phi.size), dtype=complex)
 
     if np.any(small):
         # series sum_n (ix)^n / (n! (m+n+1)); 40 terms is plenty for |x| < 2
         ts = t[small]
         ix = 1j * x[small]
-        ser = np.zeros(ts.size, dtype=complex)
+        ser = np.zeros((len(orders), ts.size), dtype=complex)
         term = np.ones(ts.size, dtype=complex)
+        m = np.array(orders)[:, None]
         for n_it in range(40):
             ser = ser + term / (m + n_it + 1)
             term = term * ix / (n_it + 1)
-        out[small] = ser * ts ** (m + 1)
+        for row, mi in enumerate(orders):
+            out[row, small] = ser[row] * ts ** (mi + 1)
 
     big = ~small
     if np.any(big):
@@ -78,10 +87,30 @@ def phase_moment(m: int, phi, t):
         pb, tb = phi[big], t[big]
         rec = phase_integral(pb, tb)
         e = cis(x[big])
-        for j in range(1, m + 1):
-            rec = (tb**j * e - j * rec) / (1j * pb)
-        out[big] = rec
-    return out.reshape(shape)
+        for j in range(orders.stop):
+            if j:
+                rec = (tb**j * e - j * rec) / (1j * pb)
+            if j >= orders.start:
+                out[j - orders.start, big] = rec
+    return out.reshape((len(orders),) + shape)
+
+
+def phase_moment(m: int, phi, t):
+    """int_0^t u^m e^{i phi u} du."""
+    return phase_moments(range(m, m + 1), phi, t)[0]
+
+
+def _nested_series(moments, beta):
+    """The small-beta series of T: sum_q (i beta)^q / (q+1)! M_{q+1}, for
+    moments = phase_moments(NESTED_ORDERS, alpha, t)."""
+    ser = np.zeros(beta.size, dtype=complex)
+    power = np.ones(beta.size, dtype=complex)
+    fact = 1.0
+    for q in range(7):
+        fact *= q + 1
+        ser = ser + power / fact * moments[q]
+        power = power * (1j * beta)
+    return ser
 
 
 def nested_phase_integral(alpha, beta, t):
@@ -101,16 +130,8 @@ def nested_phase_integral(alpha, beta, t):
         out[big] = (phase_integral(a + b, tb) - phase_integral(a, tb)) / (1j * b)
 
     if np.any(small):
-        # small-beta series: sum_q (i beta)^q / (q+1)! * M_{q+1}(alpha; t)
-        a, b, ts = alpha[small], beta[small], t[small]
-        ser = np.zeros(a.size, dtype=complex)
-        power = np.ones(a.size, dtype=complex)
-        fact = 1.0
-        for q in range(7):
-            fact *= q + 1
-            ser = ser + power / fact * phase_moment(q + 1, a, ts)
-            power = power * (1j * b)
-        out[small] = ser
+        out[small] = _nested_series(phase_moments(NESTED_ORDERS, alpha[small], t[small]),
+                                    beta[small])
     return out.reshape(shape)
 
 
@@ -124,14 +145,19 @@ def nested_phase_integral(alpha, beta, t):
 # phase that is exactly 0 (nu_a = -nu_b with phi2 = -phi1, as in every
 # amplitude kernel) is the column t, the saturated-tail term is evaluated
 # only on rows past the inner window end, and the small-argument series run
-# on the elements that need them.  Every element is computed by the same
-# floating-point operations as phase_integral and nested_phase_integral, so
-# results equal the elementwise primitives exactly (up to the sign of a zero
-# at t = 0, where T's series is skipped).  That is deliberate:
-# the oracle's residuals are O(eps^4) differences of O(eps^2) amplitudes,
-# so a last-digit change in the kernels moves its fitted slope by ~1e-11.
-# Factoring e^{i (nu + phi) t} into e^{i nu t} e^{i phi t} would save
-# about four fifths of the exponentials but changes those last digits.
+# on the elements that need them.  T's series takes the moments M_1 ... M_7
+# of the outer phase in one phase_moments pass per outer component, on the
+# union of the inner components' series elements, and each component pair
+# gathers its elements from that table (numpy's complex *, /, + and cos/sin
+# give an element the same bytes wherever it sits in an array).  Every
+# element is computed by the same floating-point operations as
+# phase_integral and nested_phase_integral, so results equal the elementwise
+# primitives exactly (up to the sign of a zero at t = 0, where T's series is
+# skipped).  That is deliberate: the oracle's residuals are O(eps^4)
+# differences of O(eps^2) amplitudes, so a last-digit change in the kernels
+# moves its fitted slope by ~1e-11.  Factoring e^{i (nu + phi) t} into
+# e^{i nu t} e^{i phi t} would save about four fifths of the exponentials
+# but changes those last digits.
 
 def _below(phase, t, limit: float, rows=True):
     """Grid indices (ti, ki) of |phase t| < limit among the rows selected by
@@ -197,16 +223,24 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
     past = np.flatnonzero(cap[:, 0] > s[:, 0])
     started = s[:, 0] != 0.0  # T(alpha, beta; 0) = 0 needs no series
     out = np.zeros((s.size, phi1.size), dtype=complex)
+    inner = [(cb, nub + phi2) for cb, nub in opening_inner.exp_components()]
+    # T's series elements, where |beta s| is small, of each inner component;
+    # the moments of each outer component are taken once on their union
+    below = [_below(b, s, NESTED_SERIES_BELOW, started) for _, b in inner]
+    flat = [ti * phi1.size + ki for ti, ki in below]
+    union = np.unique(np.concatenate(flat))
+    gather = [np.searchsorted(union, f) for f in flat]
+    tu, ku = np.divmod(union, phi1.size)
     for ca, nua in opening_outer.exp_components():
         a = nua + phi1
         e_a = _grid_phase_integral(a, s)
-        for cb, nub in opening_inner.exp_components():
-            b = nub + phi2
+        if union.size:
+            moments = phase_moments(NESTED_ORDERS, a[ku], s[tu, 0])
+        for (cb, b), (ti, ki), idx in zip(inner, below, gather):
             # T's difference form, and its series where |beta s| is small
             term = (_grid_phase_integral(a + b, s) - e_a) / (1j * np.where(b == 0.0, 1.0, b))
-            ti, ki = _below(b, s, NESTED_SERIES_BELOW, started)
             if ti.size:
-                term[ti, ki] = nested_phase_integral(a[ki], b[ki], s[ti, 0])
+                term[ti, ki] = _nested_series(moments[:, idx], b[ki])
             if past.size:
                 term[past] += phase_integral(b, w2) * (
                     _grid_phase_integral(a, cap[past]) - e_a[past])

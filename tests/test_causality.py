@@ -242,8 +242,33 @@ def test_mode_sums_give_the_same_bytes_on_one_or_three_threads(chain1000, monkey
     # one worker: 2 blocks of the trace, 3 of the bare amplitude and 4 of
     # the sigma_x ones; three workers split the amplitudes' budget three
     # ways (7 and 10 blocks) but not the trace's, whose blocks are fixed
+    # and, at this size, run on one worker
     results = []
     for threads in ("1", "3"):
         monkeypatch.setenv("FERMI_LATTICE_THREADS", threads)
         results.append(run().tobytes())
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("n, taus, workers", [
+    (1000, np.linspace(0.0, 0.6, 2001), [1, 1]),  # 45 base taus x 501 frequencies
+    (2000, np.cumsum(np.random.default_rng(3).uniform(1e-4, 2e-4, 4200)), [1, 2]),  # 4200 x 1001
+], ids=["below", "above"])
+def test_mode_sum_runs_its_blocks_on_the_workers_only_above_the_threshold(monkeypatch, n, taus,
+                                                                          workers):
+    basis = build_harmonic_chain(ChainParams(n))
+    seen = []
+    thread_map = causality.thread_map
+
+    def spy(fn, items, count=None):
+        seen.append(count)
+        return thread_map(fn, items, count)
+
+    monkeypatch.setattr(causality, "thread_map", spy)
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FERMI_LATTICE_THREADS", threads)
+        trace = causality_trace(basis, 0, n // 3, taus)
+        results.append(trace.f_a.tobytes() + trace.f_c.tobytes())
+    assert results[0] == results[1]
+    assert seen == workers

@@ -9,13 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermi_lattice import NumericalFailureError, OpeningFunction
+from fermi_lattice import quadrature
 from fermi_lattice.quadrature import (
+    NESTED_SERIES_BELOW,
     cis,
     nested_phase_integral,
     opening_nested_integral,
     opening_phase_integral,
     phase_integral,
     phase_moment,
+    phase_moments,
 )
 
 mpmath.mp.dps = 40
@@ -91,6 +94,41 @@ def test_phase_moment_vs_mpmath(m, x):
     phi = x / t
     want = mp_moment(m, phi, t)
     np.testing.assert_allclose(complex(phase_moment(m, phi, t)), want, rtol=1e-10, atol=1e-18)
+
+
+def loop_phase_moment(m, phi, t):
+    """M_m one order at a time, as the definition reads: the 40-term series
+    below |phi t| = 2, the upward recurrence from E above it."""
+    x = phi * t
+    small = np.abs(x) < 2.0
+    ser = np.zeros(phi.size, dtype=complex)
+    term = np.ones(phi.size, dtype=complex)
+    for n in range(40):
+        ser = ser + term / (m + n + 1)
+        term = term * (1j * x) / (n + 1)
+    rec = phase_integral(phi, t)
+    for j in range(1, m + 1):
+        rec = (t**j * cis(x) - j * rec) / (1j * phi)
+    return np.where(small, ser * t ** (m + 1), rec)
+
+
+def test_moment_rows_equal_the_one_order_moments_bitwise():
+    # |phi t| = 2 exactly, the doubles on either side of it, 0 and t = 0
+    two = np.array([2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)])
+    x = np.concatenate([two, -two, [0.0, -0.0, 1e-9, 0.5, -1.7, 3.0, -45.0]])
+    t = np.concatenate([np.full(x.size, 0.5), [0.0, 0.0]])
+    phi = np.concatenate([x / 0.5, [3.0, 0.0]])
+    assert np.array_equal(phi[:6] * t[:6], x[:6])
+    rows = phase_moments(range(8), phi, t)
+    assert rows.shape == (8, phi.size)
+    for m in range(8):
+        assert rows[m].tobytes() == phase_moment(m, phi, t).tobytes()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert rows[m].tobytes() == loop_phase_moment(m, phi, t).tobytes(), m
+        assert phase_moments(range(m, 8), phi, t)[0].tobytes() == rows[m].tobytes()
+    for shape_in, shape_out in (((0,), (8, 0)), ((), (8,)), ((2, 3), (8, 2, 3))):
+        assert phase_moments(range(8), np.full(shape_in, 1.0), 0.5).shape == shape_out
+    assert phase_moment(3, np.zeros(0), 0.5).shape == (0,)
 
 
 # ---------------------------------------------------------------- T
@@ -416,6 +454,68 @@ def test_grid_kernels_equal_the_elementwise_loops(chain1000, opening):
     for op2, phi2 in ((opening, -phis), (opening, 0.5 - phis), (inner, -phis)):
         np.testing.assert_array_equal(opening_nested_integral(opening, phis, op2, phi2, times),
                                       loop_nested_integral(opening, phis, op2, phi2, times))
+
+
+# Each outer component takes the moments once, on the union of the inner
+# components' series elements (|beta s| < NESTED_SERIES_BELOW).  Phases near
+# -nu_b select the elements of one inner component only; tiny times select
+# every component's.
+SELECTION_INNER = OpeningFunction.sin_sq_window(0.1)
+NU = 2.0 * np.pi / 0.1
+SELECTION_CASES = {
+    "disjoint": ([-NU + 1e-3, -NU - 0.3, 2e-3, -0.1, NU - 4e-3, 300.0], [0.0, 0.05, 0.1, 0.25]),
+    "overlapping": ([-NU + 1e-3, -NU - 0.3, 2e-3, -0.1, NU - 4e-3, 300.0],
+                    [0.0, 1e-6, 1e-4, 0.05, 0.25]),
+    "empty": ([300.0, 301.0, -302.5, 400.0, -350.0, 333.3], [0.0, 0.05, 0.1, 0.25]),
+}
+
+
+def _series_selections(phi2, times):
+    s = np.minimum(times, SELECTION_INNER.window_end)[:, None]
+    return [(np.abs(nu + phi2) * s < NESTED_SERIES_BELOW) & (s > 0.0)
+            for _, nu in SELECTION_INNER.exp_components()]
+
+
+@pytest.mark.parametrize("outer", [OpeningFunction.sin_sq_window(0.1),
+                                   OpeningFunction.exp_ramp_then(0.2,
+                                                                 OpeningFunction.cos_sq_window(0.1))],
+                         ids=["sin_sq", "exp_ramp_then_cos_sq"])
+@pytest.mark.parametrize("case", list(SELECTION_CASES))
+def test_grid_kernels_equal_the_loops_on_shared_series_selections(outer, case):
+    phi2, times = (np.array(v) for v in SELECTION_CASES[case])
+    phi1 = np.array([-2.5, 0.0, 3.1, -40.0, 1e3, 7.0])
+    masks = _series_selections(phi2, times)
+    overlaps = [np.any(p & q) for i, p in enumerate(masks) for q in masks[i + 1:]]
+    if case == "disjoint":
+        assert sum(np.any(mask) for mask in masks) == 3 and not any(overlaps)
+    elif case == "overlapping":
+        assert all(overlaps) and not np.all(masks[0] == masks[1])
+    else:
+        assert not any(np.any(mask) for mask in masks)
+    np.testing.assert_array_equal(opening_nested_integral(outer, phi1, SELECTION_INNER, phi2, times),
+                                  loop_nested_integral(outer, phi1, SELECTION_INNER, phi2, times))
+
+
+@pytest.mark.parametrize("opening, outer_components", [
+    (OpeningFunction.constant(), 1), (OpeningFunction.sin_sq_window(0.1), 3),
+], ids=["constant", "sin_sq"])
+def test_moments_are_taken_once_per_outer_component(chain1000, monkeypatch, opening,
+                                                    outer_components):
+    # the series needs M_1 ... M_7 of every (outer, inner) pair: 7 moment
+    # passes per pair when each pair takes its own, 63 for a sin^2 window
+    calls = []
+    moments = quadrature.phase_moments
+
+    def counting(orders, phi, t):
+        calls.append(np.size(phi))
+        return moments(orders, phi, t)
+
+    monkeypatch.setattr(quadrature, "phase_moments", counting)
+    w = _chain_modes(chain1000)
+    phis = np.concatenate([-(2.0 + w), 2.0 - w, [0.0, 1e-7]])
+    times = np.array([0.0, 1e-6, 0.013, 0.05, 0.1, 0.25])
+    opening_nested_integral(opening, phis, opening, -phis, times)
+    assert len(calls) == outer_components and min(calls) > 0
 
 
 def test_cis_equals_the_complex_exponential_bytewise():
