@@ -33,13 +33,6 @@ MODE_SUM_BLOCK = 2**19
 # base row: chains of more than 2**19 sites, or uneven grids), which puts the
 # limit at about 45 s, and 1-2.5 ns at the capped m of 10-52 (2e4 to 1e5 sites)
 SWEEP_ELEMENT_LIMIT = 2**31
-# base-table elements (base taus x distinct frequencies) from which a mode
-# sum's row blocks run on the worker threads; below it they run on one.
-# With BLAS on one thread on two cores, one worker against two read 10 / 29
-# ms at N = 2000 with 7641 taus (8.7e4 elements, medians of 9), 309 / 354 ms
-# at N = 2e4 with 2e4 taus (3.9e6), and 335 / 321 ms at 6.3e6 and 475 / 345
-# ms at 1e7 (N = 5e4 and 1e5, medians of 4)
-MODE_SUM_THREADS_FROM = 2**22
 
 
 @dataclass(frozen=True)
@@ -131,13 +124,11 @@ def _mode_sum(basis: ModeBasis, site_a: int, site_b, taus):
         return cis(np.multiply.outer(bases[rows], w)) @ offsets.T
 
     # a block of base rows covers rows x m taus, so it is budgeted in (tau x
-    # frequency) elements.  The blocks do not depend on the worker count:
-    # a matrix product's bytes depend on its row count.  thread_count() is
-    # read, and FERMI_LATTICE_THREADS checked, on one worker too
-    workers = thread_count()
-    if bases.size * w.size < MODE_SUM_THREADS_FROM:
-        workers = 1
-    sums = thread_map(block, row_blocks(bases.size, m * w.size), workers)
+    # frequency) elements.  The blocks run on one worker: with BLAS on one
+    # thread on two cores, two workers were slower at every size the
+    # benchmark reaches.  thread_count() still checks FERMI_LATTICE_THREADS
+    thread_count()
+    sums = [block(rows) for rows in row_blocks(bases.size, m * w.size)]
     return np.concatenate(sums).ravel()[:flat.size].reshape(taus.shape)
 
 

@@ -12,6 +12,7 @@ from fermi_lattice import (
     ChainParams,
     ModeBasis,
     NumericalFailureError,
+    SchemaError,
     TrapParams,
     anticommutator,
     build_harmonic_chain,
@@ -242,7 +243,6 @@ def test_mode_sums_give_the_same_bytes_on_one_or_three_threads(chain1000, monkey
     # one worker: 2 blocks of the trace, 3 of the bare amplitude and 4 of
     # the sigma_x ones; three workers split the amplitudes' budget three
     # ways (7 and 10 blocks) but not the trace's, whose blocks are fixed
-    # and, at this size, run on one worker
     results = []
     for threads in ("1", "3"):
         monkeypatch.setenv("FERMI_LATTICE_THREADS", threads)
@@ -250,13 +250,9 @@ def test_mode_sums_give_the_same_bytes_on_one_or_three_threads(chain1000, monkey
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("n, taus, workers", [
-    (1000, np.linspace(0.0, 0.6, 2001), [1, 1]),  # 45 base taus x 501 frequencies
-    (2000, np.cumsum(np.random.default_rng(3).uniform(1e-4, 2e-4, 4200)), [1, 2]),  # 4200 x 1001
-], ids=["below", "above"])
-def test_mode_sum_runs_its_blocks_on_the_workers_only_above_the_threshold(monkeypatch, n, taus,
-                                                                          workers):
-    basis = build_harmonic_chain(ChainParams(n))
+def test_mode_sum_runs_its_blocks_on_one_worker(chain1000, monkeypatch):
+    # 2001 taus on 1000 sites: 45 base taus x 501 distinct frequencies in 2
+    # blocks, summed in the calling thread whatever the thread count
     seen = []
     thread_map = causality.thread_map
 
@@ -265,10 +261,14 @@ def test_mode_sum_runs_its_blocks_on_the_workers_only_above_the_threshold(monkey
         return thread_map(fn, items, count)
 
     monkeypatch.setattr(causality, "thread_map", spy)
+    taus = np.linspace(0.0, 0.6, 2001)
     results = []
     for threads in ("1", "2"):
         monkeypatch.setenv("FERMI_LATTICE_THREADS", threads)
-        trace = causality_trace(basis, 0, n // 3, taus)
+        trace = causality_trace(chain1000, 0, 333, taus)
         results.append(trace.f_a.tobytes() + trace.f_c.tobytes())
     assert results[0] == results[1]
-    assert seen == workers
+    assert seen == []
+    monkeypatch.setenv("FERMI_LATTICE_THREADS", "two")
+    with pytest.raises(SchemaError, match="FERMI_LATTICE_THREADS"):
+        causality_trace(chain1000, 0, 333, taus)
