@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, SchemaError
+from .errors import NumericalFailureError
 from .modes import BasisKind, ModeBasis
 from .quadrature import cis
 
@@ -28,6 +28,8 @@ SAMPLES_PER_PERIOD = 20
 DEFAULT_SAMPLES = 2000
 # element budget of the (times x modes) arrays one block of a mode sum holds
 MODE_SUM_BLOCK = 2**19
+# worker threads of the amplitude mode sums' row blocks
+WORKERS = min(4, os.cpu_count() or 1)
 # most (tau x distinct frequency) elements one causality run may sum.  With
 # two threads on two cores an element took 20-25 ns at m = 1 (one tau per
 # base row: chains of more than 2**19 sites, or uneven grids), which puts the
@@ -66,34 +68,15 @@ def row_blocks(n_rows: int, n_modes: int, grids: int = 1) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def thread_count() -> int:
-    """Worker threads: FERMI_LATTICE_THREADS, by default min(4, cpu count).
-    A value that is not an integer raises SchemaError (exit 2 in the CLI)."""
-    env = os.environ.get("FERMI_LATTICE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise SchemaError(f"FERMI_LATTICE_THREADS must be an integer, got {env!r}") from exc
-    return min(4, os.cpu_count() or 1)
-
-
-def thread_map(fn, items, workers: int | None = None) -> list:
-    """[fn(x) for x in items], computed on up to `workers` threads (by
-    default thread_count())."""
-    workers = thread_count() if workers is None else workers
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def map_row_blocks(fn, n_rows: int, n_modes: int, grids: int = 1) -> list:
-    """[fn(rows) for rows in the row blocks of a mode sum] on the worker
-    threads; each worker's blocks get 1/workers of MODE_SUM_BLOCK, so the
+    """[fn(rows) for rows in the row blocks of a mode sum] on WORKERS
+    threads; each worker's blocks get 1/WORKERS of MODE_SUM_BLOCK, so the
     blocks in flight together hold about MODE_SUM_BLOCK elements."""
-    workers = thread_count()
-    return thread_map(fn, row_blocks(n_rows, n_modes, grids * workers), workers)
+    blocks = row_blocks(n_rows, n_modes, grids * WORKERS)
+    if WORKERS == 1 or len(blocks) == 1:
+        return [fn(rows) for rows in blocks]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        return list(pool.map(fn, blocks))
 
 
 def _mode_sum(basis: ModeBasis, site_a: int, site_b, taus):
@@ -126,8 +109,7 @@ def _mode_sum(basis: ModeBasis, site_a: int, site_b, taus):
     # a block of base rows covers rows x m taus, so it is budgeted in (tau x
     # frequency) elements.  The blocks run on one worker: with BLAS on one
     # thread on two cores, two workers were slower at every size the
-    # benchmark reaches.  thread_count() still checks FERMI_LATTICE_THREADS
-    thread_count()
+    # benchmark reaches
     sums = [block(rows) for rows in row_blocks(bases.size, m * w.size)]
     return np.concatenate(sums).ravel()[:flat.size].reshape(taus.shape)
 

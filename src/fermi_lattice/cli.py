@@ -11,8 +11,7 @@ significant digits) plus a small .manifest.json next to it, which also
 lists every warning the command raised; identical scenario files produce
 byte-identical CSV.  Exit codes: 0 success, 2 schema or usage error (NaN or
 Infinity in a scenario included), 3 numerical failure (a non-finite result
-included).  FERMI_LATTICE_THREADS caps the worker threads, which share
-the row blocks of a mode sum and the alpha points of the ion2 scan.
+included).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from . import __version__
 from .amplitude import bare_amplitude, windowed_amplitude
 from .causality import (SWEEP_ELEMENT_LIMIT, causality_trace, commutator, lightcone_estimate,
-                        lightcone_samples, nominal_causal_time, rise_estimate, thread_map)
+                        lightcone_samples, nominal_causal_time, rise_estimate)
 from .cloud import excitation_distribution, single_site_distributions
 from .dressing import DressingScheme, dressed_amplitude, g_min, static_dressing_amplitude
 from .errors import FermiLatticeError, NumericalFailureError, SchemaError
@@ -332,7 +331,6 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
                           f"elements, over the limit of {SWEEP_ELEMENT_LIMIT:.3g}; "
                           f"use fewer samples or smaller chains")
     outputs = []
-    # one point after another: the worker threads share each point's mode sum
     for b, site_a, site_b, suffix, tau_max, widen in sweep:
         trace = causality_trace(b, site_a, site_b, np.linspace(0.0, tau_max, n_samples))
         est = (lightcone_estimate(b, site_a, site_b, tau_max, grid) if widen
@@ -407,7 +405,7 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
         return swap_probability_full(pulse, thermal, cutoff)[1]
 
     alphas = np.linspace(run["alpha_start"], run["alpha_stop"], run["alpha_num"])
-    probs = thread_map(prob, list(alphas))
+    probs = [prob(alpha) for alpha in alphas]
     scan = write_csv(out, ["alpha", "probability"], zip(alphas, probs))
 
     p1 = prob(1.0)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dressing import DressingScheme, _require_equal_splittings
-from .errors import InvalidParametersError, UnsupportedConfigurationError
+from .dressing import DressingScheme, _require_equal_splittings, _shared_opening
+from .errors import InvalidParametersError
 from .modes import ModeBasis, Scenario
 from .quadrature import cis, opening_phase_integral
 
@@ -36,11 +36,7 @@ def _dressing_coefficients(basis: ModeBasis, scenario: Scenario,
                            scheme: DressingScheme, t: float):
     """One-phonon coefficient vectors (c_Ak, c_Bk) at time t."""
     om = _require_equal_splittings(scenario)
-    f0 = scenario.opening_a.post_ramp()
-    if f0 != scenario.opening_b.post_ramp():
-        raise UnsupportedConfigurationError(
-            "excitation distribution needs identical post-ramp openings"
-        )
+    f0 = _shared_opening(scenario)
     w = basis.distinct_frequencies
     la = np.conj(basis.row(scenario.site_a))
     lb = np.conj(basis.row(scenario.site_b))

@@ -29,6 +29,7 @@ from .amplitude import AmplitudeTrace
 from .causality import map_row_blocks
 from .errors import InvalidParametersError, UnsupportedConfigurationError
 from .modes import BasisKind, ChainParams, ModeBasis, Scenario, build_harmonic_chain
+from .openings import OpeningFunction
 from .quadrature import opening_nested_integral, opening_phase_integral
 
 
@@ -39,19 +40,11 @@ class SpinPattern(enum.Enum):
     UP_UP = "uu"
 
     def flip_a(self) -> "SpinPattern":
-        return _FLIP_A[self]
+        return SPIN_PATTERNS[_SPIN_CODE[self] ^ 2]
 
     @property
     def a_is_up(self) -> bool:
-        return self in (SpinPattern.UP_DOWN, SpinPattern.UP_UP)
-
-
-_FLIP_A = {
-    SpinPattern.DOWN_DOWN: SpinPattern.UP_DOWN,
-    SpinPattern.UP_DOWN: SpinPattern.DOWN_DOWN,
-    SpinPattern.DOWN_UP: SpinPattern.UP_UP,
-    SpinPattern.UP_UP: SpinPattern.DOWN_UP,
-}
+        return _SPIN_CODE[self] >= 2
 
 
 class DressingScheme(enum.Enum):
@@ -71,12 +64,12 @@ class DressingScheme(enum.Enum):
 # phonon content of a term: tuple of (mode index, count), sorted by mode
 Occupation = tuple[tuple[int, int], ...]
 
-# a term's spin code indexes this tuple
-SPIN_PATTERNS = tuple(SpinPattern)
+# a term's spin code 2 s_A + s_B, also the oracle's Fock sector, indexes
+# this tuple: code ^ 2 flips A, and A is up where code >= 2
+SPIN_PATTERNS = (SpinPattern.DOWN_DOWN, SpinPattern.DOWN_UP, SpinPattern.UP_DOWN,
+                 SpinPattern.UP_UP)
 _SPIN_CODE = {p: i for i, p in enumerate(SPIN_PATTERNS)}
-_DD, _UD, _DU, _UU = (_SPIN_CODE[SpinPattern(v)] for v in ("dd", "ud", "du", "uu"))
-_FLIP_A_CODE = np.array([_SPIN_CODE[p.flip_a()] for p in SPIN_PATTERNS], dtype=np.int8)
-_A_UP_CODE = np.array([p.a_is_up for p in SPIN_PATTERNS])
+_DD, _DU, _UD, _UU = range(4)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +90,7 @@ class StateExpansion:
     epsilon; coefficients are stored without their epsilon^order factor.
 
     The terms are stored as columns, one row per term: ``order``, ``spins``
-    (a code into SPIN_PATTERNS), ``modes``/``counts`` (the term's
+    (2 s_A + s_B, a code into SPIN_PATTERNS), ``modes``/``counts`` (the term's
     (mode, count) pairs, padded with -1/0 to a common width) and ``coeff``.
     ``StateExpansion(terms, epsilon)`` builds the columns from ExpansionTerm
     objects; ``terms`` gives the rows back as ExpansionTerm objects, built
@@ -196,6 +189,16 @@ def _require_equal_splittings(scenario: Scenario) -> float:
     return scenario.omega_a
 
 
+def _shared_opening(scenario: Scenario) -> OpeningFunction:
+    """The post-ramp opening profile f0 that both sites must share."""
+    f0 = scenario.opening_a.post_ramp()
+    if f0 != scenario.opening_b.post_ramp():
+        raise UnsupportedConfigurationError(
+            "dressing needs identical post-ramp openings on both sites"
+        )
+    return f0
+
+
 def dressed_ground_state(basis: ModeBasis, scenario: Scenario) -> StateExpansion:
     """Dressed ground state through second order.
 
@@ -256,8 +259,8 @@ def initial_dressed_state(ground: StateExpansion, scheme: DressingScheme,
         return StateExpansion(
             (ExpansionTerm(0, SpinPattern.UP_DOWN, (), 1.0 + 0.0j),), ground.epsilon
         )
-    rows = ~_A_UP_CODE[ground.spins] if scheme is DressingScheme.SIGMA_PLUS else slice(None)
-    order, spins = ground.order[rows], _FLIP_A_CODE[ground.spins[rows]]
+    rows = ground.spins < 2 if scheme is DressingScheme.SIGMA_PLUS else slice(None)
+    order, spins = ground.order[rows], ground.spins[rows] ^ 2
     modes, counts, coeff = ground.modes[rows], ground.counts[rows], ground.coeff[rows]
     out = StateExpansion._from_columns(ground.epsilon, order, spins, modes, counts, coeff)
     if not include_normalization:
@@ -286,11 +289,7 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
                                      f"{[s.name for s in DressingScheme]}, got {scheme!r}")
     scenario.check_sites(basis.n_sites)
     om = _require_equal_splittings(scenario)
-    f0 = scenario.opening_a.post_ramp()
-    if f0 != scenario.opening_b.post_ramp():
-        raise UnsupportedConfigurationError(
-            "dressed amplitude needs identical post-ramp openings on both sites"
-        )
+    f0 = _shared_opening(scenario)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise InvalidParametersError("amplitude times must be >= 0")

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .amplitude import bare_amplitude
 from .causality import row_blocks
-from .dressing import SPIN_PATTERNS, SpinPattern, StateExpansion, dressed_ground_state
+from .dressing import StateExpansion, dressed_ground_state
 from .errors import InvalidParametersError, NumericalFailureError
 from .modes import ModeBasis, Scenario
 from .openings import CONSTANT, OpeningFunction
@@ -30,10 +30,6 @@ DIMENSION_LIMIT = 2_000_000
 NORM_DRIFT_LIMIT = 1e-6
 NORM_DRIFT_TARGET = 1e-9
 DENSE_DIMENSION = 512  # below this, dense coupling matrices beat CSR matvecs
-
-# Fock sector 2 spin_A + spin_B of each spin code of a StateExpansion
-_SECTOR = np.array([{SpinPattern.DOWN_DOWN: 0, SpinPattern.UP_DOWN: 2, SpinPattern.DOWN_UP: 1,
-                     SpinPattern.UP_UP: 3}[p] for p in SPIN_PATTERNS])
 
 
 def _tail_counts(n_modes: int, cutoff: int) -> np.ndarray:
@@ -440,6 +436,7 @@ def expansion_to_vector(expansion: StateExpansion, fock: FockSpace) -> np.ndarra
         np.add.at(occ, (rows, modes[rows, slots]), counts[rows, slots])
         rank[block] = fock.rank(occ)
     psi = np.zeros(fock.dimension, dtype=complex)
-    np.add.at(psi, _SECTOR[expansion.spins] * len(fock.occupations) + rank,
+    # a term's spin code is its Fock sector 2 spin_A + spin_B
+    np.add.at(psi, expansion.spins * len(fock.occupations) + rank,
               expansion.epsilon ** expansion.order * expansion.coeff)
     return psi

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import time
 import tracemalloc
@@ -12,7 +13,6 @@ from fermi_lattice import (
     ChainParams,
     ModeBasis,
     NumericalFailureError,
-    SchemaError,
     TrapParams,
     anticommutator,
     build_harmonic_chain,
@@ -244,31 +244,24 @@ def test_mode_sums_give_the_same_bytes_on_one_or_three_threads(chain1000, monkey
     # the sigma_x ones; three workers split the amplitudes' budget three
     # ways (7 and 10 blocks) but not the trace's, whose blocks are fixed
     results = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("FERMI_LATTICE_THREADS", threads)
+    for workers in (1, 3):
+        monkeypatch.setattr(causality, "WORKERS", workers)
         results.append(run().tobytes())
     assert results[0] == results[1]
 
 
 def test_mode_sum_runs_its_blocks_on_one_worker(chain1000, monkeypatch):
     # 2001 taus on 1000 sites: 45 base taus x 501 distinct frequencies in 2
-    # blocks, summed in the calling thread whatever the thread count
+    # blocks, summed in the calling thread whatever the worker count
     seen = []
-    thread_map = causality.thread_map
-
-    def spy(fn, items, count=None):
-        seen.append(count)
-        return thread_map(fn, items, count)
-
-    monkeypatch.setattr(causality, "thread_map", spy)
+    pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda **kwargs: seen.append(kwargs) or pool(**kwargs))
     taus = np.linspace(0.0, 0.6, 2001)
     results = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FERMI_LATTICE_THREADS", threads)
+    for workers in (1, 3):
+        monkeypatch.setattr(causality, "WORKERS", workers)
         trace = causality_trace(chain1000, 0, 333, taus)
         results.append(trace.f_a.tobytes() + trace.f_c.tobytes())
     assert results[0] == results[1]
     assert seen == []
-    monkeypatch.setenv("FERMI_LATTICE_THREADS", "two")
-    with pytest.raises(SchemaError, match="FERMI_LATTICE_THREADS"):
-        causality_trace(chain1000, 0, 333, taus)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import time
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermi_lattice import cli
+from fermi_lattice import causality, cli
 from fermi_lattice.causality import SWEEP_ELEMENT_LIMIT, lightcone_samples
 from fermi_lattice.errors import NumericalFailureError
 from fermi_lattice.modes import ChainParams, build_harmonic_chain
@@ -96,9 +97,9 @@ def test_threaded_sweep_is_deterministic(tmp_path, monkeypatch):
         "run": {"mode": "tau_scan", "n_values": [40, 60, 80],
                 "separation_fraction": 0.3, "tau_max": 0.5, "n_samples": 400},
     }
-    monkeypatch.setenv("FERMI_LATTICE_THREADS", "1")
+    monkeypatch.setattr(causality, "WORKERS", 1)
     run_cli(tmp_path, "causality", doc, "serial.csv")
-    monkeypatch.setenv("FERMI_LATTICE_THREADS", "3")
+    monkeypatch.setattr(causality, "WORKERS", 3)
     run_cli(tmp_path, "causality", doc, "threaded.csv")
     for n in (40, 60, 80):
         a = (tmp_path / f"serial_n{n}.csv").read_bytes()
@@ -106,17 +107,33 @@ def test_threaded_sweep_is_deterministic(tmp_path, monkeypatch):
         assert a == b
 
 
-@pytest.mark.parametrize("command, doc", [
-    ("causality", {"system": {"kind": "chain", "chain": {"n_sites": 20}},
-                   "scenario": {"site_a": 0, "site_b": 5}, "run": {"n_samples": 100}}),
-    ("ion2", {"system": {"kind": "trap", "trap": {"n_ions": 2}}, "run": {"alpha_num": 5}}),
-])
-def test_non_integer_thread_count_is_rejected(tmp_path, monkeypatch, capsys, command, doc):
-    monkeypatch.setenv("FERMI_LATTICE_THREADS", "two")
-    code, out = run_cli(tmp_path, command, doc)
-    assert code == 2
-    assert "FERMI_LATTICE_THREADS" in capsys.readouterr().err
-    assert not out.exists()
+CHAIN1000 = {"kind": "chain", "chain": {"n_sites": 1000}}
+
+
+@pytest.mark.parametrize("command, doc, pools", [
+    ("ion2", {"system": {"kind": "trap", "trap": {"n_ions": 2}}, "run": {"alpha_num": 41}}, 0),
+    ("causality", {"system": CHAIN1000, "scenario": {"site_a": 0, "site_b": 300},
+                   "run": {"tau_max": 0.6, "n_samples": 2001}}, 0),
+    ("causality", {"system": CHAIN1000, "scenario": {"site_a": 0, "site_b": 300},
+                   "run": {"mode": "r_scan", "tau": 0.31}}, 0),
+    ("cloud", dict(FIG4, scenario=dict(FIG4["scenario"], site_b=50),
+                   run={"scheme": "sigma_x", "n_times": 26}), 0),
+    ("dressed", {"system": CHAIN1000, "scenario": {"site_a": 0, "site_b": 500, "omega": 2.0},
+                 "run": {"mode": "g_scan", "r_values": [0, 1, 250, 500]}}, 0),
+    # 201 times on 1000 sites: 7 row blocks, shared by the workers
+    ("bare", dict(FIG4, system=CHAIN1000, scenario=dict(FIG4["scenario"], site_b=300),
+                  run={"n_times": 201}), 1),
+], ids=["ion2", "tau_scan", "r_scan", "cloud", "g_scan", "bare"])
+def test_only_the_amplitude_row_blocks_make_a_worker_pool(tmp_path, monkeypatch,
+                                                            command, doc, pools):
+    made = []
+    pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda **kwargs: made.append(kwargs) or pool(**kwargs))
+    monkeypatch.setattr(causality, "WORKERS", 2)
+    code, _ = run_cli(tmp_path, command, doc)
+    assert code == 0
+    assert made == [{"max_workers": 2}] * pools
 
 
 def test_causality_r_scan(tmp_path):
