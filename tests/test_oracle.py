@@ -26,7 +26,7 @@ from fermi_lattice import (
     exact_swap_amplitude,
     residual_slope,
 )
-from fermi_lattice.oracle import _dense
+from fermi_lattice.oracle import DENSE_DIMENSION, _auto_dt, _dense
 
 
 def make(n_sites=3, epsilon=1e-2, opening=None, duration=1.5):
@@ -195,7 +195,161 @@ def test_mode_count_must_match():
         build_hamiltonian(basis, scenario, FockSpace.build(2, 2))
 
 
+def per_state_parity(fock):
+    """(phonons + s_A + s_B) mod 2, state by state in index order."""
+    return np.array([(sum(occ) + sa + sb) % 2 for sa in (0, 1) for sb in (0, 1)
+                     for occ in fock.occupations.tolist()], dtype=np.int8)
+
+
+@pytest.mark.parametrize("m, c", [(1, 1), (2, 3), (3, 4), (4, 6), (8, 2)])
+def test_parity_matches_a_per_state_loop(m, c):
+    fock = FockSpace.build(m, c)
+    assert_bitwise(fock.parity, per_state_parity(fock))
+    assert not fock.parity.flags.writeable
+    assert fock.parity is fock.parity  # computed once
+
+
+@pytest.mark.parametrize("system, m, c", [("chain", 3, 4), ("chain", 4, 6), ("trap", 3, 3)])
+def test_couplings_never_join_two_parity_classes(system, m, c):
+    basis = (build_harmonic_chain(ChainParams(m)) if system == "chain"
+             else build_ion_trap(TrapParams(m)))
+    scenario = Scenario(0, m - 1, 2.0, 1.3, 0.05, OpeningFunction.constant(),
+                        OpeningFunction.constant(), 1.0)
+    action = build_hamiltonian(basis, scenario, FockSpace.build(m, c))
+    parity = action.fock.parity
+    assert set(parity.tolist()) == {0, 1}
+    for w in (action.w_a, action.w_b):
+        rows, cols = w.nonzero()
+        assert rows.size > 0
+        np.testing.assert_array_equal(parity[rows], parity[cols])
+
+
 # ---------------------------------------------------------------- evolution
+
+def reference_evolve(action, initial, times, dt=None, projections=None):
+    """The full-space RK4 loop: every row of psi in every stage, allocating
+    each intermediate.  Returns (projections, final state, norm drift,
+    recorded states)."""
+    times = np.asarray(times, dtype=float)
+    span = float(times[-1] - times[0]) if times.size > 1 else 0.0
+    step = dt if dt is not None else _auto_dt(action, max(span, 1e-12))
+    psi = np.array(initial, dtype=complex)
+    eps = action.scenario.epsilon
+    dense = action.dimension <= DENSE_DIMENSION
+    mih0 = -1j * action.h0_diag
+    miwa, miwb = (-1j * (_dense(w) if dense else w) for w in (action.w_a, action.w_b))
+
+    def rhs(ca, cb, v):
+        return mih0 * v + ca * (miwa @ v) + cb * (miwb @ v)
+
+    states = [psi]
+    for j in range(1, times.size):
+        t0, t1 = times[j - 1], times[j]
+        n_sub = max(1, math.ceil((t1 - t0) / step))
+        h = (t1 - t0) / n_sub
+        grid = t0 + 0.5 * h * np.arange(2 * n_sub + 1)
+        fa = eps * np.asarray(action.scenario.opening_a(grid), dtype=float)
+        fb = eps * np.asarray(action.scenario.opening_b(grid), dtype=float)
+        for i in range(n_sub):
+            a0, a1, a2 = fa[2 * i], fa[2 * i + 1], fa[2 * i + 2]
+            b0, b1, b2 = fb[2 * i], fb[2 * i + 1], fb[2 * i + 2]
+            k1 = rhs(a0, b0, psi)
+            k2 = rhs(a1, b1, psi + (0.5 * h) * k1)
+            k3 = rhs(a1, b1, psi + (0.5 * h) * k2)
+            k4 = rhs(a2, b2, psi + h * k3)
+            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(psi)
+    states = np.array(states)
+    projected = {name: np.array([np.vdot(vec, s) for s in states], dtype=complex)
+                 for name, vec in (projections or {}).items()}
+    drift = float(max(abs(np.linalg.norm(s) - 1.0) for s in states))
+    return projected, psi, drift, states
+
+
+def _swap_start(fock):
+    return fock.basis_state(1, 0)
+
+
+def _mixed_start(fock):
+    # up-down with no phonons and with one in mode 0: both parity classes
+    psi = 0.6 * fock.basis_state(1, 0)
+    psi[fock.state_index(1, 0, (1,) + (0,) * (fock.n_modes - 1))] = 0.8j
+    return psi
+
+
+@pytest.mark.parametrize("system, m, c, opening, times, dt, start, dimension", [
+    ("chain", 4, 3, OpeningFunction.sin_sq_window(0.4), np.linspace(0.0, 0.4, 5), None,
+     _swap_start, 140),
+    ("chain", 3, 3, OpeningFunction.exp_ramp_then(2.0, OpeningFunction.constant()),
+     np.array([-6.0, -2.5, 0.0]), 0.01, _swap_start, 80),
+    ("chain", 4, 6, OpeningFunction.sin_sq_window(0.4), np.linspace(0.0, 0.4, 3), 0.04,
+     _swap_start, 840),
+    ("trap", 3, 3, OpeningFunction.sin_sq_window(0.4), np.linspace(0.0, 0.4, 5), None,
+     _swap_start, 80),
+    ("chain", 4, 3, OpeningFunction.sin_sq_window(0.4), np.linspace(0.0, 0.4, 5), None,
+     _mixed_start, 140),
+], ids=["dense-sin2", "exp-ramp", "csr", "trap", "both-classes"])
+def test_evolve_matches_the_full_space_loop_bitwise(system, m, c, opening, times, dt, start,
+                                                    dimension):
+    basis = (build_harmonic_chain(ChainParams(m)) if system == "chain"
+             else build_ion_trap(TrapParams(m)))
+    scenario = Scenario.symmetric(0, m - 1, 2.0, 0.08, opening, 0.4)
+    fock = FockSpace.build(m, c)
+    action = build_hamiltonian(basis, scenario, fock)
+    assert action.dimension == dimension
+    assert (dimension > DENSE_DIMENSION) == (c == 6)  # the CSR case is the only large one
+    psi0 = start(fock)
+    targets = {"swap": fock.basis_state(0, 1), "start": psi0}
+    got = evolve(action, psi0, times, dt=dt, projections=targets, record_states=True)
+    projected, state, drift, states = reference_evolve(action, psi0, times, dt, targets)
+    for name in targets:
+        assert_bitwise(got.projections[name], projected[name])
+    assert_bitwise(got.state, state)
+    assert got.norm_drift == drift and drift > 0
+    assert_bitwise(got.states, states)
+    # the state left the start, and a one-class start leaves the other class empty
+    assert np.max(np.abs(got.projections["start"] - got.projections["start"][0])) > 1e-6
+    touched = np.unique(fock.parity[np.flatnonzero(got.state)])
+    assert touched.tolist() == ([0, 1] if start is _mixed_start else [1])
+
+
+def test_evolve_refuses_a_state_of_the_wrong_shape():
+    basis, scenario = make()
+    fock = FockSpace.build(3, 2)
+    action = build_hamiltonian(basis, scenario, fock)
+    psi0 = fock.basis_state(1, 0)
+    for bad in (psi0[:-1], psi0[:, None], np.stack([psi0, psi0]), np.complex128(1.0)):
+        with pytest.raises(InvalidParametersError, match="initial state"):
+            evolve(action, bad, np.linspace(0.0, 0.1, 2))
+
+
+BAD_STEPS = [0.0, -0.1, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("dt", BAD_STEPS)
+def test_evolve_refuses_a_step_that_is_not_finite_and_positive(dt):
+    basis, scenario = make()
+    fock = FockSpace.build(3, 2)
+    action = build_hamiltonian(basis, scenario, fock)
+    with pytest.raises(InvalidParametersError, match="dt"):
+        evolve(action, fock.basis_state(1, 0), np.linspace(0.0, 0.1, 2), dt=dt)
+
+
+@pytest.mark.parametrize("dt", BAD_STEPS)
+def test_swap_amplitude_refuses_a_bad_step(dt):
+    basis, scenario = make(opening=OpeningFunction.sin_sq_window(0.4), duration=0.4)
+    with pytest.raises(InvalidParametersError, match="dt"):
+        exact_swap_amplitude(basis, scenario, [0.1, 0.2], 2, method="rk4", dt=dt)
+
+
+@pytest.mark.parametrize("dt", BAD_STEPS)
+def test_adiabatic_check_refuses_a_bad_step(dt):
+    basis, _ = make(n_sites=2)
+    scenario = Scenario.symmetric(0, 1, 2.0, 1e-2, OpeningFunction.constant(), 1.0)
+    with pytest.raises(InvalidParametersError, match="dt"):
+        adiabatic_dressing_check(basis, scenario, 2.0, 2, dt=dt)
+
+
 
 def test_decoupled_sectors_stay_empty():
     basis, scenario = make(epsilon=0.0)
