@@ -26,7 +26,6 @@ from .dressing import (
     dressed_amplitude,
     dressed_ground_state,
     g_min,
-    initial_dressed_state,
     static_dressing_amplitude,
 )
 from .errors import (

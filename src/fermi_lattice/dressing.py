@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +38,6 @@ class SpinPattern(enum.Enum):
     UP_DOWN = "ud"
     DOWN_UP = "du"
     UP_UP = "uu"
-
-    def flip_a(self) -> "SpinPattern":
-        return SPIN_PATTERNS[_SPIN_CODE[self] ^ 2]
-
-    @property
-    def a_is_up(self) -> bool:
-        return _SPIN_CODE[self] >= 2
 
 
 class DressingScheme(enum.Enum):
@@ -64,11 +57,9 @@ class DressingScheme(enum.Enum):
 # phonon content of a term: tuple of (mode index, count), sorted by mode
 Occupation = tuple[tuple[int, int], ...]
 
-# a term's spin code 2 s_A + s_B, also the oracle's Fock sector, indexes
-# this tuple: code ^ 2 flips A, and A is up where code >= 2
+# a term's spin code 2 s_A + s_B, also the oracle's Fock sector, indexes this tuple
 SPIN_PATTERNS = (SpinPattern.DOWN_DOWN, SpinPattern.DOWN_UP, SpinPattern.UP_DOWN,
                  SpinPattern.UP_UP)
-_SPIN_CODE = {p: i for i, p in enumerate(SPIN_PATTERNS)}
 _DD, _DU, _UD, _UU = range(4)
 
 
@@ -79,21 +70,16 @@ class ExpansionTerm:
     phonons: Occupation
     coeff: complex
 
-    @property
-    def n_phonons(self) -> int:
-        return sum(c for _, c in self.phonons)
 
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class StateExpansion:
     """A perturbative ket as a sum of configurations, graded by powers of
     epsilon; coefficients are stored without their epsilon^order factor.
 
-    The terms are stored as columns, one row per term: ``order``, ``spins``
-    (2 s_A + s_B, a code into SPIN_PATTERNS), ``modes``/``counts`` (the term's
-    (mode, count) pairs, padded with -1/0 to a common width) and ``coeff``.
-    ``StateExpansion(terms, epsilon)`` builds the columns from ExpansionTerm
-    objects; ``terms`` gives the rows back as ExpansionTerm objects, built
+    The terms are stored as read-only columns, one row per term: ``order``,
+    ``spins`` (2 s_A + s_B, a code into SPIN_PATTERNS), ``modes``/``counts``
+    (the term's (mode, count) pairs, padded with -1/0 to a common width) and
+    ``coeff``.  ``terms`` gives the rows back as ExpansionTerm objects, built
     on first access."""
 
     epsilon: float
@@ -103,30 +89,17 @@ class StateExpansion:
     counts: np.ndarray
     coeff: np.ndarray
 
-    def __init__(self, terms: Iterable[ExpansionTerm], epsilon: float):
-        terms = tuple(terms)
-        if any(m < 0 or c < 0 for t in terms for m, c in t.phonons):
-            raise InvalidParametersError("phonon modes and counts must be >= 0")
-        width = max((len(t.phonons) for t in terms), default=0)
-        phonons = np.array([t.phonons + ((-1, 0),) * (width - len(t.phonons)) for t in terms],
-                           dtype=np.int64).reshape(len(terms), width, 2)
-        self._fill(epsilon, [t.order for t in terms], [_SPIN_CODE[t.spins] for t in terms],
-                   phonons[..., 0], phonons[..., 1], [t.coeff for t in terms])
-
-    @classmethod
-    def _from_columns(cls, epsilon, order, spins, modes, counts, coeff) -> "StateExpansion":
-        expansion = cls.__new__(cls)
-        expansion._fill(epsilon, order, spins, modes, counts, coeff)
-        return expansion
-
-    def _fill(self, epsilon, order, spins, modes, counts, coeff):
-        object.__setattr__(self, "epsilon", float(epsilon))
-        for name, values, dtype in (("order", order, np.int8), ("spins", spins, np.int8),
-                                    ("modes", modes, np.int64), ("counts", counts, np.int64),
-                                    ("coeff", coeff, complex)):
-            column = np.array(values, dtype=dtype)
+    def __post_init__(self):
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        for name, dtype in (("order", np.int8), ("spins", np.int8), ("modes", np.int64),
+                            ("counts", np.int64), ("coeff", complex)):
+            column = np.array(getattr(self, name), dtype=dtype)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+        # a slot holds a (mode, count) pair >= 0, or the padding (-1, 0)
+        pad = self.modes == -1
+        if np.any(self.counts[pad] != 0) or np.any(self.modes[~pad] < 0) or np.any(self.counts < 0):
+            raise InvalidParametersError("phonon modes and counts must be >= 0")
         zero = np.flatnonzero(self.order == 0)
         if zero.size != 1 or self.coeff[zero[0]] != 1.0 or np.any(self.modes[zero[0]] >= 0):
             raise InvalidParametersError(
@@ -134,9 +107,7 @@ class StateExpansion:
             )
         bad = np.flatnonzero(self.order % 2 != self.counts.sum(axis=1) % 2)
         if bad.size:
-            raise InvalidParametersError(
-                f"order/phonon parity mismatch in term {self._terms(bad[:1])[0]}"
-            )
+            raise InvalidParametersError(f"order/phonon parity mismatch in row {bad[0]}")
 
     def _terms(self, rows) -> list[ExpansionTerm]:
         """The selected rows as ExpansionTerm objects, with Python numbers;
@@ -156,23 +127,6 @@ class StateExpansion:
     def terms(self) -> tuple[ExpansionTerm, ...]:
         """Every row as an ExpansionTerm, in storage order (built once)."""
         return tuple(self._terms(slice(None)))
-
-    def coefficient(self, spins: SpinPattern, phonons: Occupation) -> complex:
-        """Total coefficient of one configuration, epsilon powers applied."""
-        width = self.modes.shape[1]
-        if len(phonons) > width:
-            return 0j
-        want = np.array(tuple(phonons) + ((-1, 0),) * (width - len(phonons)),
-                        dtype=np.int64).reshape(width, 2)
-        match = ((self.spins == _SPIN_CODE[spins]) & np.all(self.modes == want[:, 0], axis=1)
-                 & np.all(self.counts == want[:, 1], axis=1))
-        return complex(np.sum(self.epsilon ** self.order[match] * self.coeff[match]))
-
-    def order_terms(self, order: int) -> list[ExpansionTerm]:
-        return self._terms(self.order == order)
-
-    def first_order_norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeff[self.order == 1]) ** 2))
 
 
 def _require_equal_splittings(scenario: Scenario) -> float:
@@ -240,36 +194,9 @@ def dressed_ground_state(basis: ModeBasis, scenario: Scenario) -> StateExpansion
         [1.0], np.column_stack((-la / denom, -lb / denom)).ravel(), [mutual_static],
         np.column_stack((down_down, up_up)).ravel()))
     # a second mode, when there is one, holds one phonon
-    return StateExpansion._from_columns(
+    return StateExpansion(
         scenario.epsilon, order, spins, np.column_stack((first, second)),
         np.column_stack((first_count, second >= 0)), coeff)
-
-
-def initial_dressed_state(ground: StateExpansion, scheme: DressingScheme,
-                          include_normalization: bool = False) -> StateExpansion:
-    """Initial state after the impulsive excitation of site A.
-
-    SIGMA_X flips A in every term; SIGMA_PLUS keeps only terms with A down
-    and flips them (post-selected spin-up), dropping the mutual-dressing
-    order-2 part; BARE discards the dressing entirely.  The order-2
-    normalization counter-term -eps^2/2 |psi1|^2 |psi0> does not feed the
-    computed amplitudes and is omitted unless requested.
-    """
-    if scheme is DressingScheme.BARE:
-        return StateExpansion(
-            (ExpansionTerm(0, SpinPattern.UP_DOWN, (), 1.0 + 0.0j),), ground.epsilon
-        )
-    rows = ground.spins < 2 if scheme is DressingScheme.SIGMA_PLUS else slice(None)
-    order, spins = ground.order[rows], ground.spins[rows] ^ 2
-    modes, counts, coeff = ground.modes[rows], ground.counts[rows], ground.coeff[rows]
-    out = StateExpansion._from_columns(ground.epsilon, order, spins, modes, counts, coeff)
-    if not include_normalization:
-        return out
-    blank = np.full((1, modes.shape[1]), -1)
-    return StateExpansion._from_columns(
-        ground.epsilon, np.append(order, 2), np.append(spins, _UD), np.vstack((modes, blank)),
-        np.vstack((counts, np.zeros_like(blank))),
-        np.append(coeff, -0.5 * out.first_order_norm_sq()))
 
 
 def dressed_amplitude(basis: ModeBasis, scenario: Scenario,

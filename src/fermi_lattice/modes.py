@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParametersError, NumericalFailureError, UnsupportedConfigurationError
+from .errors import InvalidParametersError, NumericalFailureError
 from .openings import OpeningFunction
 
 NORMALIZATION_TOL = 1e-10
-# largest n_sites x n_modes matrix the dense ``couplings`` accessor builds (1 GiB)
-DENSE_MAX_ELEMENTS = 2**26
+# the trap equilibrium's damped Newton solve: iteration cap and force tolerance
+EQUILIBRIUM_MAX_ITER = 200
+EQUILIBRIUM_TOL = 1e-13
 
 
 class BasisKind(enum.Enum):
@@ -232,21 +233,6 @@ class ModeBasis:
             return self.dense @ coeffs
         return self.n_sites * np.fft.ifft(coeffs / self._scale)
 
-    @property
-    def couplings(self) -> np.ndarray:
-        """The dense lambda matrix, read-only.  A chain builds it row by row
-        on every access, so it is meant for small systems."""
-        if self.dense is not None:
-            return self.dense
-        if self.n_sites * self.n_modes > DENSE_MAX_ELEMENTS:
-            raise UnsupportedConfigurationError(
-                f"a dense {self.n_sites} x {self.n_modes} coupling matrix exceeds "
-                f"{DENSE_MAX_ELEMENTS} elements; use row() or synthesize()"
-            )
-        lam = np.stack([self.row(n) for n in range(self.n_sites)])
-        lam.setflags(write=False)
-        return lam
-
 
 def _check_canonical(lam: np.ndarray, freqs: np.ndarray) -> None:
     """Raise unless every row of lam satisfies sum_k 2 w_k |lam_k|^2 = 1."""
@@ -297,15 +283,15 @@ def build_ion_trap(params: TrapParams) -> ModeBasis:
     return ModeBasis(n, freqs, couplings, BasisKind.ION_TRAP, trap=params)
 
 
-def equilibrium_positions(n_ions: int, max_iter: int = 200, tol: float = 1e-13) -> np.ndarray:
+def equilibrium_positions(n_ions: int) -> np.ndarray:
     """Dimensionless equilibrium positions (ascending) via damped Newton steps."""
     if n_ions < 2:
         raise InvalidParametersError("need n_ions >= 2")
     u = np.linspace(-(n_ions - 1) / 2.0, (n_ions - 1) / 2.0, n_ions) * (2.0 / n_ions**0.56)
-    for _ in range(max_iter):
+    for _ in range(EQUILIBRIUM_MAX_ITER):
         grad = _trap_gradient(u)
         resid = np.max(np.abs(grad))
-        if resid < tol:
+        if resid < EQUILIBRIUM_TOL:
             return u
         step = np.linalg.solve(_trap_hessian(u), -grad)
         if resid < 1e-6:
@@ -322,7 +308,7 @@ def equilibrium_positions(n_ions: int, max_iter: int = 200, tol: float = 1e-13) 
             lam *= 0.5
         u = u + lam * step
     raise NumericalFailureError(
-        f"ion equilibrium solver did not converge after {max_iter} iterations "
+        f"ion equilibrium solver did not converge after {EQUILIBRIUM_MAX_ITER} iterations "
         f"(force residual {np.max(np.abs(_trap_gradient(u))):.3e})"
     )
 

@@ -31,6 +31,17 @@ DIMENSION_LIMIT = 2_000_000
 NORM_DRIFT_LIMIT = 1e-6
 NORM_DRIFT_TARGET = 1e-9
 DENSE_DIMENSION = 512  # below this, dense coupling matrices beat CSR matvecs
+# the static path holds about DENSE_BUFFERS dense complex d x d matrices at
+# once (H(0), eigh's eigenvectors and workspace), 16 d^2 bytes each
+DENSE_BUFFERS = 5
+DENSE_BYTES_LIMIT = 2**30
+# the phonon-cutoff loop of converged_swap_amplitude: first and last cutoff,
+# and the relative change in the amplitude that counts as converged
+CUTOFF_START = 2
+CUTOFF_MAX = 8
+CUTOFF_REL_TOL = 1e-8
+# the adiabatic check switches the coupling on from t = -RAMP_SPAN * tau
+RAMP_SPAN = 10.0
 
 
 def _tail_counts(n_modes: int, cutoff: int) -> np.ndarray:
@@ -50,15 +61,8 @@ class FockSpace:
 
     @classmethod
     def build(cls, n_modes: int, max_total_phonons: int) -> "FockSpace":
-        if max_total_phonons < 1:
-            raise InvalidParametersError("phonon cutoff must be >= 1")
-        n_occ = math.comb(n_modes + max_total_phonons, max_total_phonons)
-        dim = 4 * n_occ
-        if dim > DIMENSION_LIMIT:
-            raise InvalidParametersError(
-                f"Fock dimension {dim} exceeds {DIMENSION_LIMIT}; "
-                f"reduce the cutoff (currently {max_total_phonons}) or the mode count"
-            )
+        dim = _fock_dimension(n_modes, max_total_phonons)
+        n_occ = dim // 4
         # unrank every row, one mode per pass: with l modes after mode i and
         # budget b, the rows before value v number sum_{u<v} counts[l, b - u]
         # = counts[l+1, b] - counts[l+1, b - v] (hockey stick), so the budget
@@ -113,8 +117,28 @@ class FockSpace:
         return psi
 
 
-def _dense(w: sp.csr_matrix) -> np.ndarray:
-    return w.toarray()
+def _fock_dimension(n_modes: int, max_total_phonons: int) -> int:
+    """4 C(n_modes + cutoff, cutoff), checked against DIMENSION_LIMIT."""
+    if max_total_phonons < 1:
+        raise InvalidParametersError("phonon cutoff must be >= 1")
+    dim = 4 * math.comb(n_modes + max_total_phonons, max_total_phonons)
+    if dim > DIMENSION_LIMIT:
+        raise InvalidParametersError(
+            f"Fock dimension {dim} exceeds {DIMENSION_LIMIT}; "
+            f"reduce the cutoff (currently {max_total_phonons}) or the mode count"
+        )
+    return dim
+
+
+def _check_dense_memory(dimension: int) -> None:
+    """Refuse a static solve whose dense matrices would pass DENSE_BYTES_LIMIT."""
+    need = DENSE_BUFFERS * 16 * dimension**2
+    if need > DENSE_BYTES_LIMIT:
+        raise InvalidParametersError(
+            f"the static path needs about {need / 1e9:.3g} GB of dense matrices for Fock "
+            f"dimension {dimension} (limit {DENSE_BYTES_LIMIT / 1e9:.3g} GB); "
+            "reduce the cutoff or use method rk4"
+        )
 
 
 @dataclass(frozen=True)
@@ -135,8 +159,8 @@ class HamiltonianAction:
     def matrix(self, t: float) -> np.ndarray:
         eps = self.scenario.epsilon
         m = np.diag(self.h0_diag.astype(complex))
-        m += (eps * float(self.scenario.opening_a(t))) * _dense(self.w_a)
-        m += (eps * float(self.scenario.opening_b(t))) * _dense(self.w_b)
+        m += (eps * float(self.scenario.opening_a(t))) * self.w_a.toarray()
+        m += (eps * float(self.scenario.opening_b(t))) * self.w_b.toarray()
         return m
 
     def spectral_norm_bound(self) -> float:
@@ -240,6 +264,22 @@ def _auto_dt(action: HamiltonianAction, t_span: float) -> float:
     return min(recommended_dt(action), drift_bound)
 
 
+def _record_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
+        raise InvalidParametersError("record times must be strictly increasing")
+    return times
+
+
+def _start(action: HamiltonianAction, initial: np.ndarray, times):
+    """The record grid and a complex copy of the initial state, validated."""
+    psi = np.array(initial, dtype=complex)
+    if psi.shape != (action.dimension,):
+        raise InvalidParametersError(f"initial state needs shape ({action.dimension},), "
+                                     f"got {psi.shape}")
+    return _record_times(times), psi
+
+
 def evolve(action: HamiltonianAction, initial: np.ndarray, times,
            dt: float | None = None, projections: dict[str, np.ndarray] | None = None,
            record_states: bool = False) -> EvolutionResult:
@@ -255,15 +295,9 @@ def evolve(action: HamiltonianAction, initial: np.ndarray, times,
     product then sums the same terms in the same order as on the full space,
     and every output keeps its bytes.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size < 1 or np.any(np.diff(times) <= 0):
-        raise InvalidParametersError("record times must be strictly increasing")
+    times, psi = _start(action, initial, times)
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise InvalidParametersError(f"dt must be finite and > 0, got {dt}")
-    psi = np.array(initial, dtype=complex)
-    if psi.shape != (action.dimension,):
-        raise InvalidParametersError(f"initial state needs shape ({action.dimension},), "
-                                     f"got {psi.shape}")
     span = float(times[-1] - times[0]) if times.size > 1 else 0.0
     step = dt if dt is not None else _auto_dt(action, max(span, 1e-12))
 
@@ -275,7 +309,7 @@ def evolve(action: HamiltonianAction, initial: np.ndarray, times,
     # [-i W_A; -i W_B] on the live rows, one product per stage; small spaces
     # run faster on dense couplings, so densify once, up front
     stacked = sp.vstack([action.w_a[rows], action.w_b[rows]], format="csr")
-    op = -1j * (_dense(stacked) if action.dimension <= DENSE_DIMENSION else stacked)
+    op = -1j * (stacked.toarray() if action.dimension <= DENSE_DIMENSION else stacked)
     mih0 = -1j * action.h0_diag[rows]
     full = np.zeros(action.dimension, dtype=complex)  # a stage state, zero off the live rows
     live = psi[rows]
@@ -340,9 +374,10 @@ def evolve_static(action: HamiltonianAction, initial: np.ndarray, times,
     scen = action.scenario
     if scen.opening_a.variant != CONSTANT or scen.opening_b.variant != CONSTANT:
         raise InvalidParametersError("static evolution needs constant opening profiles")
-    times = np.asarray(times, dtype=float)
+    times, psi = _start(action, initial, times)
+    _check_dense_memory(action.dimension)
     evals, evecs = np.linalg.eigh(action.matrix(0.0))
-    coeff = evecs.conj().T @ np.asarray(initial, dtype=complex)
+    coeff = evecs.conj().T @ psi
     record = _Recorder(times, coeff.size, projections, record_states)
     psi = None
     for j, t in enumerate(times):
@@ -356,27 +391,30 @@ def exact_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
                          dt: float | None = None) -> np.ndarray:
     """Interaction-picture amplitude <down_A up_B 0| psi(t)> from exact
     evolution (phase-corrected so it compares directly with the
-    perturbative traces)."""
+    perturbative traces).  Times, method and the static path's memory are
+    checked before the Fock space is built."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0 or np.any(times < 0):
+        raise InvalidParametersError("amplitude times must be >= 0")
+    if method == "auto":
+        static_ok = scenario.opening_a.variant == scenario.opening_b.variant == CONSTANT
+        method = "static" if static_ok else "rk4"
+    if method not in ("static", "rk4"):
+        raise InvalidParametersError(f"unknown method {method!r}; use 'auto', 'static' "
+                                     "or 'rk4'")
+    # the amplitude is defined from t = 0, so the evolution must start there
+    prepend = times[0] > 0.0
+    grid = _record_times(np.concatenate(([0.0], times)) if prepend else times)
+    if method == "static":
+        _check_dense_memory(_fock_dimension(basis.n_modes, max_total_phonons))
     fock = FockSpace.build(basis.n_modes, max_total_phonons)
     action = build_hamiltonian(basis, scenario, fock)
     psi0 = fock.basis_state(1, 0)
     target = {"swap": fock.basis_state(0, 1)}
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times < 0):
-        raise InvalidParametersError("amplitude times must be >= 0")
-    # the amplitude is defined from t = 0, so the evolution must start there
-    prepend = times[0] > 0.0
-    grid = np.concatenate(([0.0], times)) if prepend else times
-
-    if method == "auto":
-        static_ok = scenario.opening_a.variant == scenario.opening_b.variant == CONSTANT
-        method = "static" if static_ok else "rk4"
     if method == "static":
         result = evolve_static(action, psi0, grid, projections=target)
-    elif method == "rk4":
-        result = evolve(action, psi0, grid, dt=dt, projections=target)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        result = evolve(action, psi0, grid, dt=dt, projections=target)
 
     swap = result.projections["swap"][1:] if prepend else result.projections["swap"]
     e_final = 0.5 * (scenario.omega_b - scenario.omega_a)
@@ -384,24 +422,23 @@ def exact_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
 
 
 def converged_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
-                             start_cutoff: int = 2, rel_tol: float = 1e-8,
-                             max_cutoff: int = 8, method: str = "auto"):
-    """Raise the phonon cutoff until the projected amplitude stops moving."""
+                             method: str = "auto"):
+    """Raise the phonon cutoff from CUTOFF_START until the projected
+    amplitude moves by at most CUTOFF_REL_TOL of its size."""
     prev = None
-    for cutoff in range(start_cutoff, max_cutoff + 1):
+    for cutoff in range(CUTOFF_START, CUTOFF_MAX + 1):
         amps = exact_swap_amplitude(basis, scenario, times, cutoff, method=method)
         if prev is not None:
             scale = max(float(np.max(np.abs(amps))), 1e-300)
-            if float(np.max(np.abs(amps - prev))) <= rel_tol * scale:
+            if float(np.max(np.abs(amps - prev))) <= CUTOFF_REL_TOL * scale:
                 return amps, cutoff
         prev = amps
     raise NumericalFailureError(
-        f"swap amplitude not converged in the phonon cutoff by cutoff {max_cutoff}")
+        f"swap amplitude not converged in the phonon cutoff by cutoff {CUTOFF_MAX}")
 
 
 def residual_slope(basis: ModeBasis, scenario: Scenario, epsilons, times,
-                   method: str = "auto", rel_tol: float = 1e-8,
-                   max_total_phonons: int | None = None):
+                   method: str = "auto", max_total_phonons: int | None = None):
     """Max-over-time residual |A_pert - A_exact| per epsilon and the fitted
     log-log slope.  The phonon cutoff auto-converges unless pinned.
 
@@ -421,8 +458,7 @@ def residual_slope(basis: ModeBasis, scenario: Scenario, epsilons, times,
         scen = replace(scenario, epsilon=float(eps))
         pert = bare_amplitude(basis, scen, times).total
         if max_total_phonons is None:
-            exact, _ = converged_swap_amplitude(basis, scen, times,
-                                                rel_tol=rel_tol, method=method)
+            exact, _ = converged_swap_amplitude(basis, scen, times, method=method)
         else:
             exact = exact_swap_amplitude(basis, scen, times, max_total_phonons,
                                          method=method)
@@ -442,9 +478,9 @@ class AdiabaticReport:
 
 
 def adiabatic_dressing_check(basis: ModeBasis, scenario: Scenario, ramp_tau: float,
-                             max_total_phonons: int, span: float = 10.0,
+                             max_total_phonons: int,
                              dt: float | None = None) -> AdiabaticReport:
-    """Switch the coupling on as e^{t/tau} from t = -span*tau to 0 and report
+    """Switch the coupling on as e^{t/tau} from t = -RAMP_SPAN*tau to 0 and report
     the normalized overlap of the evolved state with the analytic dressed
     ground state.  Approaches 1 as tau grows."""
     if basis.n_modes > 3:
@@ -462,7 +498,7 @@ def adiabatic_dressing_check(basis: ModeBasis, scenario: Scenario, ramp_tau: flo
         # over the long ramp the state stays in the low-energy sector, so
         # the generic drift-based step control is needlessly conservative
         dt = recommended_dt(action)
-    result = evolve(action, psi0, np.array([-span * ramp_tau, 0.0]), dt=dt)
+    result = evolve(action, psi0, np.array([-RAMP_SPAN * ramp_tau, 0.0]), dt=dt)
 
     analytic = expansion_to_vector(dressed_ground_state(basis, ramped), fock)
     norms = np.linalg.norm(analytic) * np.linalg.norm(result.state)

@@ -95,11 +95,6 @@ def phase_moments(orders: range, phi, t):
     return out.reshape((len(orders),) + shape)
 
 
-def phase_moment(m: int, phi, t):
-    """int_0^t u^m e^{i phi u} du."""
-    return phase_moments(range(m, m + 1), phi, t)[0]
-
-
 def _nested_series(moments, beta):
     """The small-beta series of T: sum_q (i beta)^q / (q+1)! M_{q+1}, for
     moments = phase_moments(NESTED_ORDERS, alpha, t)."""
@@ -111,28 +106,6 @@ def _nested_series(moments, beta):
         ser = ser + power / fact * moments[q]
         power = power * (1j * beta)
     return ser
-
-
-def nested_phase_integral(alpha, beta, t):
-    """T(alpha, beta; t) = int_0^t e^{i alpha t'} int_0^t' e^{i beta t''} dt'' dt'."""
-    alpha, beta, t = np.broadcast_arrays(
-        np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float),
-        np.asarray(t, dtype=float),
-    )
-    shape = alpha.shape
-    alpha, beta, t = alpha.ravel(), beta.ravel(), t.ravel()
-    small = np.abs(beta * t) < NESTED_SERIES_BELOW
-    out = np.empty(alpha.size, dtype=complex)
-
-    big = ~small
-    if np.any(big):
-        a, b, tb = alpha[big], beta[big], t[big]
-        out[big] = (phase_integral(a + b, tb) - phase_integral(a, tb)) / (1j * b)
-
-    if np.any(small):
-        out[small] = _nested_series(phase_moments(NESTED_ORDERS, alpha[small], t[small]),
-                                    beta[small])
-    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +124,12 @@ def nested_phase_integral(alpha, beta, t):
 # gathers its elements from that table (numpy's complex *, /, + and cos/sin
 # give an element the same bytes wherever it sits in an array).  Every
 # element is computed by the same floating-point operations as
-# phase_integral and nested_phase_integral, so results equal the elementwise
-# primitives exactly (up to the sign of a zero at t = 0, where T's series is
-# skipped).  That is deliberate: the oracle's residuals are O(eps^4)
-# differences of O(eps^2) amplitudes, so a last-digit change in the kernels
-# moves its fitted slope by ~1e-11.  Factoring e^{i (nu + phi) t} into
+# phase_integral and the elementwise T (nested_phase_integral, kept in
+# tests/test_quadrature.py as the reference), so results equal the
+# elementwise primitives exactly (up to the sign of a zero at t = 0, where
+# T's series is skipped).  That is deliberate: the oracle's residuals are
+# O(eps^4) differences of O(eps^2) amplitudes, so a last-digit change in the
+# kernels moves its fitted slope by ~1e-11.  Factoring e^{i (nu + phi) t} into
 # e^{i nu t} e^{i phi t} would save about four fifths of the exponentials
 # but changes those last digits.
 

@@ -41,5 +41,10 @@ def fig7_scenario():
     return Scenario.symmetric(0, 31, 2.0, 1.0, OpeningFunction.cos_sq_window(0.1), 0.1)
 
 
+def dense_couplings(basis):
+    """lambda[n, k] as one (n_sites, n_modes) matrix, stacked from the rows."""
+    return np.stack([basis.row(n) for n in range(basis.n_sites)])
+
+
 def assert_allclose(actual, desired, **kw):
     np.testing.assert_allclose(actual, desired, **kw)

@@ -53,7 +53,7 @@ def test_equal_time_commutator_vanishes(n):
 def test_anticommutator_same_site_positive(chain100, trap2):
     for basis in (chain100, trap2):
         val = anticommutator(basis, 2 % basis.n_sites, 2 % basis.n_sites, 0.0)
-        expect = float(np.sum(2 * np.abs(basis.couplings[2 % basis.n_sites]) ** 2))
+        expect = float(np.sum(2 * np.abs(basis.row(2 % basis.n_sites)) ** 2))
         assert val == pytest.approx(expect, rel=1e-14)
         assert val > 0
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermi_lattice import causality, cli
+from fermi_lattice import causality, cli, oracle
 from fermi_lattice.causality import SWEEP_ELEMENT_LIMIT, lightcone_samples
 from fermi_lattice.errors import NumericalFailureError
 from fermi_lattice.modes import ChainParams, build_harmonic_chain
@@ -310,6 +310,19 @@ def test_oversize_fock_request_rejected(tmp_path, capsys):
                      "opening": {"variant": "constant"}},
         "run": {"epsilons": [0.01], "t_max": 0.5, "n_times": 3, "cutoff": 200},
     }
+    code, _ = run_cli(tmp_path, "oracle-check", doc)
+    assert code == 2
+    assert "reduce the cutoff" in capsys.readouterr().err
+
+
+def test_oversize_static_solve_rejected_before_the_build(tmp_path, capsys, monkeypatch):
+    # Fock dimension 21 824 passes the Fock size guard, but its dense
+    # Hamiltonian alone would take 7.6 GB
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_hamiltonian was called")
+
+    monkeypatch.setattr(oracle, "build_hamiltonian", refuse)
+    doc = _with(_with(ORACLE, "run.method", "static"), "run.cutoff", 30)
     code, _ = run_cli(tmp_path, "oracle-check", doc)
     assert code == 2
     assert "reduce the cutoff" in capsys.readouterr().err

@@ -26,7 +26,8 @@ from fermi_lattice import (
     exact_swap_amplitude,
     residual_slope,
 )
-from fermi_lattice.oracle import DENSE_DIMENSION, _auto_dt, _dense
+from fermi_lattice import oracle
+from fermi_lattice.oracle import DENSE_DIMENSION, _auto_dt
 
 
 def make(n_sites=3, epsilon=1e-2, opening=None, duration=1.5):
@@ -119,7 +120,7 @@ def reference_hamiltonian(basis, scenario, cutoff):
             h0[block] = [spin_e + float(np.dot(w, occ)) for occ in occs]
 
     def coupling(site, flip_a):
-        lam = basis.couplings[site]
+        lam = basis.row(site)
         rows, cols, vals = [], [], []
         for sa in (0, 1):
             for sb in (0, 1):
@@ -163,7 +164,7 @@ def test_hamiltonian_matches_per_state_reference_bitwise(system, m, c):
     assert_bitwise(action.h0_diag, h0)
     for w, want in ((action.w_a, w_a), (action.w_b, w_b)):
         assert isinstance(w, sp.csr_matrix) and w.has_canonical_format
-        assert_bitwise(_dense(w), want)
+        assert_bitwise(w.toarray(), want)
 
 
 def test_uncoupled_spectrum():
@@ -237,7 +238,7 @@ def reference_evolve(action, initial, times, dt=None, projections=None):
     eps = action.scenario.epsilon
     dense = action.dimension <= DENSE_DIMENSION
     mih0 = -1j * action.h0_diag
-    miwa, miwb = (-1j * (_dense(w) if dense else w) for w in (action.w_a, action.w_b))
+    miwa, miwb = (-1j * (w.toarray() if dense else w) for w in (action.w_a, action.w_b))
 
     def rhs(ca, cb, v):
         return mih0 * v + ca * (miwa @ v) + cb * (miwb @ v)
@@ -397,6 +398,58 @@ def test_rk4_agrees_with_eigendecomposition():
     rk4 = exact_swap_amplitude(basis, scenario, times, 3, method="rk4")
     static = exact_swap_amplitude(basis, scenario, times, 3, method="static")
     assert np.max(np.abs(rk4 - static)) < 1e-11
+
+
+@pytest.fixture
+def no_hamiltonian(monkeypatch):
+    """Count build_hamiltonian calls, and refuse them."""
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("build_hamiltonian was called")
+
+    monkeypatch.setattr(oracle, "build_hamiltonian", refuse)
+    return calls
+
+
+@pytest.mark.parametrize("times, method, match", [
+    ([-1.0], "auto", ">= 0"),
+    ([0.2, 0.1], "static", "strictly increasing"),
+    ([0.2], "bogus", "unknown method 'bogus'"),
+], ids=["negative-time", "decreasing-times", "unknown-method"])
+def test_swap_amplitude_checks_its_inputs_before_the_build(no_hamiltonian, times, method,
+                                                           match):
+    basis, scenario = make()
+    with pytest.raises(InvalidParametersError, match=match):
+        exact_swap_amplitude(basis, scenario, times, 2, method=method)
+    assert no_hamiltonian == []
+
+
+def test_static_path_checks_its_memory_before_the_build(no_hamiltonian):
+    # 3 modes at cutoff 30: Fock dimension 21 824, 7.6 GB per dense matrix
+    basis, scenario = make()
+    with pytest.raises(InvalidParametersError, match="reduce the cutoff"):
+        exact_swap_amplitude(basis, scenario, [0.2], 30, method="static")
+    assert no_hamiltonian == []
+    # the benchmark's largest static solve, dimension 840, passes
+    oracle._check_dense_memory(840)
+
+
+@pytest.mark.parametrize("state, times", [
+    (lambda psi: psi[:-1], [0.0, 0.1]),
+    (lambda psi: np.stack([psi, psi], axis=1), [0.0, 0.1]),
+    (lambda psi: psi, [0.1, 0.1]),
+], ids=["one-entry-short", "two-columns", "repeated-time"])
+def test_static_evolution_checks_its_inputs_before_eigh(monkeypatch, state, times):
+    basis, scenario = make()
+    fock = FockSpace.build(3, 2)
+    action = build_hamiltonian(basis, scenario, fock)
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args))
+    with pytest.raises(InvalidParametersError):
+        evolve_static(action, state(fock.basis_state(1, 0)), times)
+    assert calls == []
 
 
 def test_static_path_needs_constant_opening():

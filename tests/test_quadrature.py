@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from fermi_lattice import NumericalFailureError, OpeningFunction
 from fermi_lattice import quadrature
 from fermi_lattice.quadrature import (
+    NESTED_ORDERS,
     NESTED_SERIES_BELOW,
+    _nested_series,
     cis,
-    nested_phase_integral,
     opening_nested_integral,
     opening_phase_integral,
     phase_integral,
-    phase_moment,
     phase_moments,
 )
 
@@ -93,7 +93,8 @@ def test_phase_moment_vs_mpmath(m, x):
     t = 0.9
     phi = x / t
     want = mp_moment(m, phi, t)
-    np.testing.assert_allclose(complex(phase_moment(m, phi, t)), want, rtol=1e-10, atol=1e-18)
+    got = complex(phase_moments(range(m, m + 1), phi, t)[0])
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-18)
 
 
 def loop_phase_moment(m, phi, t):
@@ -122,16 +123,40 @@ def test_moment_rows_equal_the_one_order_moments_bitwise():
     rows = phase_moments(range(8), phi, t)
     assert rows.shape == (8, phi.size)
     for m in range(8):
-        assert rows[m].tobytes() == phase_moment(m, phi, t).tobytes()
+        assert rows[m].tobytes() == phase_moments(range(m, m + 1), phi, t)[0].tobytes()
         with np.errstate(divide="ignore", invalid="ignore"):
             assert rows[m].tobytes() == loop_phase_moment(m, phi, t).tobytes(), m
         assert phase_moments(range(m, 8), phi, t)[0].tobytes() == rows[m].tobytes()
     for shape_in, shape_out in (((0,), (8, 0)), ((), (8,)), ((2, 3), (8, 2, 3))):
         assert phase_moments(range(8), np.full(shape_in, 1.0), 0.5).shape == shape_out
-    assert phase_moment(3, np.zeros(0), 0.5).shape == (0,)
+    assert phase_moments(range(3, 4), np.zeros(0), 0.5)[0].shape == (0,)
 
 
 # ---------------------------------------------------------------- T
+
+def nested_phase_integral(alpha, beta, t):
+    """T(alpha, beta; t) = int_0^t e^{i alpha t'} int_0^t' e^{i beta t''} dt'' dt',
+    elementwise over broadcast inputs: the reference that the grid kernel
+    opening_nested_integral must match bit for bit."""
+    alpha, beta, t = np.broadcast_arrays(
+        np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float),
+        np.asarray(t, dtype=float),
+    )
+    shape = alpha.shape
+    alpha, beta, t = alpha.ravel(), beta.ravel(), t.ravel()
+    small = np.abs(beta * t) < NESTED_SERIES_BELOW
+    out = np.empty(alpha.size, dtype=complex)
+
+    big = ~small
+    if np.any(big):
+        a, b, tb = alpha[big], beta[big], t[big]
+        out[big] = (phase_integral(a + b, tb) - phase_integral(a, tb)) / (1j * b)
+
+    if np.any(small):
+        out[small] = _nested_series(phase_moments(NESTED_ORDERS, alpha[small], t[small]),
+                                    beta[small])
+    return out.reshape(shape)
+
 
 def test_nested_constant_integrand():
     assert complex(nested_phase_integral(0.0, 0.0, 1.3)) == pytest.approx(1.3**2 / 2)
