@@ -44,7 +44,6 @@ from .ion2 import (
     symplectic_temperature,
 )
 from .modes import (
-    BasisKind,
     ChainParams,
     ModeBasis,
     Scenario,

@@ -37,7 +37,11 @@ class AmplitudeTrace:
     a0: np.ndarray | None
     ac: np.ndarray | None
     total: np.ndarray
-    probability: np.ndarray
+
+    @property
+    def probability(self) -> np.ndarray:
+        """|A|^2 at every time."""
+        return np.abs(self.total) ** 2
 
     def commutator_ratio(self) -> float:
         """max |A_c| / max |A_0| over the trace."""
@@ -92,11 +96,7 @@ def bare_amplitude(basis: ModeBasis, scenario: Scenario, times) -> AmplitudeTrac
     sums = map_row_blocks(block, times.size, basis.n_modes, grids=8)
     a0 = np.concatenate([a for a, _ in sums])
     ac = np.concatenate([c for _, c in sums])
-    total = a0 + ac
-    return AmplitudeTrace(
-        times=times, a0=a0, ac=ac, total=total,
-        probability=np.abs(total) ** 2,
-    )
+    return AmplitudeTrace(times=times, a0=a0, ac=ac, total=a0 + ac)
 
 
 def windowed_amplitude(basis: ModeBasis, scenario: Scenario,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .modes import BasisKind, ModeBasis
+from .modes import ModeBasis
 from .quadrature import cis
 
 # grid resolution floor for lightcone scans: samples per period of omega_max
@@ -43,7 +43,6 @@ class CausalityTrace:
     f_a: np.ndarray
     f_c: np.ndarray
     sites: tuple[int, int]
-    basis_kind: BasisKind
 
 
 @dataclass(frozen=True)
@@ -151,14 +150,13 @@ def causality_trace(basis: ModeBasis, site_a: int, site_b: int, taus) -> Causali
     if taus.size and np.any(np.diff(taus) <= 0):
         raise ValueError("tau grid must be strictly increasing")
     s = _mode_sum(basis, site_a, site_b, taus)
-    return CausalityTrace(taus, 2.0 * np.real(s), 2.0 * np.imag(s),
-                          (site_a, site_b), basis.kind)
+    return CausalityTrace(taus, 2.0 * np.real(s), 2.0 * np.imag(s), (site_a, site_b))
 
 
 def nominal_causal_time(basis: ModeBasis, site_a: int, site_b: int) -> float:
     """x/c for chains (x = ring distance along the propagation direction);
     the 1/omega_0 propagation scale for everything else."""
-    if basis.kind is BasisKind.HARMONIC_CHAIN and basis.chain is not None:
+    if basis.chain is not None:
         p = basis.chain
         separation = (site_b - site_a) % p.n_sites
         return p.length * separation / (p.speed * p.n_sites)

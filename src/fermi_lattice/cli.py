@@ -34,10 +34,10 @@ from .causality import (SWEEP_ELEMENT_LIMIT, causality_trace, commutator, lightc
                         lightcone_samples, nominal_causal_time, rise_estimate)
 from .cloud import excitation_distribution, single_site_distributions
 from .dressing import DressingScheme, dressed_amplitude, g_min, static_dressing_amplitude
-from .errors import FermiLatticeError, NumericalFailureError, SchemaError
+from .errors import FermiLatticeError, InvalidParametersError, NumericalFailureError, SchemaError
 from .ion2 import PulseSpec, swap_probability, swap_probability_full, symplectic_temperature
-from .modes import (BasisKind, ChainParams, ModeBasis, Scenario, TrapParams,
-                    build_harmonic_chain, build_ion_trap)
+from .modes import (ChainParams, ModeBasis, Scenario, TrapParams, build_harmonic_chain,
+                    build_ion_trap)
 from .openings import OpeningFunction
 from .oracle import residual_slope
 
@@ -108,7 +108,7 @@ _RUNS = {
               "n_times": (int, 26, ">= 1")},
     "oracle-check": {"epsilons": ([float], [1e-2, 5e-3, 2.5e-3], ">= 0"),
                      "t_max": (float, 1.5, "> 0"), "n_times": (int, 15, ">= 1"),
-                     "method": (("auto", "static", "rk4"), "auto"),
+                     "method": (("auto",), "auto"),
                      "cutoff": (("auto", int), "auto", ">= 2")},
 }
 
@@ -270,8 +270,10 @@ class Reporter:
 # ---------------------------------------------------------------------------
 
 def _window_t_max(run: dict, scenario: Scenario) -> float:
-    """run.t_max, by default the end of the opening window."""
-    t_max = scenario.opening_a.post_ramp().window_end if run["t_max"] is None else run["t_max"]
+    """run.t_max, by default the later end of the two opening windows."""
+    t_max = run["t_max"]
+    if t_max is None:
+        t_max = max(op.post_ramp().window_end for op in (scenario.opening_a, scenario.opening_b))
     if not math.isfinite(t_max):
         raise SchemaError("run.t_max is required when the opening never closes")
     return t_max
@@ -286,7 +288,7 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
     scenario = build_scenario(doc, basis)
 
     if run["mode"] == "r_scan":
-        if basis.kind is not BasisKind.HARMONIC_CHAIN:
+        if basis.chain is None:
             raise SchemaError("r_scan mode needs a chain system")
         r_values = range(1, basis.n_sites) if run["r_values"] == "all" else run["r_values"]
         for r in r_values:
@@ -300,7 +302,7 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
     points = [(basis, scenario.site_a, scenario.site_b, "")]
     if run["n_values"] is not None:
-        if basis.kind is not BasisKind.HARMONIC_CHAIN:
+        if basis.chain is None:
             raise SchemaError("run.n_values sweeps are for chain systems")
         frac = run["separation_fraction"]
         points = []
@@ -348,10 +350,11 @@ def cmd_bare(doc: dict, out: Path, report: Reporter) -> list[Path]:
     basis = build_basis(doc)
     scenario = build_scenario(doc, basis)
     run = doc["run"]
-    if run["t_max"] is None:
+    t_max = _window_t_max(run, scenario)
+    if run["t_max"] is None:  # windowed_amplitude ends at the same window end
         trace = windowed_amplitude(basis, scenario, n_times=run["n_times"])
     else:
-        trace = bare_amplitude(basis, scenario, np.linspace(0.0, run["t_max"], run["n_times"]))
+        trace = bare_amplitude(basis, scenario, np.linspace(0.0, t_max, run["n_times"]))
 
     report.note("ac_over_a0", trace.commutator_ratio())
     report.note("p_final", float(trace.probability[-1]))
@@ -449,9 +452,13 @@ def cmd_oracle_check(doc: dict, out: Path, report: Reporter) -> list[Path]:
     run = doc["run"]
     times = np.linspace(0.0, run["t_max"], run["n_times"] + 1)[1:]
     cutoff = run["cutoff"]
-    residuals, slope = residual_slope(
-        basis, scenario, run["epsilons"], times, method=run["method"],
-        max_total_phonons=None if cutoff == "auto" else cutoff)
+    try:
+        residuals, slope = residual_slope(basis, scenario, run["epsilons"], times,
+                                          max_total_phonons=None if cutoff == "auto" else cutoff)
+    except InvalidParametersError as exc:
+        # with the scenario and times checked above, what is left to refuse is the
+        # phonon cutoff: the Fock size or the static path's dense memory
+        raise SchemaError(f"run.cutoff = {cutoff!r}: {exc}") from exc
     report.note("fitted_slope", slope)
     return [write_csv(out, ["epsilon", "residual"], zip(run["epsilons"], residuals))]
 

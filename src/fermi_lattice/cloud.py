@@ -55,13 +55,8 @@ def _site_cloud(basis: ModeBasis, coeffs: np.ndarray, eps: float, t: float) -> n
 def excitation_distribution(basis: ModeBasis, scenario: Scenario,
                             scheme: DressingScheme, t: float) -> CloudSnapshot:
     """Total excitation distribution over all sites at time t >= 0."""
-    if t < 0:
-        raise InvalidParametersError("cloud time must be >= 0")
-    scenario.check_sites(basis.n_sites)
-    c_a, c_b = _dressing_coefficients(basis, scenario, scheme, t)
-    d = (_site_cloud(basis, c_a, scenario.epsilon, t)
-         + _site_cloud(basis, c_b, scenario.epsilon, t))
-    return CloudSnapshot(time=t, d=d, scheme=scheme)
+    up, down = single_site_distributions(basis, scenario, scheme, t)
+    return CloudSnapshot(time=t, d=up.d + down.d, scheme=scheme)
 
 
 def single_site_distributions(basis: ModeBasis, scenario: Scenario,

@@ -28,7 +28,7 @@ import numpy as np
 from .amplitude import AmplitudeTrace
 from .causality import map_row_blocks
 from .errors import InvalidParametersError, UnsupportedConfigurationError
-from .modes import BasisKind, ChainParams, ModeBasis, Scenario, build_harmonic_chain
+from .modes import ChainParams, ModeBasis, Scenario, build_harmonic_chain
 from .openings import OpeningFunction
 from .quadrature import opening_nested_integral, opening_phase_integral
 
@@ -262,15 +262,14 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
     # scheme reuses the first one's 4
     grids = 4 + 2 * (2 + any_d + any_d1)
     totals = map(np.concatenate, zip(*map_row_blocks(block, times.size, basis.n_modes, grids)))
-    traces = [AmplitudeTrace(times=times, a0=None, ac=None, total=total,
-                             probability=np.abs(total) ** 2) for total in totals]
+    traces = [AmplitudeTrace(times=times, a0=None, ac=None, total=total) for total in totals]
     return traces[0] if isinstance(scheme, DressingScheme) else traces
 
 
 def static_dressing_amplitude(basis: ModeBasis, omega: float, separation: int) -> float:
     """G(R)/eps^2 = sum_k cos(theta_k R) / (2 N Omega w_k (Omega + w_k)),
     the time-independent mutual-dressing amplitude of a chain."""
-    if basis.kind is not BasisKind.HARMONIC_CHAIN:
+    if basis.chain is None:
         raise UnsupportedConfigurationError("static dressing amplitude is chain-only")
     n = basis.n_sites
     w = basis.frequencies
@@ -280,15 +279,14 @@ def static_dressing_amplitude(basis: ModeBasis, omega: float, separation: int) -
 
 def g_min(n_values, omega: float, length: float = 1.0, pinning: float = 1.0,
           speed: float = 1.0) -> np.ndarray:
-    """G_min(N)/eps^2 for antipodal sites (R = N/2), one value per even N."""
+    """G_min(N)/eps^2 = G(N/2)/eps^2 for antipodal sites, one value per even N
+    (cos(theta_k N/2) rounds to exactly (-1)^k: the sum alternates in sign)."""
     n_values = np.asarray(n_values, dtype=int)
     if np.any(n_values % 2 != 0):
         bad = int(n_values[n_values % 2 != 0][0])
         raise InvalidParametersError(f"g_min needs even N values (got {bad})")
     out = np.empty(n_values.size, dtype=float)
-    for i, n in enumerate(n_values):
-        basis = build_harmonic_chain(ChainParams(int(n), length, pinning, speed))
-        w = basis.frequencies
-        signs = (-1.0) ** np.arange(n)
-        out[i] = np.sum(signs / (2.0 * n * omega * w * (omega + w)))
+    for i, n in enumerate(n_values.tolist()):
+        chain = build_harmonic_chain(ChainParams(n, length, pinning, speed))
+        out[i] = static_dressing_amplitude(chain, omega, n // 2)
     return out

@@ -26,14 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import InvalidParametersError
 from .modes import Scenario
 from .quadrature import opening_phase_integral
-
-SCHMIDT_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,6 @@ class ThermalGroundState:
 
     beta: float
     lambda_symp: float
-    schmidt_coeffs: np.ndarray
 
     @property
     def e_minus_beta(self) -> float:
@@ -74,14 +70,7 @@ def symplectic_temperature(omega0: float, omega1: float) -> ThermalGroundState:
     ratio = omega1 / omega0
     lam = 0.25 * (math.sqrt(ratio) + 1.0 / math.sqrt(ratio))
     e_mb = math.sqrt((lam - 0.5) / (lam + 0.5))
-    if e_mb == 0.0:
-        return ThermalGroundState(math.inf, lam, np.array([1.0]))
-    beta = -math.log(e_mb)
-    # keep Schmidt terms until the squared tail mass drops below tolerance
-    n_max = max(1, math.ceil(-math.log(SCHMIDT_TAIL) / (2.0 * beta) - 1.0))
-    n = np.arange(n_max + 1)
-    z = math.sqrt(1.0 - e_mb**2)
-    return ThermalGroundState(beta, lam, z * e_mb**n)
+    return ThermalGroundState(-math.log(e_mb) if e_mb > 0.0 else math.inf, lam)
 
 
 def swap_probability(pulse: PulseSpec, thermal: ThermalGroundState):

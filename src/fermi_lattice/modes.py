@@ -12,7 +12,6 @@ for every site n (this encodes [q_n, p_n] = i).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +23,6 @@ NORMALIZATION_TOL = 1e-10
 # the trap equilibrium's damped Newton solve: iteration cap and force tolerance
 EQUILIBRIUM_MAX_ITER = 200
 EQUILIBRIUM_TOL = 1e-13
-
-
-class BasisKind(enum.Enum):
-    HARMONIC_CHAIN = "harmonic_chain"
-    ION_TRAP = "ion_trap"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -131,11 +124,13 @@ class Scenario:
 class ModeBasis:
     """Frequencies omega_k and couplings lambda[n, k] of a quadratic system.
 
-    Consumers read lambda through :meth:`row` and :meth:`synthesize`.  Trap
-    and custom bases hold lambda as a small dense matrix (``dense``).  The
-    chain holds none (``dense`` is None): its plane-wave rows are gathered
-    from one length-N table of roots of unity and its synthesis is an
-    inverse FFT, so a chain basis takes O(N) memory.
+    A basis is a chain when it holds ``chain`` parameters and a trap when it
+    holds ``trap`` parameters; a custom basis holds neither.  Consumers read
+    lambda through :meth:`row` and :meth:`synthesize`.  Trap and custom
+    bases hold lambda as a small dense matrix (``dense``).  The chain holds
+    none (``dense`` is None): its plane-wave rows are gathered from one
+    length-N table of roots of unity and its synthesis is an inverse FFT,
+    so a chain basis takes O(N) memory.
 
     A per-mode grid that depends on the mode only through omega_k is
     evaluated on :attr:`distinct_frequencies` and spread to every mode by
@@ -147,7 +142,6 @@ class ModeBasis:
     n_sites: int
     frequencies: np.ndarray
     dense: np.ndarray | None
-    kind: BasisKind
     chain: ChainParams | None = field(default=None, compare=False)
     trap: TrapParams | None = field(default=None, compare=False)
     # chain only: e^{2 pi i j / N} for j < N, and sqrt(2 N omega_k)
@@ -162,7 +156,7 @@ class ModeBasis:
         freqs = np.asarray(self.frequencies, dtype=float)
         if np.any(freqs <= 0):
             raise InvalidParametersError("all mode frequencies must be > 0")
-        if self.kind is BasisKind.ION_TRAP and np.any(np.diff(freqs) < 0):
+        if self.trap is not None and np.any(np.diff(freqs) < 0):
             raise InvalidParametersError("trap frequencies must be ascending")
         freqs.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)
@@ -171,7 +165,7 @@ class ModeBasis:
         object.__setattr__(self, "distinct_frequencies", distinct)
         object.__setattr__(self, "_index", index)
         if self.dense is None:
-            if self.kind is not BasisKind.HARMONIC_CHAIN or freqs.size != self.n_sites:
+            if self.chain is None or freqs.size != self.n_sites:
                 raise InvalidParametersError(
                     "only a chain of n_sites modes may omit the dense coupling matrix"
                 )
@@ -257,7 +251,7 @@ def build_harmonic_chain(params: ChainParams) -> ModeBasis:
     cos_theta[: half + 1] = np.cos(2.0 * np.pi * np.arange(half + 1) / n)
     cos_theta[half + 1:] = cos_theta[(n - 1) // 2:0:-1]
     freqs = params.base_energy * np.sqrt(1.0 - params.alpha * cos_theta)
-    return ModeBasis(n, freqs, None, BasisKind.HARMONIC_CHAIN, chain=params)
+    return ModeBasis(n, freqs, None, chain=params)
 
 
 def build_ion_trap(params: TrapParams) -> ModeBasis:
@@ -280,7 +274,7 @@ def build_ion_trap(params: TrapParams) -> ModeBasis:
 
     freqs = params.omega0 * np.sqrt(evals)
     couplings = evecs.astype(complex) / np.sqrt(2.0 * freqs)[None, :]
-    return ModeBasis(n, freqs, couplings, BasisKind.ION_TRAP, trap=params)
+    return ModeBasis(n, freqs, couplings, trap=params)
 
 
 def equilibrium_positions(n_ions: int) -> np.ndarray:

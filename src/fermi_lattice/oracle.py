@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +30,10 @@ from .quadrature import cis
 DIMENSION_LIMIT = 2_000_000
 NORM_DRIFT_LIMIT = 1e-6
 NORM_DRIFT_TARGET = 1e-9
-DENSE_DIMENSION = 512  # below this, dense coupling matrices beat CSR matvecs
+# evolve densifies its couplings up to this dimension.  On one BLAS thread dense
+# products beat CSR only up to about d = 100 (2.1 against 4.4 us at d = 60, 188
+# against 9.8 us at d = 504), but CSR rounds rows differently: RK4 bytes move
+DENSE_DIMENSION = 512
 # the static path holds about DENSE_BUFFERS dense complex d x d matrices at
 # once (H(0), eigh's eigenvectors and workspace), 16 d^2 bytes each
 DENSE_BUFFERS = 5
@@ -44,20 +47,20 @@ CUTOFF_REL_TOL = 1e-8
 RAMP_SPAN = 10.0
 
 
+@lru_cache(maxsize=16)
 def _tail_counts(n_modes: int, cutoff: int) -> np.ndarray:
     """counts[l, s] = C(l + s, l): occupation vectors of l modes with total <= s."""
     counts = np.ones((n_modes + 1, cutoff + 1), dtype=np.int64)
     for s in range(1, cutoff + 1):
         counts[:, s] = np.cumsum(counts[:, s - 1])
+    counts.setflags(write=False)
     return counts
 
 
 @dataclass(frozen=True, eq=False)
 class FockSpace:
-    n_modes: int
     max_total_phonons: int
     occupations: np.ndarray
-    dimension: int
 
     @classmethod
     def build(cls, n_modes: int, max_total_phonons: int) -> "FockSpace":
@@ -79,10 +82,15 @@ class FockSpace:
             rank = c[left] - before
             budget = left
         occs.setflags(write=False)
-        return cls(n_modes, max_total_phonons, occs, dim)
+        return cls(max_total_phonons, occs)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_counts", _tail_counts(self.n_modes, self.max_total_phonons))
+    @property
+    def n_modes(self) -> int:
+        return self.occupations.shape[1]
+
+    @property
+    def dimension(self) -> int:
+        return 4 * len(self.occupations)  # four spin sectors
 
     @cached_property
     def parity(self) -> np.ndarray:
@@ -105,7 +113,8 @@ class FockSpace:
                 f"occupations need {self.n_modes} entries >= 0 with total <= {cutoff}")
         budget = cutoff - (np.cumsum(occ, axis=-1) - occ)
         left = np.arange(self.n_modes, 0, -1)
-        return np.sum(self._counts[left, budget] - self._counts[left, budget - occ], axis=-1)
+        counts = _tail_counts(self.n_modes, cutoff)
+        return np.sum(counts[left, budget] - counts[left, budget - occ], axis=-1)
 
     def state_index(self, spin_a: int, spin_b: int, occ: tuple[int, ...]) -> int:
         return (spin_a * 2 + spin_b) * len(self.occupations) + int(self.rank(occ))
@@ -130,14 +139,14 @@ def _fock_dimension(n_modes: int, max_total_phonons: int) -> int:
     return dim
 
 
-def _check_dense_memory(dimension: int) -> None:
+def _check_dense_memory(dimension: int, max_total_phonons: int) -> None:
     """Refuse a static solve whose dense matrices would pass DENSE_BYTES_LIMIT."""
     need = DENSE_BUFFERS * 16 * dimension**2
     if need > DENSE_BYTES_LIMIT:
         raise InvalidParametersError(
             f"the static path needs about {need / 1e9:.3g} GB of dense matrices for Fock "
-            f"dimension {dimension} (limit {DENSE_BYTES_LIMIT / 1e9:.3g} GB); "
-            "reduce the cutoff or use method rk4"
+            f"dimension {dimension} at phonon cutoff {max_total_phonons} "
+            f"(limit {DENSE_BYTES_LIMIT / 1e9:.3g} GB); reduce the cutoff"
         )
 
 
@@ -175,28 +184,24 @@ class EvolutionResult:
     state: np.ndarray
     projections: dict[str, np.ndarray]
     norm_drift: float
-    states: np.ndarray | None = None
 
 
 class _Recorder:
-    """Projections, optional state snapshots and the norm drift on the record grid."""
+    """Projections and the norm drift on the record grid."""
 
-    def __init__(self, times, dimension, projections, record_states):
+    def __init__(self, times, projections):
         self.times, self.vectors = times, projections or {}
         self.projections = {name: np.empty(times.size, dtype=complex) for name in self.vectors}
-        self.states = np.empty((times.size, dimension), dtype=complex) if record_states else None
         self.norm_error = np.empty(times.size)
 
     def __call__(self, j: int, psi: np.ndarray) -> None:
         for name, vec in self.vectors.items():
             self.projections[name][j] = np.vdot(vec, psi)
-        if self.states is not None:
-            self.states[j] = psi
         self.norm_error[j] = abs(np.linalg.norm(psi) - 1.0)
 
     def result(self, psi: np.ndarray) -> EvolutionResult:
         drift = float(np.max(self.norm_error, initial=0.0))
-        return EvolutionResult(self.times, psi, self.projections, drift, self.states)
+        return EvolutionResult(self.times, psi, self.projections, drift)
 
 
 def build_hamiltonian(basis: ModeBasis, scenario: Scenario, fock: FockSpace) -> HamiltonianAction:
@@ -281,8 +286,8 @@ def _start(action: HamiltonianAction, initial: np.ndarray, times):
 
 
 def evolve(action: HamiltonianAction, initial: np.ndarray, times,
-           dt: float | None = None, projections: dict[str, np.ndarray] | None = None,
-           record_states: bool = False) -> EvolutionResult:
+           dt: float | None = None,
+           projections: dict[str, np.ndarray] | None = None) -> EvolutionResult:
     """Fixed-step RK4 integration of i dpsi/dt = H(t) psi.
 
     ``times`` is the record grid; evolution starts at times[0] in state
@@ -301,13 +306,13 @@ def evolve(action: HamiltonianAction, initial: np.ndarray, times,
     span = float(times[-1] - times[0]) if times.size > 1 else 0.0
     step = dt if dt is not None else _auto_dt(action, max(span, 1e-12))
 
-    record = _Recorder(times, psi.size, projections, record_states)
+    record = _Recorder(times, projections)
     eps = action.scenario.epsilon
     parity = action.fock.parity
     rows = np.flatnonzero(np.isin(parity, parity[psi != 0]))
     r = rows.size
-    # [-i W_A; -i W_B] on the live rows, one product per stage; small spaces
-    # run faster on dense couplings, so densify once, up front
+    # [-i W_A; -i W_B] on the live rows, one product per stage, densified once
+    # up front on spaces of at most DENSE_DIMENSION states
     stacked = sp.vstack([action.w_a[rows], action.w_b[rows]], format="csr")
     op = -1j * (stacked.toarray() if action.dimension <= DENSE_DIMENSION else stacked)
     mih0 = -1j * action.h0_diag[rows]
@@ -368,17 +373,16 @@ def evolve(action: HamiltonianAction, initial: np.ndarray, times,
 
 
 def evolve_static(action: HamiltonianAction, initial: np.ndarray, times,
-                  projections: dict[str, np.ndarray] | None = None,
-                  record_states: bool = False) -> EvolutionResult:
+                  projections: dict[str, np.ndarray] | None = None) -> EvolutionResult:
     """Exact propagation by eigendecomposition; requires constant openings."""
     scen = action.scenario
     if scen.opening_a.variant != CONSTANT or scen.opening_b.variant != CONSTANT:
         raise InvalidParametersError("static evolution needs constant opening profiles")
     times, psi = _start(action, initial, times)
-    _check_dense_memory(action.dimension)
+    _check_dense_memory(action.dimension, action.fock.max_total_phonons)
     evals, evecs = np.linalg.eigh(action.matrix(0.0))
     coeff = evecs.conj().T @ psi
-    record = _Recorder(times, coeff.size, projections, record_states)
+    record = _Recorder(times, projections)
     psi = None
     for j, t in enumerate(times):
         psi = evecs @ (cis(-evals * (t - times[0])) * coeff)
@@ -387,47 +391,39 @@ def evolve_static(action: HamiltonianAction, initial: np.ndarray, times,
 
 
 def exact_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
-                         max_total_phonons: int, method: str = "auto",
-                         dt: float | None = None) -> np.ndarray:
+                         max_total_phonons: int) -> np.ndarray:
     """Interaction-picture amplitude <down_A up_B 0| psi(t)> from exact
     evolution (phase-corrected so it compares directly with the
-    perturbative traces).  Times, method and the static path's memory are
+    perturbative traces): by eigendecomposition when both openings are
+    constant, by RK4 otherwise.  Times and the static path's memory are
     checked before the Fock space is built."""
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(times < 0):
         raise InvalidParametersError("amplitude times must be >= 0")
-    if method == "auto":
-        static_ok = scenario.opening_a.variant == scenario.opening_b.variant == CONSTANT
-        method = "static" if static_ok else "rk4"
-    if method not in ("static", "rk4"):
-        raise InvalidParametersError(f"unknown method {method!r}; use 'auto', 'static' "
-                                     "or 'rk4'")
+    static = scenario.opening_a.variant == scenario.opening_b.variant == CONSTANT
     # the amplitude is defined from t = 0, so the evolution must start there
     prepend = times[0] > 0.0
     grid = _record_times(np.concatenate(([0.0], times)) if prepend else times)
-    if method == "static":
-        _check_dense_memory(_fock_dimension(basis.n_modes, max_total_phonons))
+    if static:
+        _check_dense_memory(_fock_dimension(basis.n_modes, max_total_phonons),
+                            max_total_phonons)
     fock = FockSpace.build(basis.n_modes, max_total_phonons)
     action = build_hamiltonian(basis, scenario, fock)
     psi0 = fock.basis_state(1, 0)
     target = {"swap": fock.basis_state(0, 1)}
-    if method == "static":
-        result = evolve_static(action, psi0, grid, projections=target)
-    else:
-        result = evolve(action, psi0, grid, dt=dt, projections=target)
+    result = (evolve_static if static else evolve)(action, psi0, grid, projections=target)
 
     swap = result.projections["swap"][1:] if prepend else result.projections["swap"]
     e_final = 0.5 * (scenario.omega_b - scenario.omega_a)
     return cis(e_final * times) * swap
 
 
-def converged_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
-                             method: str = "auto"):
+def converged_swap_amplitude(basis: ModeBasis, scenario: Scenario, times):
     """Raise the phonon cutoff from CUTOFF_START until the projected
     amplitude moves by at most CUTOFF_REL_TOL of its size."""
     prev = None
     for cutoff in range(CUTOFF_START, CUTOFF_MAX + 1):
-        amps = exact_swap_amplitude(basis, scenario, times, cutoff, method=method)
+        amps = exact_swap_amplitude(basis, scenario, times, cutoff)
         if prev is not None:
             scale = max(float(np.max(np.abs(amps))), 1e-300)
             if float(np.max(np.abs(amps - prev))) <= CUTOFF_REL_TOL * scale:
@@ -438,7 +434,7 @@ def converged_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
 
 
 def residual_slope(basis: ModeBasis, scenario: Scenario, epsilons, times,
-                   method: str = "auto", max_total_phonons: int | None = None):
+                   max_total_phonons: int | None = None):
     """Max-over-time residual |A_pert - A_exact| per epsilon and the fitted
     log-log slope.  The phonon cutoff auto-converges unless pinned.
 
@@ -458,10 +454,9 @@ def residual_slope(basis: ModeBasis, scenario: Scenario, epsilons, times,
         scen = replace(scenario, epsilon=float(eps))
         pert = bare_amplitude(basis, scen, times).total
         if max_total_phonons is None:
-            exact, _ = converged_swap_amplitude(basis, scen, times, method=method)
+            exact, _ = converged_swap_amplitude(basis, scen, times)
         else:
-            exact = exact_swap_amplitude(basis, scen, times, max_total_phonons,
-                                         method=method)
+            exact = exact_swap_amplitude(basis, scen, times, max_total_phonons)
         residuals[i] = float(np.max(np.abs(pert - exact)))
     mask = residuals > 0
     if np.count_nonzero(mask) < 2:

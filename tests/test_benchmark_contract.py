@@ -18,7 +18,8 @@ from fermi_lattice import (
     dressed_ground_state,
 )
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load(name):
@@ -62,3 +63,21 @@ def test_the_expansion_reducers_read_the_dressed_ground_state(spans):
     assert np.array_equal(table[:, :2], [[0, 0], [1, 1], [1, 2], [2, 0], [2, 3]])
     assert table[:, 2].sum() == ground.coeff.size == 20
     assert spans._count_expansion((), {}, ground) == {"expansion_terms": 20}
+
+
+def test_the_figure_configs_are_the_benchmark_copies():
+    # the benchmark runs its own copies, so an edit to one side only would
+    # leave it timing configs users no longer run
+    ours = sorted(p.name for p in (ROOT / "figures").glob("*.json"))
+    theirs = sorted(p.name for p in (PERFBENCH / "inputs" / "figures").glob("*.json"))
+    assert ours == theirs and len(ours) == 12
+    for name in ours:
+        assert ((ROOT / "figures" / name).read_bytes()
+                == (PERFBENCH / "inputs" / "figures" / name).read_bytes()), name
+
+
+def test_run_figures_runs_each_config_with_the_benchmark_command():
+    spec = importlib.util.spec_from_file_location("run_figures", ROOT / "scripts" / "run_figures.py")
+    run_figures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_figures)
+    assert run_figures.COMMANDS == load("scenarios").FIGURE_COMMANDS

@@ -9,7 +9,6 @@ import pytest
 
 from fermi_lattice import causality
 from fermi_lattice import (
-    BasisKind,
     ChainParams,
     ModeBasis,
     NumericalFailureError,
@@ -127,7 +126,7 @@ def test_uncoupled_sites_raise():
     # two sites, each talking to its own mode: F_c identically zero
     freqs = np.array([1.0, 2.0])
     couplings = np.array([[1 / np.sqrt(2), 0], [0, 0.5]], dtype=complex)
-    basis = ModeBasis(2, freqs, couplings, BasisKind.CUSTOM)
+    basis = ModeBasis(2, freqs, couplings)
     with pytest.raises(NumericalFailureError, match="no commutator rise"):
         lightcone_estimate(basis, 0, 1, 1.0)
 

@@ -312,7 +312,8 @@ def test_oversize_fock_request_rejected(tmp_path, capsys):
     }
     code, _ = run_cli(tmp_path, "oracle-check", doc)
     assert code == 2
-    assert "reduce the cutoff" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "run.cutoff" in err and "reduce the cutoff" in err
 
 
 def test_oversize_static_solve_rejected_before_the_build(tmp_path, capsys, monkeypatch):
@@ -322,10 +323,41 @@ def test_oversize_static_solve_rejected_before_the_build(tmp_path, capsys, monke
         raise AssertionError("build_hamiltonian was called")
 
     monkeypatch.setattr(oracle, "build_hamiltonian", refuse)
-    doc = _with(_with(ORACLE, "run.method", "static"), "run.cutoff", 30)
-    code, _ = run_cli(tmp_path, "oracle-check", doc)
+    code, _ = run_cli(tmp_path, "oracle-check", _with(ORACLE, "run.cutoff", 30))
     assert code == 2
-    assert "reduce the cutoff" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "run.cutoff" in err and "reduce the cutoff" in err
+
+
+def test_auto_cutoff_refusal_names_the_key_and_the_cutoff_reached(tmp_path, capsys,
+                                                                  monkeypatch):
+    # with room for dimension 100, a 4-mode chain passes cutoff 2 (dimension 60)
+    # and is refused at cutoff 3 (dimension 140)
+    monkeypatch.setattr(oracle, "DENSE_BYTES_LIMIT", 5 * 16 * 100**2)
+    doc = _with(ORACLE, "system.chain.n_sites", 4)
+    code, out = run_cli(tmp_path, "oracle-check", doc)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "run.cutoff = 'auto'" in err
+    assert "Fock dimension 140 at phonon cutoff 3" in err
+    assert "rk4" not in err
+    assert not out.exists()
+
+
+def test_bare_needs_t_max_when_the_opening_never_closes(tmp_path, capsys):
+    doc = _with(FIG4, "scenario.opening_b", {"variant": "constant"})
+    code, out = run_cli(tmp_path, "bare", doc)
+    assert code == 2
+    assert "run.t_max is required when the opening never closes" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(tmp_path, "bare", _with(doc, "run.t_max", 0.1))[0] == 0
+
+
+def test_bare_window_ends_at_the_later_opening(tmp_path):
+    late = {"variant": "sin_sq_window", "window": 0.2}
+    code, out = run_cli(tmp_path, "bare", _with(FIG4, "scenario.opening_b", late))
+    assert code == 0
+    assert float(out.read_text().splitlines()[-1].split(",")[0]) == 0.2
 
 
 def test_empty_tau_grid_rejected(tmp_path):
@@ -503,6 +535,8 @@ BAD_INPUTS = [
     ("dressed", DRESSED, "run.schemes", []),
     ("cloud", FIG4, "run.n_times", 0),
     ("oracle-check", ORACLE, "run.n_times", 0),
+    ("oracle-check", ORACLE, "run.method", "static"),
+    ("oracle-check", ORACLE, "run.method", "rk4"),
     ("causality", R_SCAN, "run.r_values", "al"),
     ("causality", TAU_SCAN, "run.separation_fraction", 0.5),
     ("ion2", ION2, "system.trap.n_ions", 3),

@@ -47,6 +47,15 @@ def test_single_site_additivity(chain100):
         assert np.max(np.abs(up.d + down.d - total.d)) <= 1e-12
 
 
+@pytest.mark.parametrize("scheme", list(DressingScheme))
+def test_total_cloud_is_the_sum_of_the_site_clouds_bitwise(chain100, scheme):
+    for t in (0.0, 0.03, 0.1):
+        up, down = single_site_distributions(chain100, fig_b1_scenario(), scheme, t)
+        total = excitation_distribution(chain100, fig_b1_scenario(), scheme, t)
+        assert total.d.tobytes() == (up.d + down.d).tobytes()
+        assert (total.time, total.scheme) == (t, scheme)
+
+
 def test_epsilon_scaling_exact(chain100):
     half = excitation_distribution(chain100, fig_b1_scenario(0.5), DressingScheme.BARE, 0.07)
     full = excitation_distribution(chain100, fig_b1_scenario(1.0), DressingScheme.BARE, 0.07)

@@ -246,6 +246,18 @@ def test_gmin_equals_antipodal_g():
         assert g_min([n], 2.0)[0] == pytest.approx(direct, rel=1e-13)
 
 
+@pytest.mark.parametrize("length, pinning, speed", [(1.0, 1.0, 1.0), (2.5, 0.7, 1.3)])
+def test_gmin_is_the_antipodal_g_bitwise(length, pinning, speed):
+    # cos(theta_k N/2) rounds to exactly (-1)^k, so G(N/2) is the alternating sum
+    ns = np.arange(10, 2001, 2)
+    values = g_min(ns, 2.0, length, pinning, speed)
+    for n, value in zip(ns.tolist(), values):
+        basis = build_harmonic_chain(ChainParams(n, length, pinning, speed))
+        w = basis.frequencies
+        alternating = np.sum((-1.0) ** np.arange(n) / (2.0 * n * 2.0 * w * (2.0 + w)))
+        assert value == static_dressing_amplitude(basis, 2.0, n // 2) == alternating
+
+
 def test_gmin_two_site_chain_positive():
     assert g_min([2], 2.0)[0] > 0
 

@@ -45,7 +45,6 @@ def test_degenerate_modes_are_unentangled():
     assert th.lambda_symp == pytest.approx(0.5, abs=1e-15)
     assert th.e_minus_beta == 0.0
     assert np.isinf(th.beta)
-    np.testing.assert_array_equal(th.schmidt_coeffs, [1.0])
     _, prob = swap_probability(PulseSpec(1.0, 1.0), th)
     assert prob == 0.0
     _, prob_full = swap_probability_full(PulseSpec(1.0, 1.0), th, 8)
@@ -58,15 +57,6 @@ def test_against_williamson_oracle(ratio):
     lam, e_mb = williamson_oracle(1.0, ratio)
     assert th.lambda_symp == pytest.approx(lam, abs=1e-10)
     assert th.e_minus_beta == pytest.approx(e_mb, abs=1e-10)
-
-
-def test_schmidt_coefficients_normalized():
-    th = symplectic_temperature(1.0, np.sqrt(3.0))
-    assert np.sum(th.schmidt_coeffs**2) == pytest.approx(1.0, abs=1e-12)
-    z = np.sqrt(1.0 - th.e_minus_beta**2)
-    np.testing.assert_allclose(
-        th.schmidt_coeffs, z * th.e_minus_beta ** np.arange(th.schmidt_coeffs.size),
-        rtol=1e-14)
 
 
 def test_no_pulse_no_swap():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermi_lattice import (
-    BasisKind,
     ChainParams,
     InvalidParametersError,
     ModeBasis,
@@ -116,12 +115,12 @@ def test_chain_row_checks_canonical_normalization():
     with pytest.raises(InvalidParametersError, match="canonical normalization"):
         basis.row(3)
     with pytest.raises(InvalidParametersError, match="canonical normalization"):
-        ModeBasis(2, np.array([1.0, 2.0]), np.eye(2, dtype=complex), BasisKind.CUSTOM)
+        ModeBasis(2, np.array([1.0, 2.0]), np.eye(2, dtype=complex))
 
 
 def test_only_a_chain_omits_the_dense_matrix():
     with pytest.raises(InvalidParametersError, match="dense coupling matrix"):
-        ModeBasis(2, np.array([1.0, 2.0]), None, BasisKind.CUSTOM)
+        ModeBasis(2, np.array([1.0, 2.0]), None)
 
 
 def test_chain_coupling_value():
@@ -333,7 +332,7 @@ def _basis(kind, n):
     freqs = np.array([1.0, 2.0, 1.0, 3.0, 3.0] if kind == "custom"
                      else [1.0, 2.0, 2.0, 2.0, 2.0])
     q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(5, 5)))
-    return ModeBasis(5, freqs, q.astype(complex) / np.sqrt(2.0 * freqs), BasisKind.CUSTOM)
+    return ModeBasis(5, freqs, q.astype(complex) / np.sqrt(2.0 * freqs))
 
 
 @pytest.mark.parametrize("kind, n", [*(("chain", n) for n in (2, 3, 4, 5, 7, 100, 101, 1000)),
@@ -347,7 +346,7 @@ def test_grids_on_distinct_frequencies_expand_to_the_full_grids_bitwise(kind, n)
     # the same pair as np.unique's: distinct values, and a map back onto w
     assert distinct.tobytes() == np.unique(w).tobytes()
     assert basis.expand(distinct).tobytes() == w.tobytes()
-    if basis.kind is BasisKind.HARMONIC_CHAIN:
+    if basis.chain is not None:
         assert distinct.size == basis.n_sites // 2 + 1
     times = np.array([0.0, 1e-6, 0.013, 0.05, 0.1, 0.25])
     op = OpeningFunction.sin_sq_window(0.1)

@@ -229,8 +229,7 @@ def test_couplings_never_join_two_parity_classes(system, m, c):
 
 def reference_evolve(action, initial, times, dt=None, projections=None):
     """The full-space RK4 loop: every row of psi in every stage, allocating
-    each intermediate.  Returns (projections, final state, norm drift,
-    recorded states)."""
+    each intermediate.  Returns (projections, final state, norm drift)."""
     times = np.asarray(times, dtype=float)
     span = float(times[-1] - times[0]) if times.size > 1 else 0.0
     step = dt if dt is not None else _auto_dt(action, max(span, 1e-12))
@@ -264,7 +263,7 @@ def reference_evolve(action, initial, times, dt=None, projections=None):
     projected = {name: np.array([np.vdot(vec, s) for s in states], dtype=complex)
                  for name, vec in (projections or {}).items()}
     drift = float(max(abs(np.linalg.norm(s) - 1.0) for s in states))
-    return projected, psi, drift, states
+    return projected, psi, drift
 
 
 def _swap_start(fock):
@@ -301,13 +300,12 @@ def test_evolve_matches_the_full_space_loop_bitwise(system, m, c, opening, times
     assert (dimension > DENSE_DIMENSION) == (c == 6)  # the CSR case is the only large one
     psi0 = start(fock)
     targets = {"swap": fock.basis_state(0, 1), "start": psi0}
-    got = evolve(action, psi0, times, dt=dt, projections=targets, record_states=True)
-    projected, state, drift, states = reference_evolve(action, psi0, times, dt, targets)
+    got = evolve(action, psi0, times, dt=dt, projections=targets)
+    projected, state, drift = reference_evolve(action, psi0, times, dt, targets)
     for name in targets:
         assert_bitwise(got.projections[name], projected[name])
     assert_bitwise(got.state, state)
     assert got.norm_drift == drift and drift > 0
-    assert_bitwise(got.states, states)
     # the state left the start, and a one-class start leaves the other class empty
     assert np.max(np.abs(got.projections["start"] - got.projections["start"][0])) > 1e-6
     touched = np.unique(fock.parity[np.flatnonzero(got.state)])
@@ -337,13 +335,6 @@ def test_evolve_refuses_a_step_that_is_not_finite_and_positive(dt):
 
 
 @pytest.mark.parametrize("dt", BAD_STEPS)
-def test_swap_amplitude_refuses_a_bad_step(dt):
-    basis, scenario = make(opening=OpeningFunction.sin_sq_window(0.4), duration=0.4)
-    with pytest.raises(InvalidParametersError, match="dt"):
-        exact_swap_amplitude(basis, scenario, [0.1, 0.2], 2, method="rk4", dt=dt)
-
-
-@pytest.mark.parametrize("dt", BAD_STEPS)
 def test_adiabatic_check_refuses_a_bad_step(dt):
     basis, _ = make(n_sites=2)
     scenario = Scenario.symmetric(0, 1, 2.0, 1e-2, OpeningFunction.constant(), 1.0)
@@ -364,10 +355,10 @@ def test_norm_and_energy_conservation_rk4():
     action = build_hamiltonian(basis, scenario, fock)
     psi0 = fock.basis_state(1, 0)
     times = np.linspace(0.0, 2.0, 9)
-    result = evolve(action, psi0, times, record_states=True)
-    assert result.norm_drift < 1e-8
+    results = [evolve(action, psi0, times[:j + 1]) for j in range(times.size)]
+    assert max(r.norm_drift for r in results) < 1e-8
     h = action.matrix(0.0)
-    energies = [np.real(np.vdot(s, h @ s)) for s in result.states]
+    energies = [np.real(np.vdot(r.state, h @ r.state)) for r in results]
     scale = max(1.0, abs(energies[0]))
     assert np.max(np.abs(np.diff(energies))) / scale < 1e-8
 
@@ -379,7 +370,8 @@ def test_selection_rules_hold_exactly():
     fock = FockSpace.build(3, 3)
     action = build_hamiltonian(basis, scenario, fock)
     psi0 = fock.basis_state(1, 0)
-    result = evolve(action, psi0, np.linspace(0.0, 1.0, 3), record_states=True)
+    times = np.linspace(0.0, 1.0, 3)
+    states = np.array([evolve(action, psi0, times[:j + 1]).state for j in range(times.size)])
     forbidden = []
     n_occ = len(fock.occupations)
     for sa in (0, 1):
@@ -389,14 +381,18 @@ def test_selection_rules_hold_exactly():
                 swap_sector = sa != sb
                 if even != swap_sector:
                     forbidden.append((sa * 2 + sb) * n_occ + i)
-    assert np.max(np.abs(result.states[:, forbidden])) < 1e-12
+    assert np.max(np.abs(states[:, forbidden])) < 1e-12
 
 
 def test_rk4_agrees_with_eigendecomposition():
     basis, scenario = make(epsilon=2e-2)
-    times = np.linspace(0.2, 1.2, 5)
-    rk4 = exact_swap_amplitude(basis, scenario, times, 3, method="rk4")
-    static = exact_swap_amplitude(basis, scenario, times, 3, method="static")
+    fock = FockSpace.build(3, 3)
+    action = build_hamiltonian(basis, scenario, fock)
+    psi0 = fock.basis_state(1, 0)
+    target = {"swap": fock.basis_state(0, 1)}
+    times = np.concatenate(([0.0], np.linspace(0.2, 1.2, 5)))
+    rk4 = evolve(action, psi0, times, projections=target).projections["swap"]
+    static = evolve_static(action, psi0, times, projections=target).projections["swap"]
     assert np.max(np.abs(rk4 - static)) < 1e-11
 
 
@@ -413,27 +409,25 @@ def no_hamiltonian(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("times, method, match", [
-    ([-1.0], "auto", ">= 0"),
-    ([0.2, 0.1], "static", "strictly increasing"),
-    ([0.2], "bogus", "unknown method 'bogus'"),
-], ids=["negative-time", "decreasing-times", "unknown-method"])
-def test_swap_amplitude_checks_its_inputs_before_the_build(no_hamiltonian, times, method,
-                                                           match):
+@pytest.mark.parametrize("times, match", [
+    ([-1.0], ">= 0"),
+    ([0.2, 0.1], "strictly increasing"),
+], ids=["negative-time", "decreasing-times"])
+def test_swap_amplitude_checks_its_inputs_before_the_build(no_hamiltonian, times, match):
     basis, scenario = make()
     with pytest.raises(InvalidParametersError, match=match):
-        exact_swap_amplitude(basis, scenario, times, 2, method=method)
+        exact_swap_amplitude(basis, scenario, times, 2)
     assert no_hamiltonian == []
 
 
 def test_static_path_checks_its_memory_before_the_build(no_hamiltonian):
     # 3 modes at cutoff 30: Fock dimension 21 824, 7.6 GB per dense matrix
     basis, scenario = make()
-    with pytest.raises(InvalidParametersError, match="reduce the cutoff"):
-        exact_swap_amplitude(basis, scenario, [0.2], 30, method="static")
+    with pytest.raises(InvalidParametersError, match="phonon cutoff 30 .*reduce the cutoff"):
+        exact_swap_amplitude(basis, scenario, [0.2], 30)
     assert no_hamiltonian == []
-    # the benchmark's largest static solve, dimension 840, passes
-    oracle._check_dense_memory(840)
+    # the benchmark's largest static solve, dimension 840 (6 modes at cutoff 4), passes
+    oracle._check_dense_memory(840, 4)
 
 
 @pytest.mark.parametrize("state, times", [
@@ -454,8 +448,10 @@ def test_static_evolution_checks_its_inputs_before_eigh(monkeypatch, state, time
 
 def test_static_path_needs_constant_opening():
     basis, scenario = make(opening=OpeningFunction.sin_sq_window(0.4), duration=0.4)
-    with pytest.raises(InvalidParametersError):
-        exact_swap_amplitude(basis, scenario, [0.2], 2, method="static")
+    fock = FockSpace.build(3, 2)
+    action = build_hamiltonian(basis, scenario, fock)
+    with pytest.raises(InvalidParametersError, match="constant opening"):
+        evolve_static(action, fock.basis_state(1, 0), [0.0, 0.2])
 
 
 def test_step_size_failure_raises():
@@ -502,7 +498,7 @@ def test_windowed_residual_order():
     for eps in (1e-2, 5e-3):
         scenario = Scenario.symmetric(0, 1, 2.0, eps, OpeningFunction.sin_sq_window(0.3), 0.3)
         pert = bare_amplitude(basis, scenario, times).total
-        exact, _ = converged_swap_amplitude(basis, scenario, times, method="rk4")
+        exact, _ = converged_swap_amplitude(basis, scenario, times)
         resids.append(np.max(np.abs(pert - exact)))
     factor = resids[0] / resids[1]
     assert factor == pytest.approx(16.0, rel=0.15)
