@@ -451,6 +451,8 @@ def cmd_oracle_check(doc: dict, out: Path, report: Reporter) -> list[Path]:
     scenario = build_scenario(doc, basis)
     run = doc["run"]
     times = np.linspace(0.0, run["t_max"], run["n_times"] + 1)[1:]
+    if np.any(np.diff(times) <= 0):
+        raise SchemaError(f"run.t_max = {run['t_max']!r} is too small for run.n_times times")
     cutoff = run["cutoff"]
     try:
         residuals, slope = residual_slope(basis, scenario, run["epsilons"], times,

@@ -537,6 +537,7 @@ BAD_INPUTS = [
     ("oracle-check", ORACLE, "run.n_times", 0),
     ("oracle-check", ORACLE, "run.method", "static"),
     ("oracle-check", ORACLE, "run.method", "rk4"),
+    ("oracle-check", ORACLE, "run.t_max", 5e-324),
     ("causality", R_SCAN, "run.r_values", "al"),
     ("causality", TAU_SCAN, "run.separation_fraction", 0.5),
     ("ion2", ION2, "system.trap.n_ions", 3),
