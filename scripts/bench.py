@@ -32,8 +32,7 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("figures", "continuum", "oracle")
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "FERMI_LATTICE_THREADS")
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _commit() -> str:

@@ -17,7 +17,7 @@ from .causality import (
     lightcone_estimate,
     nominal_causal_time,
 )
-from .cloud import CloudSnapshot, excitation_distribution, single_site_distributions
+from .cloud import excitation_distribution, single_site_distributions
 from .dressing import (
     DressingScheme,
     ExpansionTerm,

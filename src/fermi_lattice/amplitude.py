@@ -25,7 +25,7 @@ from .modes import ModeBasis, Scenario
 from .quadrature import opening_nested_integral, opening_phase_integral
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeTrace:
     """Time series of the swap amplitude and its decomposition.
 

@@ -37,7 +37,7 @@ WORKERS = min(4, os.cpu_count() or 1)
 SWEEP_ELEMENT_LIMIT = 2**31
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CausalityTrace:
     taus: np.ndarray
     f_a: np.ndarray

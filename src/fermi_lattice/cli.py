@@ -428,21 +428,17 @@ def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
     run = doc["run"]
     scheme = DressingScheme[run["scheme"].upper()]
     component = run["component"]
-    t_values = run["t_values"]
-    if t_values is None:
-        t_values = list(np.linspace(0.0, _window_t_max(run, scenario), run["n_times"]))
+    t_values = run["t_values"] or np.linspace(0.0, _window_t_max(run, scenario), run["n_times"])
+    t_values = np.asarray(t_values, dtype=float)
 
-    d = np.empty((len(t_values), basis.n_sites))
-    for i, t in enumerate(t_values):
-        if component == "total":
-            snap = excitation_distribution(basis, scenario, scheme, t)
-        else:
-            up, down = single_site_distributions(basis, scenario, scheme, t)
-            snap = up if component == "up" else down
-        d[i] = snap.d
+    if component == "total":
+        d = excitation_distribution(basis, scenario, scheme, t_values)
+    else:
+        up, down = single_site_distributions(basis, scenario, scheme, t_values)
+        d = up if component == "up" else down
     report.note("d_max", float(np.max(d)))
-    t = np.repeat(np.asarray(t_values, dtype=float), basis.n_sites)
-    n = np.tile(np.arange(basis.n_sites), len(t_values))
+    t = np.repeat(t_values, basis.n_sites)
+    n = np.tile(np.arange(basis.n_sites), t_values.size)
     return [write_csv(out, ["t", "n", "d_n"], zip(t.tolist(), n.tolist(), d.ravel().tolist()))]
 
 

@@ -11,11 +11,13 @@ manifestly nonnegative.  The c coefficients are the one-phonon amplitudes of the
 evolved initial state; their static parts carry the scheme constants
 (d1, d2).  D_n is built from q_n^+ q_n^-, a nonlocal diagnostic usable for
 a qualitative picture only, not a measurable local phonon number.
+
+Both functions take a grid of times and answer for all of them at once:
+per site one opening integral over the (time, frequency) grid and one
+synthesize over its rows, so they hold a few (times x modes) arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,48 +27,32 @@ from .modes import ModeBasis, Scenario
 from .quadrature import cis, opening_phase_integral
 
 
-@dataclass(frozen=True)
-class CloudSnapshot:
-    time: float
-    d: np.ndarray
-    scheme: DressingScheme
-
-
-def _dressing_coefficients(basis: ModeBasis, scenario: Scenario,
-                           scheme: DressingScheme, t: float):
-    """One-phonon coefficient vectors (c_Ak, c_Bk) at time t."""
-    om = _require_equal_splittings(scenario)
-    f0 = _shared_opening(scenario)
-    w = basis.distinct_frequencies
-    la = np.conj(basis.row(scenario.site_a))
-    lb = np.conj(basis.row(scenario.site_b))
-    c_a = la * basis.expand(scheme.d1 / (om + w)
-                            + 1j * opening_phase_integral(f0, -(om - w), t))
-    c_b = lb * basis.expand((scheme.d1 + scheme.d2) / (om + w)
-                            + 1j * opening_phase_integral(f0, +(om + w), t))
-    return c_a, c_b
-
-
-def _site_cloud(basis: ModeBasis, coeffs: np.ndarray, eps: float, t: float) -> np.ndarray:
-    u = basis.synthesize(coeffs * cis(-basis.frequencies * t))
-    return eps**2 * np.abs(u) ** 2
-
-
 def excitation_distribution(basis: ModeBasis, scenario: Scenario,
-                            scheme: DressingScheme, t: float) -> CloudSnapshot:
-    """Total excitation distribution over all sites at time t >= 0."""
-    up, down = single_site_distributions(basis, scenario, scheme, t)
-    return CloudSnapshot(time=t, d=up.d + down.d, scheme=scheme)
+                            scheme: DressingScheme, times) -> np.ndarray:
+    """Total excitation distribution D_n(t), of shape np.shape(times) + (n_sites,)."""
+    up, down = single_site_distributions(basis, scenario, scheme, times)
+    return up + down
 
 
 def single_site_distributions(basis: ModeBasis, scenario: Scenario,
-                              scheme: DressingScheme, t: float):
-    """(spin-up cloud of A, spin-down cloud of B); their sum is the total
-    distribution at leading order."""
-    if t < 0:
-        raise InvalidParametersError("cloud time must be >= 0")
+                              scheme: DressingScheme, times):
+    """(spin-up cloud of A, spin-down cloud of B) at every time >= 0, each of
+    shape np.shape(times) + (n_sites,); their sum is the total distribution
+    at leading order."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise InvalidParametersError("cloud times must be >= 0")
     scenario.check_sites(basis.n_sites)
-    c_a, c_b = _dressing_coefficients(basis, scenario, scheme, t)
-    up = CloudSnapshot(t, _site_cloud(basis, c_a, scenario.epsilon, t), scheme)
-    down = CloudSnapshot(t, _site_cloud(basis, c_b, scenario.epsilon, t), scheme)
-    return up, down
+    om = _require_equal_splittings(scenario)
+    f0 = _shared_opening(scenario)
+    w = basis.distinct_frequencies
+    phase = cis(-basis.frequencies * times[..., None])
+
+    def site_cloud(site: int, static: float, phi: np.ndarray) -> np.ndarray:
+        # c_k(t) = conj(lambda[site, k]) (static / (Omega + w_k) + i int_0^t f0 e^{i phi_k u} du)
+        coeffs = np.conj(basis.row(site)) * basis.expand(
+            static / (om + w) + 1j * opening_phase_integral(f0, phi, times))
+        return scenario.epsilon**2 * np.abs(basis.synthesize(coeffs * phase)) ** 2
+
+    return (site_cloud(scenario.site_a, scheme.d1, -(om - w)),
+            site_cloud(scenario.site_b, scheme.d1 + scheme.d2, +(om + w)))

@@ -88,8 +88,11 @@ class TrapParams:
 @dataclass(frozen=True)
 class Scenario:
     """One experiment: two marked sites, their level splittings Omega_A/B
-    (hold -delta for trap scenarios), coupling strength, opening profiles
-    and the interaction window T."""
+    (hold -delta for trap scenarios), coupling strength and opening profiles.
+
+    The interaction windows come from the openings.  ``duration`` is
+    accepted and checked but read by no command; its one reader is
+    ``PulseSpec.from_drive``."""
 
     site_a: int
     site_b: int
@@ -120,7 +123,7 @@ class Scenario:
                 raise IndexError(f"site index {s} out of range for {n_sites} sites")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeBasis:
     """Frequencies omega_k and couplings lambda[n, k] of a quadratic system.
 
@@ -142,15 +145,14 @@ class ModeBasis:
     n_sites: int
     frequencies: np.ndarray
     dense: np.ndarray | None
-    chain: ChainParams | None = field(default=None, compare=False)
-    trap: TrapParams | None = field(default=None, compare=False)
+    chain: ChainParams | None = None
+    trap: TrapParams | None = None
     # chain only: e^{2 pi i j / N} for j < N, and sqrt(2 N omega_k)
-    _roots: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _scale: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _roots: np.ndarray | None = field(default=None, init=False, repr=False)
+    _scale: np.ndarray | None = field(default=None, init=False, repr=False)
     # the distinct values of omega_k, and per mode the index of its value among them
-    distinct_frequencies: np.ndarray = field(default=None, init=False, repr=False,
-                                             compare=False)
-    _index: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    distinct_frequencies: np.ndarray = field(default=None, init=False, repr=False)
+    _index: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -222,10 +224,14 @@ class ModeBasis:
         return lam
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_k lambda[n, k] coeffs[k] for every site n."""
-        if self.dense is not None:
+        """sum_k lambda[n, k] coeffs[..., k] for every site n, per row of coeffs
+        (last axis = modes, result's last axis = sites)."""
+        if self.dense is None:
+            return self.n_sites * np.fft.ifft(coeffs / self._scale)
+        if coeffs.ndim == 1:
             return self.dense @ coeffs
-        return self.n_sites * np.fft.ifft(coeffs / self._scale)
+        # one product for all rows: (dense @ coeffs.T).T on a matrix of rows
+        return np.swapaxes(self.dense @ np.swapaxes(coeffs, -1, -2), -1, -2)
 
 
 def _check_canonical(lam: np.ndarray, freqs: np.ndarray) -> None:

@@ -150,7 +150,7 @@ def _check_dense_memory(dimension: int, max_total_phonons: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianAction:
     """H(t) = diag(h0_diag) + eps [f_A(t) w_a + f_B(t) w_b], dense only on demand."""
 
@@ -178,9 +178,8 @@ class HamiltonianAction:
         return float(np.max(np.abs(self.h0_diag)) + self.scenario.epsilon * one_norms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionResult:
-    times: np.ndarray
     state: np.ndarray
     projections: dict[str, np.ndarray]
     norm_drift: float
@@ -189,10 +188,10 @@ class EvolutionResult:
 class _Recorder:
     """Projections and the norm drift on the record grid."""
 
-    def __init__(self, times, projections):
-        self.times, self.vectors = times, projections or {}
-        self.projections = {name: np.empty(times.size, dtype=complex) for name in self.vectors}
-        self.norm_error = np.empty(times.size)
+    def __init__(self, n_times: int, projections):
+        self.vectors = projections or {}
+        self.projections = {name: np.empty(n_times, dtype=complex) for name in self.vectors}
+        self.norm_error = np.empty(n_times)
 
     def __call__(self, j: int, psi: np.ndarray) -> None:
         for name, vec in self.vectors.items():
@@ -201,7 +200,7 @@ class _Recorder:
 
     def result(self, psi: np.ndarray) -> EvolutionResult:
         drift = float(np.max(self.norm_error, initial=0.0))
-        return EvolutionResult(self.times, psi, self.projections, drift)
+        return EvolutionResult(psi, self.projections, drift)
 
 
 def build_hamiltonian(basis: ModeBasis, scenario: Scenario, fock: FockSpace) -> HamiltonianAction:
@@ -306,7 +305,7 @@ def evolve(action: HamiltonianAction, initial: np.ndarray, times,
     span = float(times[-1] - times[0]) if times.size > 1 else 0.0
     step = dt if dt is not None else _auto_dt(action, max(span, 1e-12))
 
-    record = _Recorder(times, projections)
+    record = _Recorder(times.size, projections)
     eps = action.scenario.epsilon
     parity = action.fock.parity
     rows = np.flatnonzero(np.isin(parity, parity[psi != 0]))
@@ -382,7 +381,7 @@ def evolve_static(action: HamiltonianAction, initial: np.ndarray, times,
     _check_dense_memory(action.dimension, action.fock.max_total_phonons)
     evals, evecs = np.linalg.eigh(action.matrix(0.0))
     coeff = evecs.conj().T @ psi
-    record = _Recorder(times, projections)
+    record = _Recorder(times.size, projections)
     psi = None
     for j, t in enumerate(times):
         psi = evecs @ (cis(-evals * (t - times[0])) * coeff)
@@ -467,8 +466,6 @@ def residual_slope(basis: ModeBasis, scenario: Scenario, epsilons, times,
 @dataclass(frozen=True)
 class AdiabaticReport:
     overlap: float
-    ramp_tau: float
-    epsilon: float
     norm_drift: float
 
 
@@ -498,7 +495,7 @@ def adiabatic_dressing_check(basis: ModeBasis, scenario: Scenario, ramp_tau: flo
     analytic = expansion_to_vector(dressed_ground_state(basis, ramped), fock)
     norms = np.linalg.norm(analytic) * np.linalg.norm(result.state)
     overlap = abs(np.vdot(analytic, result.state)) / norms
-    return AdiabaticReport(float(overlap), ramp_tau, scenario.epsilon, result.norm_drift)
+    return AdiabaticReport(float(overlap), result.norm_drift)
 
 
 def expansion_to_vector(expansion: StateExpansion, fock: FockSpace) -> np.ndarray:

@@ -255,6 +255,28 @@ def test_cloud_rows(tmp_path):
     assert np.all(at_zero == 0)
 
 
+@pytest.mark.parametrize("component", ["total", "up", "down"])
+def test_cloud_asks_the_library_once_per_run(tmp_path, monkeypatch, component):
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args):
+            calls.append(np.shape(args[3]))
+            return fn(*args)
+        return wrapped
+
+    for name in ("excitation_distribution", "single_site_distributions"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    doc = {"system": {"kind": "chain", "chain": {"n_sites": 40}},
+           "scenario": {"site_a": 20, "site_b": 0, "omega": 2.0,
+                        "opening": {"variant": "sin_sq_window", "window": 0.1}},
+           "run": {"scheme": "sigma_x", "component": component, "n_times": 7}}
+    code, out = run_cli(tmp_path, "cloud", doc)
+    assert code == 0
+    assert calls == [(7,)]
+    assert np.loadtxt(out, delimiter=",", skiprows=1).shape == (7 * 40, 3)
+
+
 def test_oracle_check_zero_epsilon(tmp_path):
     doc = {
         "system": {"kind": "chain", "chain": {"n_sites": 3}},

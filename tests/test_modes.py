@@ -12,6 +12,8 @@ from fermi_lattice import (
     TrapParams,
     build_harmonic_chain,
     build_ion_trap,
+    bare_amplitude,
+    causality_trace,
     equilibrium_positions,
 )
 from fermi_lattice.modes import _trap_hessian
@@ -106,6 +108,31 @@ def test_chain_synthesis_matches_dense_product(n):
 def test_dense_synthesis_is_matrix_product(trap2):
     coeffs = np.array([0.3 - 1j, 2.0 + 0.5j])
     np.testing.assert_array_equal(trap2.synthesize(coeffs), dense_couplings(trap2) @ coeffs)
+
+
+def test_dense_synthesis_of_rows_is_one_matrix_product(trap2):
+    rows = np.array([[0.3 - 1j, 2.0 + 0.5j], [-1.5 + 0.25j, 0.0], [1j, 1.0]])
+    want = (dense_couplings(trap2) @ rows.T).T
+    assert trap2.synthesize(rows).tobytes() == want.tobytes()
+    stacked = trap2.synthesize(np.stack([rows, rows[::-1]]))
+    assert stacked.shape == (2, 3, 2)
+    assert stacked[0].tobytes() == want.tobytes()
+
+
+def test_array_holding_results_compare_by_identity():
+    scenario = Scenario.symmetric(0, 1, 2.0, 1.0, OpeningFunction.sin_sq_window(0.1), 0.1)
+    pairs = [
+        (build_harmonic_chain(ChainParams(4)), build_harmonic_chain(ChainParams(4))),
+        (build_ion_trap(TrapParams(3)), build_ion_trap(TrapParams(3))),
+    ]
+    chain = pairs[0][0]
+    pairs += [
+        tuple(bare_amplitude(chain, scenario, [0.0, 0.05]) for _ in range(2)),
+        tuple(causality_trace(chain, 0, 1, [0.0, 0.5]) for _ in range(2)),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b and not (a == b)
+        assert hash(a) != hash(b)
 
 
 def test_chain_row_checks_canonical_normalization():
