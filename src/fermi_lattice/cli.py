@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 import warnings
@@ -51,7 +52,7 @@ from .oracle import residual_slope
 #            tuple of literal strings optionally ending in one other kind;
 #   default: REQUIRED, None (absent; the command works the value out),
 #            SameAs(key) (the value read for that key) or a value of kind;
-#   bounds:  "> x" or ">= x", on a number and on every number in a list.
+#   bounds:  "> x", ">= x" or "<= x", on a number and on every number in a list.
 # A Variants table takes its keys from tables[value of its selector key].
 
 REQUIRED = object()
@@ -63,6 +64,23 @@ class SameAs(str):
 
 
 _SCHEMES = tuple(s.name.lower() for s in DressingScheme)
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+# Upper bounds of the counts, each set from the peak RSS of one run at the
+# bound (numpy on a 2-core Xeon):
+#   COUNT_LIMIT on run.n_times, run.n_samples and run.alpha_num: bare on a
+#     100-site chain 561 MB, dressed 456 MB, oracle-check 177 MB, causality
+#     on a 2-site chain 270 MB, ion2 243 MB (1.9 GB at 10**7);
+#   CLOUD_ELEMENT_LIMIT on the cloud's times x sites: 585 MB at 1000 x 2000;
+#   TRAP_IONS_LIMIT on system.trap.n_ions: 252 MB and 4.4 s for the trap's
+#     Newton steps and eigh, which hold n x n arrays (420 MB and 11 s at 3000).
+COUNT_LIMIT = 10**6
+CLOUD_ELEMENT_LIMIT = 2 * 10**6
+TRAP_IONS_LIMIT = 2000
+# a ring offset r is written through %.17g, which holds every |r| < 2**53 exactly
+R_LIMIT = 2**53 - 1
+_COUNT = f"<= {COUNT_LIMIT}"
+_OFFSETS = (("all", [int]), "all", f">= {-R_LIMIT}", f"<= {R_LIMIT}")
 
 _OPENING = Variants("variant", REQUIRED, {
     "constant": {},
@@ -76,8 +94,8 @@ _SYSTEM = Variants("kind", REQUIRED, {
     "chain": {"chain": ({"n_sites": (int, REQUIRED, ">= 2"), "length": (float, 1.0, "> 0"),
                          "pinning": (float, 1.0, "> 0"), "speed": (float, 1.0, "> 0")},
                         REQUIRED)},
-    "trap": {"trap": ({"n_ions": (int, REQUIRED, ">= 2"), "omega0": (float, 1.0, "> 0")},
-                      REQUIRED)},
+    "trap": {"trap": ({"n_ions": (int, REQUIRED, ">= 2", f"<= {TRAP_IONS_LIMIT}"),
+                       "omega0": (float, 1.0, "> 0")}, REQUIRED)},
 })
 
 _SCENARIO = {
@@ -90,24 +108,24 @@ _SCENARIO = {
 
 _RUNS = {
     "causality": Variants("mode", "tau_scan", {
-        "tau_scan": {"n_samples": (int, 2000, ">= 2"), "tau_max": (float, None, "> 0"),
+        "tau_scan": {"n_samples": (int, 2000, ">= 2", _COUNT), "tau_max": (float, None, "> 0"),
                      "n_values": ([int], None, ">= 2"), "separation_fraction": (float, None)},
-        "r_scan": {"tau": (float, REQUIRED), "r_values": (("all", [int]), "all")},
+        "r_scan": {"tau": (float, REQUIRED), "r_values": _OFFSETS},
     }),
-    "bare": {"t_max": (float, None, ">= 0"), "n_times": (int, 201, ">= 1")},
+    "bare": {"t_max": (float, None, ">= 0"), "n_times": (int, 201, ">= 1", _COUNT)},
     "dressed": Variants("mode", "trace", {
-        "trace": {"t_max": (float, None, ">= 0"), "n_times": (int, 201, ">= 1"),
+        "trace": {"t_max": (float, None, ">= 0"), "n_times": (int, 201, ">= 1", _COUNT),
                   "schemes": ([_SCHEMES], list(_SCHEMES))},
-        "g_scan": {"r_values": (("all", [int]), "all")},
+        "g_scan": {"r_values": _OFFSETS},
         "gmin_scan": {"n_values": ([int], REQUIRED, ">= 2")},
     }),
     "ion2": {"alpha_start": (float, 0.0), "alpha_stop": (float, 3.0),
-             "alpha_num": (int, 301, ">= 1"), "schmidt_cutoff": (int, 2, ">= 2")},
+             "alpha_num": (int, 301, ">= 1", _COUNT), "schmidt_cutoff": (int, 2, ">= 2")},
     "cloud": {"scheme": (_SCHEMES, "bare"), "component": (("total", "up", "down"), "total"),
               "t_values": ([float], None, ">= 0"), "t_max": (float, None, ">= 0"),
-              "n_times": (int, 26, ">= 1")},
+              "n_times": (int, 26, ">= 1", _COUNT)},
     "oracle-check": {"epsilons": ([float], [1e-2, 5e-3, 2.5e-3], ">= 0"),
-                     "t_max": (float, 1.5, "> 0"), "n_times": (int, 15, ">= 1"),
+                     "t_max": (float, 1.5, "> 0"), "n_times": (int, 15, ">= 1", _COUNT),
                      "method": (("auto",), "auto"),
                      "cutoff": (("auto", int), "auto", ">= 2")},
 }
@@ -138,7 +156,7 @@ def _check(value, kind, bounds, where: str):
         value = kind(value)
         for bound in bounds:
             op, limit = bound.split()
-            if not (value > float(limit) if op == ">" else value >= float(limit)):
+            if not _BOUNDS[op](value, float(limit)):
                 raise SchemaError(f"{where} must be {bound}, got {value!r}")
         return value
     raise SchemaError(f"{where} must be {_describe(kind)}, got {value!r}")
@@ -295,8 +313,7 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
             if r % basis.n_sites == 0:
                 raise SchemaError(f"run.r_values: r = {r} puts site_b on site_a "
                                   f"(r must not be a multiple of n_sites = {basis.n_sites})")
-        # reduced one by one: an r need not fit a numpy integer
-        sites = np.array([(scenario.site_a + r) % basis.n_sites for r in r_values], dtype=int)
+        sites = (scenario.site_a + np.asarray(r_values)) % basis.n_sites
         f_c = commutator(basis, scenario.site_a, sites, run["tau"])
         return [write_csv(out, ["r", "f_c"], zip(r_values, f_c))]
 
@@ -307,7 +324,10 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
         frac = run["separation_fraction"]
         points = []
         for n in run["n_values"]:
-            chain = ChainParams(n, basis.chain.length, basis.chain.pinning, basis.chain.speed)
+            try:
+                chain = ChainParams(n, basis.chain.length, basis.chain.pinning, basis.chain.speed)
+            except FermiLatticeError as exc:
+                raise SchemaError(f"run.n_values: n = {n}: {exc}") from exc
             if frac is not None:
                 site_a, site_b = 0, int(round(frac * n)) % n
                 if site_b == site_a:
@@ -364,9 +384,12 @@ def cmd_bare(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
 
 def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
+    run = doc["run"]
+    if run["mode"] != "trace" and doc["system"]["kind"] != "chain":
+        raise SchemaError(f"run.mode {run['mode']!r} needs system.kind 'chain': the static "
+                          "dressing amplitude is chain-only")
     basis = build_basis(doc)
     scenario = build_scenario(doc, basis)
-    run = doc["run"]
 
     if run["mode"] == "g_scan":
         r_values = range(basis.n_sites // 2 + 1) if run["r_values"] == "all" else run["r_values"]
@@ -375,9 +398,11 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
     if run["mode"] == "gmin_scan":
         chain = basis.chain
-        if chain is None:
-            raise SchemaError("gmin_scan needs a chain system")
-        values = g_min(run["n_values"], scenario.omega_a, chain.length, chain.pinning, chain.speed)
+        try:
+            values = g_min(run["n_values"], scenario.omega_a, chain.length, chain.pinning,
+                           chain.speed)
+        except FermiLatticeError as exc:
+            raise SchemaError(f"run.n_values: {exc}") from exc
         return [write_csv(out, ["n", "g_min"], zip(run["n_values"], values))]
 
     names = run["schemes"]
@@ -423,9 +448,16 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
 
 def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
+    run = doc["run"]
+    kind = doc["system"]["kind"]
+    n_sites = doc["system"][kind]["n_sites" if kind == "chain" else "n_ions"]
+    n_times, key = ((len(run["t_values"]), "run.t_values") if run["t_values"]
+                    else (run["n_times"], "run.n_times"))
+    if n_times * n_sites > CLOUD_ELEMENT_LIMIT:
+        raise SchemaError(f"{key}: {n_times} times x {n_sites} sites is over the cloud's "
+                          f"limit of {CLOUD_ELEMENT_LIMIT:.3g} (time, site) elements")
     basis = build_basis(doc)
     scenario = build_scenario(doc, basis)
-    run = doc["run"]
     scheme = DressingScheme[run["scheme"].upper()]
     component = run["component"]
     t_values = run["t_values"] or np.linspace(0.0, _window_t_max(run, scenario), run["n_times"])

@@ -132,13 +132,15 @@ class StateExpansion:
 def _require_equal_splittings(scenario: Scenario) -> float:
     if scenario.omega_a != scenario.omega_b:
         raise UnsupportedConfigurationError(
-            "dressing is implemented for Omega_A == Omega_B only"
+            "dressing is implemented for equal splittings only, got scenario.omega_a = "
+            f"{scenario.omega_a!r} and scenario.omega_b = {scenario.omega_b!r}"
         )
     # every energy denominator (Omega + w_k, 2 Omega, 2 Omega + w_k + w_l)
     # must stay positive
     if scenario.omega_a <= 0:
         raise UnsupportedConfigurationError(
-            "dressing needs a positive level splitting Omega"
+            "dressing needs a positive level splitting, so that its energy denominators "
+            f"Omega + w_k stay positive; got scenario.omega_a = {scenario.omega_a!r}"
         )
     return scenario.omega_a
 
@@ -148,7 +150,8 @@ def _shared_opening(scenario: Scenario) -> OpeningFunction:
     f0 = scenario.opening_a.post_ramp()
     if f0 != scenario.opening_b.post_ramp():
         raise UnsupportedConfigurationError(
-            "dressing needs identical post-ramp openings on both sites"
+            "dressing needs scenario.opening_a and scenario.opening_b to share one "
+            "post-ramp opening profile"
         )
     return f0
 
@@ -268,13 +271,14 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
 
 def static_dressing_amplitude(basis: ModeBasis, omega: float, separation: int) -> float:
     """G(R)/eps^2 = sum_k cos(theta_k R) / (2 N Omega w_k (Omega + w_k)),
-    the time-independent mutual-dressing amplitude of a chain."""
+    the time-independent mutual-dressing amplitude of a chain.  R is reduced
+    mod N first, so G(R + m N) == G(R) bitwise."""
     if basis.chain is None:
         raise UnsupportedConfigurationError("static dressing amplitude is chain-only")
     n = basis.n_sites
     w = basis.frequencies
     theta = 2.0 * np.pi * np.arange(n) / n
-    return float(np.sum(np.cos(theta * separation) / (2.0 * n * omega * w * (omega + w))))
+    return float(np.sum(np.cos(theta * (separation % n)) / (2.0 * n * omega * w * (omega + w))))
 
 
 def g_min(n_values, omega: float, length: float = 1.0, pinning: float = 1.0,

@@ -20,7 +20,7 @@ from .errors import InvalidParametersError, NumericalFailureError
 from .openings import OpeningFunction
 
 NORMALIZATION_TOL = 1e-10
-# the trap equilibrium's damped Newton solve: iteration cap and force tolerance
+# the trap equilibrium's Newton solve: iteration cap and force tolerance
 EQUILIBRIUM_MAX_ITER = 200
 EQUILIBRIUM_TOL = 1e-13
 
@@ -47,6 +47,12 @@ class ChainParams:
             if getattr(self, name) <= 0:
                 raise InvalidParametersError(f"chain parameter {name} must be > 0")
         a = self.alpha
+        if a == 1.0:
+            raise InvalidParametersError(
+                "alpha = 1 - L^2 nu^2 / (2 N^2 c^2) rounds to 1 in double precision "
+                f"(L*nu / (N*c) = {self.length * self.pinning / (self.n_sites * self.speed):.3g}"
+                " is below about 1.05e-8); use fewer sites or a larger L*nu/c"
+            )
         if not (0.0 < a < 1.0):
             raise InvalidParametersError(
                 "alpha = 1 - L^2 nu^2 / (2 N^2 c^2) = "
@@ -272,11 +278,10 @@ def build_ion_trap(params: TrapParams) -> ModeBasis:
     n = params.n_ions
     u = equilibrium_positions(n)
     evals, evecs = np.linalg.eigh(_trap_hessian(u))  # ascending eigenvalues
-    for k in range(n):
-        col = evecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            evecs[:, k] = -col
+    # negate each column whose first entry above 1e-12 in magnitude is negative
+    big = np.abs(evecs) > 1e-12
+    lead = evecs[np.argmax(big, axis=0), np.arange(n)]
+    evecs *= np.where(lead < 0, -1.0, 1.0)
 
     freqs = params.omega0 * np.sqrt(evals)
     couplings = evecs.astype(complex) / np.sqrt(2.0 * freqs)[None, :]
@@ -284,32 +289,28 @@ def build_ion_trap(params: TrapParams) -> ModeBasis:
 
 
 def equilibrium_positions(n_ions: int) -> np.ndarray:
-    """Dimensionless equilibrium positions (ascending) via damped Newton steps."""
+    """Dimensionless equilibrium positions (ascending) via full Newton steps.
+
+    The solve stops once the largest force is below EQUILIBRIUM_TOL, or at
+    the first step that fails to lower it (the force sum's round-off floor,
+    which grows with n_ions), returning the iterate before that step."""
     if n_ions < 2:
         raise InvalidParametersError("need n_ions >= 2")
     u = np.linspace(-(n_ions - 1) / 2.0, (n_ions - 1) / 2.0, n_ions) * (2.0 / n_ions**0.56)
+    grad = _trap_gradient(u)
+    resid = np.max(np.abs(grad))
     for _ in range(EQUILIBRIUM_MAX_ITER):
-        grad = _trap_gradient(u)
-        resid = np.max(np.abs(grad))
         if resid < EQUILIBRIUM_TOL:
             return u
-        step = np.linalg.solve(_trap_hessian(u), -grad)
-        if resid < 1e-6:
-            # Newton region: quadratic convergence, potential comparisons are
-            # round-off noise here
-            u = u + step
-            continue
-        v0 = _trap_potential(u)
-        lam = 1.0
-        while lam > 1e-8:
-            cand = u + lam * step
-            if np.all(np.diff(cand) > 0) and _trap_potential(cand) < v0:
-                break
-            lam *= 0.5
-        u = u + lam * step
+        nxt = u + np.linalg.solve(_trap_hessian(u), -grad)
+        nxt_grad = _trap_gradient(nxt)
+        nxt_resid = np.max(np.abs(nxt_grad))
+        if not nxt_resid < resid:
+            return u
+        u, grad, resid = nxt, nxt_grad, nxt_resid
     raise NumericalFailureError(
         f"ion equilibrium solver did not converge after {EQUILIBRIUM_MAX_ITER} iterations "
-        f"(force residual {np.max(np.abs(_trap_gradient(u))):.3e})"
+        f"(force residual {resid:.3e})"
     )
 
 
@@ -317,11 +318,6 @@ def _pair_distances(u: np.ndarray) -> np.ndarray:
     d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
     return d
-
-
-def _trap_potential(u: np.ndarray) -> float:
-    iu, ju = np.triu_indices(u.size, 1)
-    return 0.5 * float(np.sum(u**2)) + float(np.sum(1.0 / np.abs(u[ju] - u[iu])))
 
 
 def _trap_gradient(u: np.ndarray) -> np.ndarray:

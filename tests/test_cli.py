@@ -149,6 +149,15 @@ def test_causality_r_scan(tmp_path):
     assert len(lines) == 50  # header + r = 1..49
 
 
+def test_causality_on_a_60_ion_trap(tmp_path):
+    # the equilibrium of 57 ions or more sits at a force floor above 1e-13
+    doc = {"system": {"kind": "trap", "trap": {"n_ions": 60}},
+           "scenario": {"site_a": 0, "site_b": 59}, "run": {"n_samples": 200}}
+    code, out = run_cli(tmp_path, "causality", doc)
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 201
+
+
 def test_r_scan_onto_source_site_rejected(tmp_path, capsys):
     doc = {
         "system": {"kind": "chain", "chain": {"n_sites": 10}},
@@ -161,19 +170,20 @@ def test_r_scan_onto_source_site_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_r_scan_takes_offsets_beyond_the_integer_range(tmp_path):
-    # each r is reduced modulo n_sites as a Python integer, so an r past
-    # 2**63 still names a site; both huge offsets here reduce to r = 7
+def test_r_scan_reduces_offsets_modulo_n_sites(tmp_path):
+    # offsets up to the largest the CSV column holds exactly (|r| < 2**53);
+    # both large offsets here reduce to r = 7
     doc = {
         "system": {"kind": "chain", "chain": {"n_sites": 50}},
         "scenario": {"site_a": 0, "site_b": 15},
         "run": {"mode": "r_scan", "tau": 0.31,
-                "r_values": [7, 50 * 2**70 + 7, -50 * 2**80 - 43]},
+                "r_values": [7, 50 * 2**46 + 7, -50 * 2**46 - 43]},
     }
     code, out = run_cli(tmp_path, "causality", doc)
     assert code == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [r for r, _ in rows] == [format(float(r), ".17g") for r in doc["run"]["r_values"]]
+    assert [int(r) for r, _ in rows] == doc["run"]["r_values"]
     assert rows[1][1] == rows[2][1] == rows[0][1]
 
 
@@ -527,6 +537,14 @@ R_SCAN = {"system": {"kind": "chain", "chain": {"n_sites": 10}},
           "scenario": {"site_a": 0, "site_b": 3}, "run": {"mode": "r_scan", "tau": 0.3}}
 TAU_SCAN = {"system": {"kind": "chain", "chain": {"n_sites": 20}},
             "scenario": {"site_a": 0, "site_b": 5}, "run": {"tau_max": 0.5, "n_samples": 200}}
+# a chain of 2 sites refuses this length (alpha < 0); one of 20 takes it
+SWEEP = {"system": {"kind": "chain", "chain": {"n_sites": 20, "length": 3.0}},
+         "scenario": {"site_a": 0, "site_b": 5},
+         "run": {"tau_max": 0.5, "n_samples": 200, "n_values": [20]}}
+G_SCAN = {**FIG4, "run": {"mode": "g_scan", "r_values": [0, 1]}}
+GMIN_SCAN = {**FIG4, "run": {"mode": "gmin_scan", "n_values": [10, 12]}}
+TRAP_TRACE = {"system": {"kind": "trap", "trap": {"n_ions": 3}},
+              "scenario": {"site_a": 0, "site_b": 2, "omega": 2.0}, "run": {"n_times": 5}}
 
 
 def _with(doc, path, value):
@@ -563,6 +581,20 @@ BAD_INPUTS = [
     ("causality", R_SCAN, "run.r_values", "al"),
     ("causality", TAU_SCAN, "run.separation_fraction", 0.5),
     ("ion2", ION2, "system.trap.n_ions", 3),
+    ("dressed", DRESSED, "scenario.omega_b", 3.0),
+    ("dressed", DRESSED, "scenario.omega", -1.0),
+    ("cloud", FIG4, "scenario.omega_a", 3.0),
+    ("cloud", FIG4, "scenario.omega", 0.0),
+    ("cloud", FIG4, "scenario.opening_b", {"variant": "cos_sq_window", "window": 0.1}),
+    ("dressed", {**TRAP_TRACE, "run": {}}, "run.mode", "g_scan"),
+    ("dressed", {**TRAP_TRACE, "run": {"n_values": [10]}}, "run.mode", "gmin_scan"),
+    ("dressed", GMIN_SCAN, "run.n_values", [10, 11]),
+    ("causality", SWEEP, "run.n_values", [20, 2]),
+    ("causality", _with(SWEEP, "system.chain.length", 1.0), "run.n_values", [94_906_266]),
+    ("bare", FIG4, "system.chain", {"n_sites": 94_906_266}),
+    ("causality", R_SCAN, "run.r_values", [1, 2**53]),
+    ("dressed", G_SCAN, "run.r_values", [-2**53]),
+    ("dressed", G_SCAN, "run.r_values", [10**16 + 1]),
 ]
 
 
@@ -573,6 +605,76 @@ def test_bad_key_or_value_names_the_key(tmp_path, capsys, command, doc, path, va
     assert code == 2
     assert path in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_ring_scans_take_offsets_just_below_2_to_the_53(tmp_path):
+    big = 2**53 - 1
+    for command, doc in (("causality", R_SCAN), ("dressed", G_SCAN)):
+        code, out = run_cli(tmp_path, command, _with(doc, "run.r_values", [big, -big]))
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [int(r) for r, _ in rows] == [big, -big]
+
+
+class _Built(Exception):
+    """Raised in place of the system build, once the size guards have passed."""
+
+
+# command, base scenario, key, the largest value the guard takes, a value it refuses
+OVERSIZE = [
+    ("bare", FIG4, "run.n_times", cli.COUNT_LIMIT, 2 * 10**9),
+    ("dressed", DRESSED, "run.n_times", cli.COUNT_LIMIT, 2 * 10**9),
+    ("oracle-check", ORACLE, "run.n_times", cli.COUNT_LIMIT, 2 * 10**9),
+    ("causality", TAU_SCAN, "run.n_samples", cli.COUNT_LIMIT, 2 * 10**9),
+    ("ion2", ION2, "run.alpha_num", cli.COUNT_LIMIT, 3 * 10**9),
+    ("bare", TRAP_TRACE, "system.trap.n_ions", cli.TRAP_IONS_LIMIT, 10**5),
+    # the cloud's times x sites: 100 sites here, then 2 sites
+    ("cloud", FIG4, "run.n_times", cli.CLOUD_ELEMENT_LIMIT // 100, 10**6),
+    ("cloud", FIG4, "run.t_values", [0.0] * (cli.CLOUD_ELEMENT_LIMIT // 100),
+     [0.0] * (cli.CLOUD_ELEMENT_LIMIT // 100 + 1)),
+    ("cloud", _with(_with(FIG4, "system.chain.n_sites", 2), "scenario.site_b", 1),
+     "run.n_times", cli.COUNT_LIMIT, cli.COUNT_LIMIT + 1),
+]
+
+
+@pytest.mark.parametrize("command, doc, key, largest, refused", [
+    pytest.param(*case, id=f"{case[0]}:{case[2]}") for case in OVERSIZE])
+def test_counts_over_their_limit_exit_2_before_the_build(tmp_path, monkeypatch, capsys,
+                                                         command, doc, key, largest,
+                                                         refused):
+    def stop(doc):
+        raise _Built
+
+    # a guard that let an oversize count through stops here, before any grid
+    monkeypatch.setattr(cli, "build_basis", stop)
+    with pytest.raises(_Built):
+        run_cli(tmp_path, command, _with(doc, key, largest))
+    code, _ = run_cli(tmp_path, command, _with(doc, key, refused))
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_every_benchmark_config_stays_far_below_the_count_limits(tmp_path):
+    # the figures, continuum and oracle workloads' CLI runs, each count at most
+    # a tenth of its limit (largest: 2000 samples, 401 times, 301 alphas and a
+    # 26 x 2000 cloud)
+    from test_benchmark_contract import load
+
+    scenarios = load("scenarios")
+    ops = [op for workload in ("figures", "continuum", "oracle")
+           for op in scenarios.generate(workload, 0, tmp_path / workload) if op.is_cli]
+    assert len(ops) == 12 + 4 + 2
+    for op in ops:
+        doc = cli.apply_schema(json.loads(op.scenario.read_text()), op.command)
+        run, system = doc["run"], doc["system"]
+        for key in ("n_times", "n_samples", "alpha_num"):
+            assert 10 * run.get(key, 0) <= cli.COUNT_LIMIT, op.name
+        if system["kind"] == "trap":
+            assert 10 * system["trap"]["n_ions"] <= cli.TRAP_IONS_LIMIT, op.name
+        if op.command == "cloud":
+            n_times = len(run["t_values"]) if run["t_values"] else run["n_times"]
+            assert 10 * n_times * system["chain"]["n_sites"] <= cli.CLOUD_ELEMENT_LIMIT, op.name
 
 
 def test_ion2_rejects_the_ion_count_before_building_a_trap(tmp_path, monkeypatch):

@@ -233,6 +233,16 @@ def test_g_r0_is_maximal(chain100):
     assert static_dressing_amplitude(chain100, 2.0, 0) == pytest.approx(want, rel=1e-14)
 
 
+def test_g_is_periodic_in_r(chain100):
+    # R is reduced mod N before cos(theta_k R): G(R + m N) == G(R) bitwise
+    for r in (0, 1, 31, 99):
+        g = static_dressing_amplitude(chain100, 2.0, r)
+        for m in (1, -1, 7, 10**14, -(10**30)):
+            assert static_dressing_amplitude(chain100, 2.0, r + m * 100) == g
+    assert static_dressing_amplitude(chain100, 2.0, 10**16 + 1) == \
+        static_dressing_amplitude(chain100, 2.0, 1)
+
+
 def test_g_needs_chain():
     trap = build_ion_trap(TrapParams(2))
     with pytest.raises(UnsupportedConfigurationError):

@@ -76,6 +76,14 @@ def test_chain_alpha_out_of_range_names_inequality():
         ChainParams(2, length=10.0, pinning=1.0, speed=1.0)
 
 
+def test_chain_alpha_rounding_to_one_is_named():
+    # at N >= 94 906 266 (L = nu = c = 1) alpha = 1 - 1/(2 N^2) rounds to 1,
+    # though L*nu < sqrt(2) N c holds
+    ChainParams(94_906_265)
+    with pytest.raises(InvalidParametersError, match="rounds to 1 in double precision"):
+        ChainParams(94_906_266)
+
+
 def test_chain_mode_symmetry_is_exact():
     for n in (4, 99, 100, 1000):
         basis = build_harmonic_chain(ChainParams(n))
@@ -265,6 +273,39 @@ def test_trap_modes_diagonalize_hessian():
         assert np.all(np.diff(basis.frequencies) > 0)
         for col in d.T:
             assert col[np.flatnonzero(np.abs(col) > 1e-12)[0]] > 0
+
+
+@pytest.mark.parametrize("n", [57, 74, 200])
+def test_large_traps_build(n):
+    basis = build_ion_trap(TrapParams(n))
+    assert basis.n_modes == n
+    assert np.all(np.diff(basis.frequencies) > 0)
+    assert np.max(np.abs(canonical_norms(basis) - 1)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [57, 200, 500])
+def test_lowest_trap_modes_are_com_and_breathing(n):
+    # the centre-of-mass mode at omega0 and the breathing mode at sqrt(3) omega0
+    # hold for any ion number (James, Appl. Phys. B 66, 181 (1998))
+    omega0 = 1.7
+    w = build_ion_trap(TrapParams(n, omega0)).frequencies
+    assert w[0] == pytest.approx(omega0, rel=1e-12)
+    assert w[1] == pytest.approx(np.sqrt(3.0) * omega0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 57, 74, 200, 500])
+def test_equilibrium_is_ascending_and_mirror_symmetric(n):
+    u = equilibrium_positions(n)
+    assert np.all(np.diff(u) > 0)
+    np.testing.assert_allclose(u, -u[::-1], rtol=0, atol=1e-12)
+
+
+def test_equilibrium_solver_reports_a_solve_cut_short(monkeypatch):
+    from fermi_lattice import NumericalFailureError, modes
+
+    monkeypatch.setattr(modes, "EQUILIBRIUM_MAX_ITER", 2)
+    with pytest.raises(NumericalFailureError, match="did not converge after 2 iterations"):
+        equilibrium_positions(57)
 
 
 # ---------------------------------------------------------------- scenario/openings
