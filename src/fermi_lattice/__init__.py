@@ -38,7 +38,6 @@ from .errors import (
 from .ion2 import (
     PulseSpec,
     ThermalGroundState,
-    displaced_number_overlap,
     swap_probability,
     swap_probability_full,
     symplectic_temperature,

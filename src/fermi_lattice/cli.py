@@ -73,13 +73,17 @@ _BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 #     on a 2-site chain 270 MB, ion2 243 MB (1.9 GB at 10**7);
 #   CLOUD_ELEMENT_LIMIT on the cloud's times x sites: 585 MB at 1000 x 2000;
 #   TRAP_IONS_LIMIT on system.trap.n_ions: 252 MB and 4.4 s for the trap's
-#     Newton steps and eigh, which hold n x n arrays (420 MB and 11 s at 3000).
+#     Newton steps and eigh, which hold n x n arrays (420 MB and 11 s at 3000);
+#   CHAIN_SITES_LIMIT on system.chain.n_sites and each run.n_values entry:
+#     1.30 GB and 87 s for bare at the default n_times.
 COUNT_LIMIT = 10**6
 CLOUD_ELEMENT_LIMIT = 2 * 10**6
 TRAP_IONS_LIMIT = 2000
+CHAIN_SITES_LIMIT = 10**6
 # a ring offset r is written through %.17g, which holds every |r| < 2**53 exactly
 R_LIMIT = 2**53 - 1
 _COUNT = f"<= {COUNT_LIMIT}"
+_SITES = f"<= {CHAIN_SITES_LIMIT}"
 _OFFSETS = (("all", [int]), "all", f">= {-R_LIMIT}", f"<= {R_LIMIT}")
 
 _OPENING = Variants("variant", REQUIRED, {
@@ -91,7 +95,7 @@ _OPENING = Variants("variant", REQUIRED, {
 _OPENING.tables["exp_ramp"]["inner"] = (_OPENING, REQUIRED)
 
 _SYSTEM = Variants("kind", REQUIRED, {
-    "chain": {"chain": ({"n_sites": (int, REQUIRED, ">= 2"), "length": (float, 1.0, "> 0"),
+    "chain": {"chain": ({"n_sites": (int, REQUIRED, ">= 2", _SITES), "length": (float, 1.0, "> 0"),
                          "pinning": (float, 1.0, "> 0"), "speed": (float, 1.0, "> 0")},
                         REQUIRED)},
     "trap": {"trap": ({"n_ions": (int, REQUIRED, ">= 2", f"<= {TRAP_IONS_LIMIT}"),
@@ -109,7 +113,8 @@ _SCENARIO = {
 _RUNS = {
     "causality": Variants("mode", "tau_scan", {
         "tau_scan": {"n_samples": (int, 2000, ">= 2", _COUNT), "tau_max": (float, None, "> 0"),
-                     "n_values": ([int], None, ">= 2"), "separation_fraction": (float, None)},
+                     "n_values": ([int], None, ">= 2", _SITES),
+                     "separation_fraction": (float, None)},
         "r_scan": {"tau": (float, REQUIRED), "r_values": _OFFSETS},
     }),
     "bare": {"t_max": (float, None, ">= 0"), "n_times": (int, 201, ">= 1", _COUNT)},
@@ -117,7 +122,7 @@ _RUNS = {
         "trace": {"t_max": (float, None, ">= 0"), "n_times": (int, 201, ">= 1", _COUNT),
                   "schemes": ([_SCHEMES], list(_SCHEMES))},
         "g_scan": {"r_values": _OFFSETS},
-        "gmin_scan": {"n_values": ([int], REQUIRED, ">= 2")},
+        "gmin_scan": {"n_values": ([int], REQUIRED, ">= 2", _SITES)},
     }),
     "ion2": {"alpha_start": (float, 0.0), "alpha_stop": (float, 3.0),
              "alpha_num": (int, 301, ">= 1", _COUNT), "schmidt_cutoff": (int, 2, ">= 2")},
@@ -152,7 +157,7 @@ def _check(value, kind, bounds, where: str):
         if isinstance(value, list) and value:
             return [_check(v, kind[0], bounds, f"{where}[{i}]") for i, v in enumerate(value)]
     elif (isinstance(value, (int, float)) and not isinstance(value, bool)
-          and math.isfinite(value) and (kind is float or float(value).is_integer())):
+          and abs(value) <= sys.float_info.max and (kind is float or float(value).is_integer())):
         value = kind(value)
         for bound in bounds:
             op, limit = bound.split()
@@ -423,14 +428,13 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
         raise SchemaError(f"ion2 needs system.trap.n_ions = 2, got {system['trap']['n_ions']}")
     basis = build_basis(doc)
     run = doc["run"]
-    cutoff = run["schmidt_cutoff"]
     thermal = symplectic_temperature(float(basis.frequencies[0]), float(basis.frequencies[1]))
 
+    # cutoff 2 keeps the leading Schmidt pair, any larger one keeps them all
+    swap = swap_probability if run["schmidt_cutoff"] == 2 else swap_probability_full
+
     def prob(alpha: float) -> float:
-        pulse = PulseSpec(alpha, alpha)
-        if cutoff == 2:
-            return swap_probability(pulse, thermal)[1]
-        return swap_probability_full(pulse, thermal, cutoff)[1]
+        return swap(PulseSpec(alpha, alpha), thermal)[1]
 
     alphas = np.linspace(run["alpha_start"], run["alpha_stop"], run["alpha_num"])
     probs = [prob(alpha) for alpha in alphas]

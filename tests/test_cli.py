@@ -1,14 +1,20 @@
 import concurrent.futures
 import json
+import reprlib
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fermi_lattice import causality, cli, oracle
+import fermi_lattice
+from fermi_lattice import causality, cli, dressing, oracle
 from fermi_lattice.causality import SWEEP_ELEMENT_LIMIT, lightcone_samples
 from fermi_lattice.errors import NumericalFailureError
+from fermi_lattice.ion2 import (PulseSpec, swap_probability, swap_probability_full,
+                                symplectic_temperature)
 from fermi_lattice.modes import ChainParams, build_harmonic_chain
 
 FIGURES = Path(__file__).resolve().parent.parent / "figures"
@@ -595,11 +601,18 @@ BAD_INPUTS = [
     ("causality", R_SCAN, "run.r_values", [1, 2**53]),
     ("dressed", G_SCAN, "run.r_values", [-2**53]),
     ("dressed", G_SCAN, "run.r_values", [10**16 + 1]),
+    # integers beyond float range are refused by the schema, not by float()
+    ("bare", FIG4, "run.n_times", 10**400),
+    ("bare", FIG4, "system.chain.n_sites", 10**400),
+    ("bare", FIG4, "scenario.epsilon", -10**400),
+    # alpha rounds to 1 at n_sites >= 94 906 L (nu = c = 1), under the chain bound
+    ("bare", FIG4, "system.chain", {"n_sites": 10**5, "length": 1e-3}),
 ]
 
 
 @pytest.mark.parametrize("command, doc, path, value", [
-    pytest.param(*case, id=f"{case[0]}:{case[2]}={case[3]!r}") for case in BAD_INPUTS])
+    pytest.param(*case, id=f"{case[0]}:{case[2]}={reprlib.repr(case[3])}")
+    for case in BAD_INPUTS])
 def test_bad_key_or_value_names_the_key(tmp_path, capsys, command, doc, path, value):
     code, out = run_cli(tmp_path, command, _with(doc, path, value))
     assert code == 2
@@ -655,6 +668,38 @@ def test_counts_over_their_limit_exit_2_before_the_build(tmp_path, monkeypatch, 
     assert not list(tmp_path.glob("*.csv"))
 
 
+# command, base scenario, key, the largest chain size it takes, one it refuses
+CHAIN_SIZES = [
+    ("bare", FIG4, "system.chain.n_sites", cli.CHAIN_SITES_LIMIT, cli.CHAIN_SITES_LIMIT + 1),
+    ("causality", SWEEP, "run.n_values", [cli.CHAIN_SITES_LIMIT],
+     [20, cli.CHAIN_SITES_LIMIT + 2]),
+    ("dressed", GMIN_SCAN, "run.n_values", [10, cli.CHAIN_SITES_LIMIT],
+     [cli.CHAIN_SITES_LIMIT + 2]),
+]
+
+
+@pytest.mark.parametrize("command, doc, key, largest, refused", [
+    pytest.param(*case, id=f"{case[0]}:{case[2]}") for case in CHAIN_SIZES])
+def test_chain_sizes_over_their_limit_exit_2_before_the_build(tmp_path, monkeypatch, capsys,
+                                                              command, doc, key, largest,
+                                                              refused):
+    def spy(params):
+        # the base scenario's own small chain builds; the largest one stops here
+        if params.n_sites == cli.CHAIN_SITES_LIMIT:
+            raise _Built
+        assert params.n_sites < 1000
+        return build_harmonic_chain(params)
+
+    monkeypatch.setattr(cli, "build_harmonic_chain", spy)
+    monkeypatch.setattr(dressing, "build_harmonic_chain", spy)  # g_min's chains
+    with pytest.raises(_Built):
+        run_cli(tmp_path, command, _with(doc, key, largest))
+    code, _ = run_cli(tmp_path, command, _with(doc, key, refused))
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_every_benchmark_config_stays_far_below_the_count_limits(tmp_path):
     # the figures, continuum and oracle workloads' CLI runs, each count at most
     # a tenth of its limit (largest: 2000 samples, 401 times, 301 alphas and a
@@ -672,9 +717,39 @@ def test_every_benchmark_config_stays_far_below_the_count_limits(tmp_path):
             assert 10 * run.get(key, 0) <= cli.COUNT_LIMIT, op.name
         if system["kind"] == "trap":
             assert 10 * system["trap"]["n_ions"] <= cli.TRAP_IONS_LIMIT, op.name
+        else:
+            for n in [system["chain"]["n_sites"], *(run.get("n_values") or [])]:
+                assert 10 * n <= cli.CHAIN_SITES_LIMIT, op.name
         if op.command == "cloud":
             n_times = len(run["t_values"]) if run["t_values"] else run["n_times"]
             assert 10 * n_times * system["chain"]["n_sites"] <= cli.CLOUD_ELEMENT_LIMIT, op.name
+
+
+def test_ion2_schmidt_cutoff_above_two_keeps_every_schmidt_pair(tmp_path):
+    thermal = symplectic_temperature(1.0, np.sqrt(3.0))
+    alphas = np.linspace(0.0, 3.0, 5)
+    rows = {}
+    for cutoff, swap in ((2, swap_probability), (12, swap_probability_full)):
+        code, out = run_cli(tmp_path, "ion2", _with(ION2, "run.schmidt_cutoff", cutoff),
+                            out_name=f"cutoff{cutoff}.csv")
+        assert code == 0
+        want = tmp_path / f"want{cutoff}.csv"
+        cli.write_csv(want, ["alpha", "probability"],
+                      [(a, swap(PulseSpec(a, a), thermal)[1]) for a in alphas])
+        assert out.read_bytes() == want.read_bytes()
+        rows[cutoff] = np.loadtxt(out, delimiter=",", skiprows=1)
+    # the two differ by the higher Schmidt pairs, of relative order e^{-2 beta}
+    assert 0 < abs(rows[12][2, 1] / rows[2][2, 1] - 1) < 0.1
+
+
+def test_the_cli_imports_no_scipy_special():
+    # scipy.sparse still loads through the oracle
+    src = str(Path(fermi_lattice.__file__).resolve().parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import fermi_lattice.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_ion2_rejects_the_ion_count_before_building_a_trap(tmp_path, monkeypatch):
