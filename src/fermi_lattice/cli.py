@@ -156,6 +156,7 @@ def _check(value, kind, bounds, where: str):
     elif isinstance(kind, list):
         if isinstance(value, list) and value:
             return [_check(v, kind[0], bounds, f"{where}[{i}]") for i, v in enumerate(value)]
+    # the range test compares an int exactly, where math.isfinite(10**400) raises
     elif (isinstance(value, (int, float)) and not isinstance(value, bool)
           and abs(value) <= sys.float_info.max and (kind is float or float(value).is_integer())):
         value = kind(value)
