@@ -213,10 +213,19 @@ def _reject_constant(name: str):
     raise SchemaError(f"{name} is not a valid number in a scenario file")
 
 
+def _parse_int(digits: str):
+    # past Python's 4300-digit limit, an infinite float that the schema refuses by key
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
+
+
 def load_scenario_file(path: str | Path):
     """The parsed JSON of a scenario file; apply_schema checks its contents."""
     try:
-        return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+        return json.loads(Path(path).read_text(), parse_int=_parse_int,
+                          parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
@@ -438,7 +447,7 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
         return swap(PulseSpec(alpha, alpha), thermal)[1]
 
     alphas = np.linspace(run["alpha_start"], run["alpha_stop"], run["alpha_num"])
-    probs = [prob(alpha) for alpha in alphas]
+    probs = [prob(alpha) for alpha in alphas.tolist()]
     scan = write_csv(out, ["alpha", "probability"], zip(alphas, probs))
 
     p1 = prob(1.0)
@@ -454,6 +463,8 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
 def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
     run = doc["run"]
+    if run["t_values"] is not None and run["t_max"] is not None:
+        raise SchemaError("run.t_max cannot be set with run.t_values, which lists the times")
     kind = doc["system"]["kind"]
     n_sites = doc["system"][kind]["n_sites" if kind == "chain" else "n_ions"]
     n_times, key = ((len(run["t_values"]), "run.t_values") if run["t_values"]

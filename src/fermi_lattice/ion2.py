@@ -84,6 +84,8 @@ def swap_probability(pulse: PulseSpec, thermal: ThermalGroundState):
     P = |A|^2 = 4 e^{-(alpha_A^2 + alpha_B^2)} alpha_A^2 alpha_B^2 e^{-2 beta}.
     """
     a, b = pulse.alpha_a, pulse.alpha_b
+    if not math.isfinite(a * a + b * b):  # e^{-inf} = 0 would meet alpha_A alpha_B = inf
+        return 0.0, 0.0
     amp = -2.0 * math.exp(-0.5 * (a * a + b * b)) * (a * b) * thermal.e_minus_beta
     return amp, amp * amp
 
@@ -99,6 +101,8 @@ def swap_probability_full(pulse: PulseSpec, thermal: ThermalGroundState):
     e_mb = thermal.e_minus_beta
     z2 = 1.0 - e_mb * e_mb
     c = thermal.lambda_symp * (a * a + b * b)
+    if not math.isfinite(c):  # e^{y - c} is 0, where y - c could read inf - inf
+        return 0.0, 0.0
     y = abs(2.0 * a * b * e_mb / z2)
     # sinh(y) e^{-c} = e^{y - c} (1 - e^{-2y}) / 2
     amp = -math.copysign(math.exp(y - c) * -math.expm1(-2.0 * y) / (2.0 * z2), a * b)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import json
 import reprlib
 import subprocess
@@ -28,9 +29,22 @@ FIG4 = {
 }
 
 
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Python's int-to-str conversion without its 4300-digit limit, so that a
+    scenario may be written with a longer integer."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    with unlimited_int_digits():
+        path.write_text(json.dumps(doc))
     return path
 
 
@@ -580,6 +594,7 @@ BAD_INPUTS = [
     ("dressed", DRESSED, "run.n_times", 0),
     ("dressed", DRESSED, "run.schemes", []),
     ("cloud", FIG4, "run.n_times", 0),
+    ("cloud", _with(FIG4, "run.t_values", [0.0, 0.05]), "run.t_max", 7.0),
     ("oracle-check", ORACLE, "run.n_times", 0),
     ("oracle-check", ORACLE, "run.method", "static"),
     ("oracle-check", ORACLE, "run.method", "rk4"),
@@ -605,14 +620,18 @@ BAD_INPUTS = [
     ("bare", FIG4, "run.n_times", 10**400),
     ("bare", FIG4, "system.chain.n_sites", 10**400),
     ("bare", FIG4, "scenario.epsilon", -10**400),
+    # past Python's 4300-digit limit for int(str), read as an infinite float
+    ("bare", FIG4, "system.chain.n_sites", 5 * 10**5000),
     # alpha rounds to 1 at n_sites >= 94 906 L (nu = c = 1), under the chain bound
     ("bare", FIG4, "system.chain", {"n_sites": 10**5, "length": 1e-3}),
 ]
 
 
-@pytest.mark.parametrize("command, doc, path, value", [
-    pytest.param(*case, id=f"{case[0]}:{case[2]}={reprlib.repr(case[3])}")
-    for case in BAD_INPUTS])
+with unlimited_int_digits():
+    BAD_IDS = [f"{case[0]}:{case[2]}={reprlib.repr(case[3])}" for case in BAD_INPUTS]
+
+
+@pytest.mark.parametrize("command, doc, path, value", BAD_INPUTS, ids=BAD_IDS)
 def test_bad_key_or_value_names_the_key(tmp_path, capsys, command, doc, path, value):
     code, out = run_cli(tmp_path, command, _with(doc, path, value))
     assert code == 2
@@ -740,6 +759,17 @@ def test_ion2_schmidt_cutoff_above_two_keeps_every_schmidt_pair(tmp_path):
         rows[cutoff] = np.loadtxt(out, delimiter=",", skiprows=1)
     # the two differ by the higher Schmidt pairs, of relative order e^{-2 beta}
     assert 0 < abs(rows[12][2, 1] / rows[2][2, 1] - 1) < 0.1
+
+
+def test_ion2_scans_pulse_areas_whose_square_overflows(tmp_path):
+    # alpha^2 is inf past about 1.3e154; the swap there is 0 in both forms
+    doc = _with(ION2, "run.alpha_stop", 1e200)
+    for cutoff in (2, 3):
+        code, out = run_cli(tmp_path, "ion2", _with(doc, "run.schmidt_cutoff", cutoff))
+        assert code == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.all(rows[:, 1] == 0.0)
+        assert json.loads(out.with_suffix(".manifest.json").read_text())["warnings"] == []
 
 
 def test_the_cli_imports_no_scipy_special():

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from fermi_lattice import (
     static_dressing_amplitude,
 )
 from fermi_lattice.dressing import SPIN_PATTERNS
+from fermi_lattice.quadrature import opening_nested_integral, opening_phase_integral
 
 
 def small_scenario(epsilon=1.0):
@@ -359,28 +363,83 @@ def test_schemes_share_the_integrals(chain100, fig7_scenario, monkeypatch, schem
     assert calls == {"nested": nested, "phase": phase}
 
 
-@pytest.mark.parametrize("schemes, expands", [
-    (list(DressingScheme), 5),
-    ([DressingScheme.BARE, DressingScheme.SIGMA_PLUS], 3),
-    (SCHEME_CASES["repeated"][3], 5),
-    ([DressingScheme.BARE], 2),
-    (DressingScheme.SIGMA_X, 2),
+@pytest.mark.parametrize("schemes", [
+    list(DressingScheme),
+    [DressingScheme.BARE, DressingScheme.SIGMA_PLUS],
+    SCHEME_CASES["repeated"][3],
+    [DressingScheme.BARE],
+    DressingScheme.SIGMA_X,
 ], ids=["all", "bare_and_sigma_plus", "repeated", "bare", "sigma_x"])
-def test_schemes_weigh_each_unmodified_grid_once(chain100, fig7_scenario, monkeypatch, schemes,
-                                                 expands):
-    # F1 and F2 of each distinct scheme, except that sigma_+ and bare share
-    # F2, the nested integral alone
-    calls = []
-    expand = ModeBasis.expand
+def test_schemes_weigh_each_unmodified_grid_once(chain100, fig7_scenario, monkeypatch, schemes):
+    # the two mode weights are folded onto the distinct frequencies once, and
+    # no (time, frequency) grid is spread back to every mode
+    calls = {"expand": 0, "fold": 0}
 
-    def counting(self, grid):
-        calls.append(grid.shape)
-        return expand(self, grid)
+    def counting(name):
+        method = getattr(ModeBasis, name)
 
-    monkeypatch.setattr(ModeBasis, "expand", counting)
+        def wrapper(self, grid):
+            calls[name] += 1
+            return method(self, grid)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ModeBasis, name, counting(name))
     monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 10**9)
     dressed_amplitude(chain100, fig7_scenario, schemes, np.linspace(0.0, 0.1, 41))
-    assert len(calls) == expands
+    assert calls == {"expand": 0, "fold": 2}
+
+
+def scheme_terms(basis, sc, times, scheme):
+    """The (time, term) table of eps^2 (B + (d1 + d2) X + d1 Y): per mode each
+    product of a weight and an integral, in double, with no folding."""
+    om, f0, w = sc.omega_a, sc.opening_a.post_ramp(), basis.frequencies
+    lam_a, lam_b = basis.row(sc.site_a), basis.row(sc.site_b)
+    c_ba, c_ab = np.conj(lam_b) * lam_a, np.conj(lam_a) * lam_b
+    terms = [-c_ba * opening_nested_integral(f0, -(om + w), f0, om + w, times),
+             -c_ab * opening_nested_integral(f0, om - w, f0, -(om - w), times)]
+    if scheme.d1 or scheme.d2:
+        terms.append((1j * c_ba / (om + w)) * opening_phase_integral(f0, -(om + w), times))
+    if scheme.d1:
+        terms.append((1j * c_ab / (om + w)) * opening_phase_integral(f0, om - w, times))
+        static = (c_ba + c_ab) / (2.0 * om * (om + w))
+        terms.append(np.broadcast_to(static, (times.size, w.size)))
+    return sc.epsilon**2 * np.concatenate(terms, axis=-1)
+
+
+@pytest.mark.parametrize("case", ["fig6", "fig7", "trap3"])
+def test_dressed_traces_are_within_32_ulp_of_mpmath(case):
+    # each trace against the 30-digit sum of its terms, in units of
+    # u sum_k |term_k|: 0.4-3.1 here.  Rows whose terms are all 0 (sigma_+ and
+    # bare at t = 0) are skipped
+    make_basis, sc, times, schemes = SCHEME_CASES[case]
+    basis = make_basis()
+    times = times[np.unique(np.linspace(0, times.size - 1, 25).astype(int))]
+    for scheme, trace in zip(schemes, dressed_amplitude(basis, sc, schemes, times)):
+        terms = scheme_terms(basis, sc, times, scheme)
+        scale = np.sum(np.abs(terms), axis=-1)
+        rows = np.flatnonzero(scale > 0)
+        assert rows.size >= times.size - 1
+        with mpmath.workdps(30):
+            exact = np.array([complex(mpmath.fsum(mpmath.mpc(z.real, z.imag) for z in terms[r]))
+                              for r in rows])
+        err = np.abs(trace.total[rows] - exact)
+        assert np.all(err <= 32 * 2.0**-53 * scale[rows]), (scheme, np.max(err / scale[rows]))
+
+
+def test_dressed_amplitude_memory_is_bounded_by_the_block(chain1000, monkeypatch):
+    # 2000 times over 1000 modes, all three schemes, one worker: the blocked
+    # sums peak at 3.5 MB traced; in one block they held about 97 MB
+    sc = Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.cos_sq_window(0.1), 0.1)
+    monkeypatch.setattr(causality, "WORKERS", 1)
+    tracemalloc.start()
+    try:
+        traces = dressed_amplitude(chain1000, sc, list(DressingScheme), np.linspace(0.0, 0.1, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [tr.total.shape for tr in traces] == [(2000,)] * 3
+    assert peak < 4.5e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("schemes", [[], (), ["sigma_x"], "SIGMA_X"])

@@ -220,6 +220,14 @@ def test_closed_form_does_not_overflow_at_large_areas():
         assert prob == 0.0
 
 
+@pytest.mark.parametrize("swap", [swap_probability, swap_probability_full])
+@pytest.mark.parametrize("a, b", [(1e200, 1e200), (-1e200, 1e200), (1e200, 1.0), (1.0, 2e154)])
+def test_both_forms_give_zero_where_the_area_squared_overflows(swap, a, b):
+    # alpha^2 = inf: e^{-inf} alpha_A alpha_B read 0 * inf, and y - c inf - inf
+    th = symplectic_temperature(1.0, np.sqrt(3.0))
+    assert swap(PulseSpec(a, b), th) == (0.0, 0.0)
+
+
 # ---------------------------------------------------------------- drive & regime
 
 def test_pulse_from_drive():
