@@ -25,6 +25,7 @@ import sys
 import time
 import warnings
 from collections import namedtuple
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,7 @@ _RUNS = {
              "alpha_num": (int, 301, ">= 1", _COUNT), "schmidt_cutoff": (int, 2, ">= 2")},
     "cloud": {"scheme": (_SCHEMES, "bare"), "component": (("total", "up", "down"), "total"),
               "t_values": ([float], None, ">= 0"), "t_max": (float, None, ">= 0"),
-              "n_times": (int, 26, ">= 1", _COUNT)},
+              "n_times": (int, None, ">= 1", _COUNT)},
     "oracle-check": {"epsilons": ([float], [1e-2, 5e-3, 2.5e-3], ">= 0"),
                      "t_max": (float, 1.5, "> 0"), "n_times": (int, 15, ">= 1", _COUNT),
                      "method": (("auto",), "auto"),
@@ -332,7 +333,9 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
         f_c = commutator(basis, scenario.site_a, sites, run["tau"])
         return [write_csv(out, ["r", "f_c"], zip(r_values, f_c))]
 
-    points = [(basis, scenario.site_a, scenario.site_b, "")]
+    # each point makes its chain when it needs it: the system's, or a sweep
+    # chain built anew each time, so that a sweep holds one of its chains at a time
+    points = [(lambda: basis, scenario.site_a, scenario.site_b, "")]
     if run["n_values"] is not None:
         if basis.chain is None:
             raise SchemaError("run.n_values sweeps are for chain systems")
@@ -350,28 +353,33 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
                                       f"site_a for n = {n}")
             else:
                 site_a, site_b = scenario.site_a, scenario.site_b
-            points.append((build_harmonic_chain(chain), site_a, site_b, f"_n{n}"))
+            points.append((partial(build_harmonic_chain, chain), site_a, site_b, f"_n{n}"))
 
     n_samples = run["n_samples"]
     grid = max(n_samples, 100)
-    sweep, elements = [], 0
-    for b, site_a, site_b, suffix in points:
+
+    def plan(b, site_a, site_b):
+        """tau_max, whether the estimate widens the grid, and the elements summed."""
         tau_max = run["tau_max"] or 2.0 * nominal_causal_time(b, site_a, site_b)
         # one mode sum serves both unless the estimate needs a finer grid
         estimate_samples = lightcone_samples(b, tau_max, grid)
         widen = estimate_samples != n_samples
-        elements += (n_samples + widen * estimate_samples) * b.distinct_frequencies.size
-        sweep.append((b, site_a, site_b, suffix, tau_max, widen))
+        return tau_max, widen, (n_samples + widen * estimate_samples) * b.distinct_frequencies.size
+
+    plans = [plan(make(), site_a, site_b) for make, site_a, site_b, _ in points]
+    elements = sum(count for _, _, count in plans)
     if elements > SWEEP_ELEMENT_LIMIT:
         key = "run.n_samples" if run["n_values"] is None else "run.n_values"
         raise SchemaError(f"{key}: the mode sums need {elements:.3g} (tau x frequency) "
                           f"elements, over the limit of {SWEEP_ELEMENT_LIMIT:.3g}; "
                           f"use fewer samples or smaller chains")
     outputs = []
-    for b, site_a, site_b, suffix, tau_max, widen in sweep:
+    for (make, site_a, site_b, suffix), (tau_max, widen, _) in zip(points, plans):
+        b = make()
         trace = causality_trace(b, site_a, site_b, np.linspace(0.0, tau_max, n_samples))
         est = (lightcone_estimate(b, site_a, site_b, tau_max, grid) if widen
                else rise_estimate(b, trace))
+        del b  # before the next point builds its chain
         outputs.append(write_csv(out_variant(out, suffix) if suffix else out,
                                  ["tau", "f_a", "f_c"], zip(trace.taus, trace.f_a, trace.f_c)))
         tag = suffix.lstrip("_") or "lightcone"
@@ -403,11 +411,16 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
     if run["mode"] != "trace" and doc["system"]["kind"] != "chain":
         raise SchemaError(f"run.mode {run['mode']!r} needs system.kind 'chain': the static "
                           "dressing amplitude is chain-only")
+    if run["mode"] == "g_scan":  # each offset sums over every mode, like a causality tau
+        n_sites = doc["system"]["chain"]["n_sites"]
+        r_values = range(n_sites // 2 + 1) if run["r_values"] == "all" else run["r_values"]
+        if len(r_values) * n_sites > SWEEP_ELEMENT_LIMIT:
+            raise SchemaError(f"run.r_values: {len(r_values)} offsets x {n_sites} modes is over "
+                              f"the limit of {SWEEP_ELEMENT_LIMIT:.3g} (offset, mode) elements")
     basis = build_basis(doc)
     scenario = build_scenario(doc, basis)
 
     if run["mode"] == "g_scan":
-        r_values = range(basis.n_sites // 2 + 1) if run["r_values"] == "all" else run["r_values"]
         rows = [(r, static_dressing_amplitude(basis, scenario.omega_a, r)) for r in r_values]
         return [write_csv(out, ["r", "g"], rows)]
 
@@ -463,12 +476,13 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
 def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
     run = doc["run"]
-    if run["t_values"] is not None and run["t_max"] is not None:
-        raise SchemaError("run.t_max cannot be set with run.t_values, which lists the times")
+    for key in ("t_max", "n_times"):
+        if run["t_values"] is not None and run[key] is not None:
+            raise SchemaError(f"run.{key} cannot be set with run.t_values, which lists the times")
     kind = doc["system"]["kind"]
     n_sites = doc["system"][kind]["n_sites" if kind == "chain" else "n_ions"]
     n_times, key = ((len(run["t_values"]), "run.t_values") if run["t_values"]
-                    else (run["n_times"], "run.n_times"))
+                    else (run["n_times"] or 26, "run.n_times"))
     if n_times * n_sites > CLOUD_ELEMENT_LIMIT:
         raise SchemaError(f"{key}: {n_times} times x {n_sites} sites is over the cloud's "
                           f"limit of {CLOUD_ELEMENT_LIMIT:.3g} (time, site) elements")
@@ -476,7 +490,7 @@ def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
     scenario = build_scenario(doc, basis)
     scheme = DressingScheme[run["scheme"].upper()]
     component = run["component"]
-    t_values = run["t_values"] or np.linspace(0.0, _window_t_max(run, scenario), run["n_times"])
+    t_values = run["t_values"] or np.linspace(0.0, _window_t_max(run, scenario), n_times)
     t_values = np.asarray(t_values, dtype=float)
 
     if component == "total":

@@ -137,9 +137,9 @@ class ModeBasis:
     holds ``trap`` parameters; a custom basis holds neither.  Consumers read
     lambda through :meth:`row` and :meth:`synthesize`.  Trap and custom
     bases hold lambda as a small dense matrix (``dense``).  The chain holds
-    none (``dense`` is None): its plane-wave rows are gathered from one
-    length-N table of roots of unity and its synthesis is an inverse FFT,
-    so a chain basis takes O(N) memory.
+    none (``dense`` is None): a row is evaluated from the plane waves
+    lambda[n, k] = e^{i theta_k n} / sqrt(2 N omega_k) when it is read and
+    the synthesis is an inverse FFT, so a chain holds only O(N) frequencies.
 
     A per-mode grid that depends on the mode only through omega_k is
     evaluated on :attr:`distinct_frequencies` and spread to every mode by
@@ -153,9 +153,6 @@ class ModeBasis:
     dense: np.ndarray | None
     chain: ChainParams | None = None
     trap: TrapParams | None = None
-    # chain only: e^{2 pi i j / N} for j < N, and sqrt(2 N omega_k)
-    _roots: np.ndarray | None = field(default=None, init=False, repr=False)
-    _scale: np.ndarray | None = field(default=None, init=False, repr=False)
     # the distinct values of omega_k, and per mode the index of its value among them
     distinct_frequencies: np.ndarray = field(default=None, init=False, repr=False)
     _index: np.ndarray = field(default=None, init=False, repr=False)
@@ -177,9 +174,6 @@ class ModeBasis:
                 raise InvalidParametersError(
                     "only a chain of n_sites modes may omit the dense coupling matrix"
                 )
-            roots = np.exp(2j * np.pi * np.arange(self.n_sites) / self.n_sites)
-            object.__setattr__(self, "_roots", roots)
-            object.__setattr__(self, "_scale", np.sqrt(2.0 * self.n_sites * freqs))
             return
         coup = np.asarray(self.dense, dtype=complex)
         if coup.shape != (self.n_sites, freqs.size):
@@ -220,20 +214,21 @@ class ModeBasis:
             return self.dense[n]
         # plane wave e^{i theta_k n} with the angle reduced mod 2 pi, so rows are
         # exactly periodic in n; the self-paired k = N/2 mode is exactly +-1 and
-        # k > N/2 mirrors k < N/2 by conjugation, so row[N-k] == conj(row[k]) bitwise
+        # k > N/2 mirrors k < N/2 by conjugation, so row[N-k] == conj(row[k]) bitwise;
+        # each term 2 w_k |lambda_k|^2 is 1/N, so the row is canonical by construction
         size = self.n_sites
-        half = self._roots[(n * np.arange(size // 2 + 1)) % size]
+        half = np.exp(2j * np.pi * ((n * np.arange(size // 2 + 1)) % size) / size)
         if size % 2 == 0:
             half[-1] = 1.0 if n % 2 == 0 else -1.0
-        lam = np.concatenate([half, np.conj(half[(size - 1) // 2:0:-1])]) / self._scale
-        _check_canonical(lam, self.frequencies)
-        return lam
+        lam = np.concatenate([half, np.conj(half[(size - 1) // 2:0:-1])])
+        return lam / np.sqrt(2.0 * size * self.frequencies)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_k lambda[n, k] coeffs[..., k] for every site n, per row of coeffs
         (last axis = modes, result's last axis = sites)."""
         if self.dense is None:
-            return self.n_sites * np.fft.ifft(coeffs / self._scale)
+            scale = np.sqrt(2.0 * self.n_sites * self.frequencies)
+            return self.n_sites * np.fft.ifft(coeffs / scale)
         if coeffs.ndim == 1:
             return self.dense @ coeffs
         # one product for all rows: (dense @ coeffs.T).T on a matrix of rows

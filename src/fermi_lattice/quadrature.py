@@ -41,19 +41,6 @@ def cis(x) -> np.ndarray:
     return out
 
 
-def phase_integral(phi, t):
-    """E(phi; t) = int_0^t e^{i phi u} du, elementwise over broadcast inputs."""
-    phi = np.asarray(phi, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x = phi * t
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, x, 0.0)
-    series = t * (1.0 + 1j * xs / 2.0 - xs**2 / 6.0 - 1j * xs**3 / 24.0 + xs**4 / 120.0)
-    safe_phi = np.where(small, 1.0, phi)
-    direct = (cis(x) - 1.0) / (1j * safe_phi)
-    return np.where(small, series, direct)
-
-
 def phase_moments(orders: range, phi, t):
     """int_0^t u^m e^{i phi u} du for each m in a range of consecutive
     orders, stacked: the result has shape (len(orders),) + the broadcast
@@ -83,10 +70,10 @@ def phase_moments(orders: range, phi, t):
 
     big = ~small
     if np.any(big):
-        # upward recurrence M_j = (t^j e^{ix} - j M_{j-1}) / (i phi), fine for |x| >= 2
+        # upward recurrence M_j = (t^j e^{ix} - j M_{j-1}) / (i phi) from M_0 = E, for |x| >= 2
         pb, tb = phi[big], t[big]
-        rec = phase_integral(pb, tb)
         e = cis(x[big])
+        rec = (e - 1.0) / (1j * pb)
         for j in range(orders.stop):
             if j:
                 rec = (tb**j * e - j * rec) / (1j * pb)
@@ -123,15 +110,14 @@ def _nested_series(moments, beta):
 # union of the inner components' series elements, and each component pair
 # gathers its elements from that table (numpy's complex *, /, + and cos/sin
 # give an element the same bytes wherever it sits in an array).  Every
-# element is computed by the same floating-point operations as
-# phase_integral and the elementwise T (nested_phase_integral, kept in
-# tests/test_quadrature.py as the reference), so results equal the
-# elementwise primitives exactly (up to the sign of a zero at t = 0, where
-# T's series is skipped).  That is deliberate: the oracle's residuals are
-# O(eps^4) differences of O(eps^2) amplitudes, so a last-digit change in the
-# kernels moves its fitted slope by ~1e-11.  Factoring e^{i (nu + phi) t} into
-# e^{i nu t} e^{i phi t} would save about four fifths of the exponentials
-# but changes those last digits.
+# element is computed by the same floating-point operations as the
+# elementwise E and T (kept in tests/test_quadrature.py as the references),
+# so results equal the elementwise primitives exactly (up to the sign of a
+# zero at t = 0, where T's series is skipped).  That is deliberate: the
+# oracle's residuals are O(eps^4) differences of O(eps^2) amplitudes, so a
+# last-digit change in the kernels moves its fitted slope by ~1e-11.
+# Factoring e^{i (nu + phi) t} into e^{i nu t} e^{i phi t} would save about
+# four fifths of the exponentials but changes those last digits.
 
 def _below(phase, t, limit: float, rows=True):
     """Grid indices (ti, ki) of |phase t| < limit among the rows selected by
@@ -141,14 +127,18 @@ def _below(phase, t, limit: float, rows=True):
     return rows[ti], ki
 
 
-def _grid_phase_integral(phase, t):
-    """phase_integral(phase, t) on the (T, K) grid, element for element."""
+def phase_integral(phase, t):
+    """E(phase; t) on the (T, K) grid of a (K,) row of phases and a (T, 1)
+    column of times: the closed form, and its 5-term series below
+    |phase t| = 1e-4, where the closed form would cancel 4 digits or more."""
     if not np.any(phase):
-        return np.broadcast_to(phase_integral(0.0, t), (t.size, phase.size))
+        return np.broadcast_to(t * (1.0 + 0j), (t.size, phase.size))
     out = (cis(phase * t) - 1.0) / (1j * np.where(phase == 0.0, 1.0, phase))
     ti, ki = _below(phase, t, 1e-4)
     if ti.size:
-        out[ti, ki] = phase_integral(phase[ki], t[ti, 0])
+        ts = t[ti, 0]
+        x = phase[ki] * ts
+        out[ti, ki] = ts * (1.0 + 1j * x / 2.0 - x**2 / 6.0 - 1j * x**3 / 24.0 + x**4 / 120.0)
     return out
 
 
@@ -173,7 +163,7 @@ def opening_phase_integral(opening: OpeningFunction, phi, t):
     tt = np.minimum(t_col, opening.window_end)
     out = np.zeros((tt.size, phi_row.size), dtype=complex)
     for c, nu in opening.exp_components():
-        out = out + c * _grid_phase_integral(nu + phi_row, tt)
+        out = out + c * phase_integral(nu + phi_row, tt)
     return _restore_shape(out, t, phi)
 
 
@@ -207,16 +197,16 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
     tu, ku = np.divmod(union, phi1.size)
     for ca, nua in opening_outer.exp_components():
         a = nua + phi1
-        e_a = _grid_phase_integral(a, s)
+        e_a = phase_integral(a, s)
         if union.size:
             moments = phase_moments(NESTED_ORDERS, a[ku], s[tu, 0])
         for (cb, b), (ti, ki), idx in zip(inner, below, gather):
             # T's difference form, and its series where |beta s| is small
-            term = (_grid_phase_integral(a + b, s) - e_a) / (1j * np.where(b == 0.0, 1.0, b))
+            term = (phase_integral(a + b, s) - e_a) / (1j * np.where(b == 0.0, 1.0, b))
             if ti.size:
                 term[ti, ki] = _nested_series(moments[:, idx], b[ki])
             if past.size:
-                term[past] += phase_integral(b, w2) * (
-                    _grid_phase_integral(a, cap[past]) - e_a[past])
+                term[past] += phase_integral(b, np.array([[w2]])) * (
+                    phase_integral(a, cap[past]) - e_a[past])
             out = out + ca * cb * term
     return _restore_shape(out, t, phi_outer)

@@ -5,6 +5,7 @@ import reprlib
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -562,6 +563,7 @@ SWEEP = {"system": {"kind": "chain", "chain": {"n_sites": 20, "length": 3.0}},
          "scenario": {"site_a": 0, "site_b": 5},
          "run": {"tau_max": 0.5, "n_samples": 200, "n_values": [20]}}
 G_SCAN = {**FIG4, "run": {"mode": "g_scan", "r_values": [0, 1]}}
+CLOUD_AT_TIMES = {**FIG4, "run": {"t_values": [0.0, 0.05]}}
 GMIN_SCAN = {**FIG4, "run": {"mode": "gmin_scan", "n_values": [10, 12]}}
 TRAP_TRACE = {"system": {"kind": "trap", "trap": {"n_ions": 3}},
               "scenario": {"site_a": 0, "site_b": 2, "omega": 2.0}, "run": {"n_times": 5}}
@@ -594,7 +596,8 @@ BAD_INPUTS = [
     ("dressed", DRESSED, "run.n_times", 0),
     ("dressed", DRESSED, "run.schemes", []),
     ("cloud", FIG4, "run.n_times", 0),
-    ("cloud", _with(FIG4, "run.t_values", [0.0, 0.05]), "run.t_max", 7.0),
+    ("cloud", CLOUD_AT_TIMES, "run.t_max", 7.0),
+    ("cloud", CLOUD_AT_TIMES, "run.n_times", 7),
     ("oracle-check", ORACLE, "run.n_times", 0),
     ("oracle-check", ORACLE, "run.method", "static"),
     ("oracle-check", ORACLE, "run.method", "rk4"),
@@ -639,6 +642,12 @@ def test_bad_key_or_value_names_the_key(tmp_path, capsys, command, doc, path, va
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_a_cloud_without_times_takes_26_of_them(tmp_path):
+    code, out = run_cli(tmp_path, "cloud", {**FIG4, "run": {}})
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 26 * 100
+
+
 def test_ring_scans_take_offsets_just_below_2_to_the_53(tmp_path):
     big = 2**53 - 1
     for command, doc in (("causality", R_SCAN), ("dressed", G_SCAN)):
@@ -662,10 +671,13 @@ OVERSIZE = [
     ("bare", TRAP_TRACE, "system.trap.n_ions", cli.TRAP_IONS_LIMIT, 10**5),
     # the cloud's times x sites: 100 sites here, then 2 sites
     ("cloud", FIG4, "run.n_times", cli.CLOUD_ELEMENT_LIMIT // 100, 10**6),
-    ("cloud", FIG4, "run.t_values", [0.0] * (cli.CLOUD_ELEMENT_LIMIT // 100),
+    ("cloud", CLOUD_AT_TIMES, "run.t_values", [0.0] * (cli.CLOUD_ELEMENT_LIMIT // 100),
      [0.0] * (cli.CLOUD_ELEMENT_LIMIT // 100 + 1)),
     ("cloud", _with(_with(FIG4, "system.chain.n_sites", 2), "scenario.site_b", 1),
      "run.n_times", cli.COUNT_LIMIT, cli.COUNT_LIMIT + 1),
+    # a g_scan's offsets x sites, on a chain of 10**6 sites
+    ("dressed", _with(G_SCAN, "system.chain.n_sites", 10**6), "run.r_values",
+     [0] * (SWEEP_ELEMENT_LIMIT // 10**6), [0] * (SWEEP_ELEMENT_LIMIT // 10**6 + 1)),
 ]
 
 
@@ -742,6 +754,10 @@ def test_every_benchmark_config_stays_far_below_the_count_limits(tmp_path):
         if op.command == "cloud":
             n_times = len(run["t_values"]) if run["t_values"] else run["n_times"]
             assert 10 * n_times * system["chain"]["n_sites"] <= cli.CLOUD_ELEMENT_LIMIT, op.name
+        if run.get("mode") == "g_scan":
+            n = system["chain"]["n_sites"]
+            offsets = n // 2 + 1 if run["r_values"] == "all" else len(run["r_values"])
+            assert 10 * offsets * n <= SWEEP_ELEMENT_LIMIT, op.name
 
 
 def test_ion2_schmidt_cutoff_above_two_keeps_every_schmidt_pair(tmp_path):
@@ -864,6 +880,44 @@ def test_causality_work_guard_exits_2_before_any_mode_sum(tmp_path, monkeypatch,
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", [SWEEP_ELEMENT_LIMIT, 1000], ids=["accepted", "refused"])
+def test_a_causality_sweep_holds_one_chain_at_a_time(tmp_path, monkeypatch, capsys, limit):
+    built = []
+
+    def spy(params):
+        # the system's own chain comes first; every sweep chain must be gone
+        # before the next one is built
+        alive = [ref().n_sites for ref in built[1:] if ref() is not None]
+        assert not alive, f"sweep chains of {alive} sites alive at a new build"
+        chain = build_harmonic_chain(params)
+        built.append(weakref.ref(chain))
+        return chain
+
+    monkeypatch.setattr(cli, "build_harmonic_chain", spy)
+    monkeypatch.setattr(cli, "SWEEP_ELEMENT_LIMIT", limit)
+    doc = _with(json.loads((FIGURES / "fig1.json").read_text()), "run.n_values", [40, 60, 80])
+    code, _ = run_cli(tmp_path, "causality", _with(doc, "run.n_samples", 200))
+    if limit == SWEEP_ELEMENT_LIMIT:
+        assert code == 0 and len(built) == 1 + 2 * 3  # counted, then summed
+    else:
+        assert code == 2 and "run.n_values" in capsys.readouterr().err
+        assert len(built) == 1 + 3
+        assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_g_scan_over_the_work_guard_exits_2_before_the_build(tmp_path, monkeypatch, capsys):
+    def refuse(doc):
+        raise AssertionError("g_scan built a chain it then refused")
+
+    monkeypatch.setattr(cli, "build_basis", refuse)
+    # fig5 on 10**6 sites: 500 001 offsets, each a sum over every mode
+    doc = _with(json.loads((FIGURES / "fig5.json").read_text()), "system.chain.n_sites", 10**6)
+    code, _ = run_cli(tmp_path, "dressed", doc)
+    assert code == 2
+    assert "run.r_values" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_causality_configs_stay_well_under_the_work_guard(tmp_path, monkeypatch, capsys):

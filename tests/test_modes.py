@@ -144,13 +144,35 @@ def test_array_holding_results_compare_by_identity():
 
 
 def test_chain_row_checks_canonical_normalization():
-    basis = build_harmonic_chain(ChainParams(16))
-    # a root table off the unit circle breaks every row's normalization
-    object.__setattr__(basis, "_roots", 1.01 * basis._roots)
-    with pytest.raises(InvalidParametersError, match="canonical normalization"):
-        basis.row(3)
     with pytest.raises(InvalidParametersError, match="canonical normalization"):
         ModeBasis(2, np.array([1.0, 2.0]), np.eye(2, dtype=complex))
+
+
+def table_gather_row(basis, n):
+    """lambda[n, :] gathered from a length-N table of roots of unity and
+    divided by a stored sqrt(2 N omega_k): the reference for chain rows."""
+    size = basis.n_sites
+    roots = np.exp(2j * np.pi * np.arange(size) / size)
+    scale = np.sqrt(2.0 * size * basis.frequencies)
+    half = roots[(n * np.arange(size // 2 + 1)) % size]
+    if size % 2 == 0:
+        half[-1] = 1.0 if n % 2 == 0 else -1.0
+    return np.concatenate([half, np.conj(half[(size - 1) // 2:0:-1])]) / scale
+
+
+def test_chain_rows_equal_the_root_table_gather_bitwise():
+    for size in [*range(2, 300), 1000, 1001, 4096, 100_003, 10**6]:
+        basis = build_harmonic_chain(ChainParams(size))
+        for n in sorted({0, 1 % size, 2 % size, size // 3, size // 2, size - 1}):
+            assert basis.row(n).tobytes() == table_gather_row(basis, n).tobytes(), (size, n)
+
+
+# above about 3e4 sites the rounding of the N-term dot product alone passes 1e-14
+@pytest.mark.parametrize("size", [2, 3, 16, 999, 1000, 4096, 10_000])
+def test_chain_rows_are_canonical(size):
+    basis = build_harmonic_chain(ChainParams(size, length=1.5))
+    for n in (0, 1, size // 3, size - 1):
+        assert abs(2.0 * np.abs(basis.row(n)) ** 2 @ basis.frequencies - 1.0) <= 1e-14
 
 
 def test_only_a_chain_omits_the_dense_matrix():

@@ -17,7 +17,6 @@ from fermi_lattice.quadrature import (
     cis,
     opening_nested_integral,
     opening_phase_integral,
-    phase_integral,
     phase_moments,
 )
 
@@ -68,23 +67,59 @@ def mp_nested(alpha, beta, t):
 
 # ---------------------------------------------------------------- E and M
 
+def phase_integral(phi, t):
+    """E(phi; t) = int_0^t e^{i phi u} du, elementwise over broadcast inputs:
+    the reference that the grid kernel quadrature.phase_integral must match
+    bit for bit."""
+    phi = np.asarray(phi, dtype=float)
+    t = np.asarray(t, dtype=float)
+    x = phi * t
+    small = np.abs(x) < 1e-4
+    xs = np.where(small, x, 0.0)
+    series = t * (1.0 + 1j * xs / 2.0 - xs**2 / 6.0 - 1j * xs**3 / 24.0 + xs**4 / 120.0)
+    safe_phi = np.where(small, 1.0, phi)
+    direct = (cis(x) - 1.0) / (1j * safe_phi)
+    return np.where(small, series, direct)
+
+
+def grid_phase_integral(phi, t):
+    """The grid kernel at one (phi, t) element."""
+    return complex(quadrature.phase_integral(np.array([phi], dtype=float),
+                                             np.array([[t]], dtype=float))[0, 0])
+
+
 def test_phase_integral_zero_phase():
-    assert phase_integral(0.0, 1.7) == pytest.approx(1.7)
+    for e in (phase_integral, grid_phase_integral):
+        assert e(0.0, 1.7) == pytest.approx(1.7)
 
 
 @pytest.mark.parametrize("phi", [3.0, -250.0, 1e-7, 1e-5, 2e-6, 0.49, 1e3])
 def test_phase_integral_vs_mpmath(phi):
     t = 0.83
-    np.testing.assert_allclose(
-        complex(phase_integral(phi, t)), mp_phase_integral(phi, t), rtol=1e-12, atol=1e-16)
+    for e in (phase_integral, grid_phase_integral):
+        np.testing.assert_allclose(
+            complex(e(phi, t)), mp_phase_integral(phi, t), rtol=1e-12, atol=1e-16)
 
 
 def test_phase_integral_closed_form():
     # (e^{-i phi t} - 1) / (-i phi) with the sign conventions of the callers
     phi, t = 37.2, 0.4
-    got = complex(phase_integral(-phi, t))
     want = (np.exp(-1j * phi * t) - 1.0) / (-1j * phi)
-    assert got == pytest.approx(want, rel=1e-13)
+    for e in (phase_integral, grid_phase_integral):
+        assert complex(e(-phi, t)) == pytest.approx(want, rel=1e-13)
+
+
+def test_grid_phase_integral_equals_the_elementwise_reference_bitwise():
+    # both sides of the series switch at |phi t| = 1e-4, zeros of either sign,
+    # t = 0 and a 1 x 1 grid; a row of zero phases is the column t
+    edge = np.array([1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0)])
+    phis = np.concatenate([edge, -edge, [0.0, -0.0, 3e-9, 0.7, -41.0, 1e3]])
+    times = np.array([0.0, 1.0, 0.5, 1e-7, 2.3])[:, None]
+    for phi, t in ((phis, times), (phis[:1], times[1:2]), (np.zeros(4), times),
+                   (np.array([-0.0]), times)):
+        got = quadrature.phase_integral(phi, t)
+        assert got.shape == (t.size, phi.size)
+        assert got.tobytes() == np.broadcast_to(phase_integral(phi, t), got.shape).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 7])
