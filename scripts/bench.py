@@ -14,7 +14,9 @@ per-operation medians, failures), the git commit, nproc, the numpy and scipy
 versions and the thread environment.  Running the script again appends, so alternating
 invocations on two checkouts give paired runs of each.  The file's summary
 holds, per workload, seed and trace mode, the median and quartiles of every
-metric over the recorded runs.  Exits 1 when a perfbench run gives no result.
+metric over the recorded runs, and of each operation's normalised median
+(``op.<name>``, read from the report's "  op <name>: ... s normalised" lines).
+Exits 1 when a perfbench run gives no result.
 """
 
 import argparse
@@ -22,6 +24,7 @@ import datetime
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -33,6 +36,8 @@ import scipy
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("figures", "continuum", "oracle")
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# "  op fig2: median 0.0090 s raw, 0.0078 s normalised, over 68"
+OP_LINE = re.compile(r"\s+op (\S+): .*?(\S+) s normalised")
 
 
 def _commit() -> str:
@@ -69,13 +74,18 @@ def run_one(workload: str, seed: int, trace: bool) -> dict:
 
 
 def summarise(runs: list[dict]) -> dict:
-    """Median and quartiles of every metric, per workload, seed and trace mode."""
+    """Median and quartiles of every metric and of each operation's normalised
+    median, per workload, seed and trace mode."""
     groups: dict[str, dict[str, list[float]]] = {}
     for run in runs:
         key = f"{run['workload']}/seed{run['seed']}" + ("/trace" if run["trace"] else "")
         metrics = groups.setdefault(key, {})
         for name, metric in run["result"]["metrics"].items():
             metrics.setdefault(name, []).append(metric["value"])
+        for line in run["report"]:
+            op = OP_LINE.match(line)
+            if op:
+                metrics.setdefault(f"op.{op[1]}", []).append(float(op[2]))
     summary = {}
     for key, metrics in groups.items():
         summary[key] = {"runs": len(next(iter(metrics.values())))}

@@ -270,17 +270,33 @@ def scenario_hash(doc: dict) -> str:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def write_csv(path: Path, header: list[str], rows) -> Path:
-    """Write the rows as 17-digit CSV; a NaN or infinite cell is a numerical
-    failure and leaves no file behind."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    body = "".join(line % tuple(row) for row in rows)
-    # 'nan' and 'inf' are the only formatted values containing an 'n'
-    if "n" in body:
-        row = body.count("\n", 0, body.index("n")) + 1
-        raise NumericalFailureError(f"{path.name}: non-finite value in data row {row}")
+def write_csv(path: Path, header: list[str], columns) -> Path:
+    """Write one 1-D column per header name as 17-digit CSV rows; a NaN or
+    infinite cell is a numerical failure and leaves no file behind.
+
+    Each distinct float64 value of a column (told apart by its bits, so -0.0
+    keeps its own text) is formatted with "%.17g" once: a column with repeats
+    takes its texts from a table of its distinct values, and a column
+    without is formatted in the one pass that builds the body."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
+    if not np.all(finite):
+        raise NumericalFailureError(f"{path.name}: non-finite value in data row "
+                                    f"{np.argmin(finite) + 1}")
+    cells = np.empty((columns[0].size, len(columns)), dtype=object)
+    specs = []
+    for j, column in enumerate(columns):
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        if bits.size == column.size:
+            cells[:, j] = column.tolist()
+            specs.append("%.17g")
+        else:
+            texts = ("%.17g\n" * bits.size % tuple(bits.view(float).tolist())).split("\n")
+            cells[:, j] = np.array(texts, dtype=object)[inverse]
+            specs.append("%s")
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n" + body)
+        fh.write(",".join(header) + "\n")
+        fh.write((",".join(specs) + "\n") * len(cells) % tuple(cells.ravel().tolist()))
     return path
 
 
@@ -331,7 +347,7 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
                                   f"(r must not be a multiple of n_sites = {basis.n_sites})")
         sites = (scenario.site_a + np.asarray(r_values)) % basis.n_sites
         f_c = commutator(basis, scenario.site_a, sites, run["tau"])
-        return [write_csv(out, ["r", "f_c"], zip(r_values, f_c))]
+        return [write_csv(out, ["r", "f_c"], [r_values, f_c])]
 
     # each point makes its chain when it needs it: the system's, or a sweep
     # chain built anew each time, so that a sweep holds one of its chains at a time
@@ -353,6 +369,10 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
                                       f"site_a for n = {n}")
             else:
                 site_a, site_b = scenario.site_a, scenario.site_b
+                for key, site in (("site_a", site_a), ("site_b", site_b)):
+                    if site >= n:
+                        raise SchemaError(f"scenario.{key} = {site} is out of range for the "
+                                          f"n = {n} chain of run.n_values")
             points.append((partial(build_harmonic_chain, chain), site_a, site_b, f"_n{n}"))
 
     n_samples = run["n_samples"]
@@ -381,7 +401,7 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
                else rise_estimate(b, trace))
         del b  # before the next point builds its chain
         outputs.append(write_csv(out_variant(out, suffix) if suffix else out,
-                                 ["tau", "f_a", "f_c"], zip(trace.taus, trace.f_a, trace.f_c)))
+                                 ["tau", "f_a", "f_c"], [trace.taus, trace.f_a, trace.f_c]))
         tag = suffix.lstrip("_") or "lightcone"
         report.note(f"{tag}.rise_time", est.rise_time)
         report.note(f"{tag}.nominal_causal_time", est.nominal_causal_time)
@@ -401,9 +421,9 @@ def cmd_bare(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
     report.note("ac_over_a0", trace.commutator_ratio())
     report.note("p_final", float(trace.probability[-1]))
-    rows = zip(trace.times, trace.a0.real, trace.a0.imag,
-               trace.ac.real, trace.ac.imag, trace.probability)
-    return [write_csv(out, ["t", "re_a0", "im_a0", "re_ac", "im_ac", "probability"], rows)]
+    columns = [trace.times, trace.a0.real, trace.a0.imag, trace.ac.real, trace.ac.imag,
+               trace.probability]
+    return [write_csv(out, ["t", "re_a0", "im_a0", "re_ac", "im_ac", "probability"], columns)]
 
 
 def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
@@ -421,8 +441,8 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
     scenario = build_scenario(doc, basis)
 
     if run["mode"] == "g_scan":
-        rows = [(r, static_dressing_amplitude(basis, scenario.omega_a, r)) for r in r_values]
-        return [write_csv(out, ["r", "g"], rows)]
+        g = [static_dressing_amplitude(basis, scenario.omega_a, r) for r in r_values]
+        return [write_csv(out, ["r", "g"], [r_values, g])]
 
     if run["mode"] == "gmin_scan":
         chain = basis.chain
@@ -431,7 +451,7 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
                            chain.speed)
         except FermiLatticeError as exc:
             raise SchemaError(f"run.n_values: {exc}") from exc
-        return [write_csv(out, ["n", "g_min"], zip(run["n_values"], values))]
+        return [write_csv(out, ["n", "g_min"], [run["n_values"], values])]
 
     names = run["schemes"]
     times = np.linspace(0.0, _window_t_max(run, scenario), run["n_times"])
@@ -439,8 +459,7 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
     for name, trace in zip(names, traces):
         report.note(f"p_final.{name}", float(trace.probability[-1]))
     header = ["t"] + [f"p{i + 1}" for i in range(len(traces))]
-    rows = zip(times, *[tr.probability for tr in traces])
-    return [write_csv(out, header, rows)]
+    return [write_csv(out, header, [times] + [tr.probability for tr in traces])]
 
 
 def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
@@ -461,7 +480,7 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
     alphas = np.linspace(run["alpha_start"], run["alpha_stop"], run["alpha_num"])
     probs = [prob(alpha) for alpha in alphas.tolist()]
-    scan = write_csv(out, ["alpha", "probability"], zip(alphas, probs))
+    scan = write_csv(out, ["alpha", "probability"], [alphas, probs])
 
     p1 = prob(1.0)
     report.note("lambda", thermal.lambda_symp)
@@ -470,7 +489,7 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
     report.note("p_at_alpha_1", p1)
     summary = write_csv(out_variant(out, "_summary"),
                         ["lambda", "beta", "e_minus_beta", "p_at_alpha_1"],
-                        [(thermal.lambda_symp, thermal.beta, thermal.e_minus_beta, p1)])
+                        [[thermal.lambda_symp], [thermal.beta], [thermal.e_minus_beta], [p1]])
     return [scan, summary]
 
 
@@ -501,7 +520,7 @@ def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
     report.note("d_max", float(np.max(d)))
     t = np.repeat(t_values, basis.n_sites)
     n = np.tile(np.arange(basis.n_sites), t_values.size)
-    return [write_csv(out, ["t", "n", "d_n"], zip(t.tolist(), n.tolist(), d.ravel().tolist()))]
+    return [write_csv(out, ["t", "n", "d_n"], [t, n, d.ravel()])]
 
 
 def cmd_oracle_check(doc: dict, out: Path, report: Reporter) -> list[Path]:
@@ -520,7 +539,7 @@ def cmd_oracle_check(doc: dict, out: Path, report: Reporter) -> list[Path]:
         # phonon cutoff: the Fock size or the static path's dense memory
         raise SchemaError(f"run.cutoff = {cutoff!r}: {exc}") from exc
     report.note("fitted_slope", slope)
-    return [write_csv(out, ["epsilon", "residual"], zip(run["epsilons"], residuals))]
+    return [write_csv(out, ["epsilon", "residual"], [run["epsilons"], residuals])]
 
 
 _COMMANDS = {

@@ -118,6 +118,14 @@ def _nested_series(moments, beta):
 # last-digit change in the kernels moves its fitted slope by ~1e-11.
 # Factoring e^{i (nu + phi) t} into e^{i nu t} e^{i phi t} would save about
 # four fifths of the exponentials but changes those last digits.
+#
+# The nested integral also returns the outer single integral, sum c_a
+# E(alpha; cap) with cap = min(t, w1), which every caller of it needs.  On
+# the rows inside the inner window cap = s, so E(alpha; cap) is the e_a that
+# the component pairs already use; on the rows past it E(alpha; cap) is
+# taken once per outer component, and the pairs' saturated-tail terms share
+# it.  The components are summed in opening_phase_integral's order from the
+# same zeros, so the two results are equal bit for bit.
 
 def _below(phase, t, limit: float, rows=True):
     """Grid indices (ti, ki) of |phase t| < limit among the rows selected by
@@ -169,13 +177,16 @@ def opening_phase_integral(opening: OpeningFunction, phi, t):
 
 def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
                             opening_inner: OpeningFunction, phi_inner, t):
-    """int_0^t dt' f1(t') e^{i phi1 t'} int_0^t' dt'' f2(t'') e^{i phi2 t''}.
+    """(outer, nested): int_0^t f1(u) e^{i phi1 u} du, equal to
+    opening_phase_integral(opening_outer, phi_outer, t) bit for bit, and
+    int_0^t dt' f1(t') e^{i phi1 t'} int_0^t' dt'' f2(t'') e^{i phi2 t''}.
 
-    phi_outer and phi_inner must have the same shape; the result has shape
+    phi_outer and phi_inner must have the same shape; each result has shape
     t.shape + phi.shape.  Over the component pairs, with alpha = nu_a + phi1
-    and beta = nu_b + phi2, it is sum c_a c_b [T(alpha, beta; s) + E(beta; w2)
+    and beta = nu_b + phi2, nested is sum c_a c_b [T(alpha, beta; s) + E(beta; w2)
     (E(alpha; cap) - E(alpha; s))] for cap = min(t, w1) and s = min(cap, w2):
-    past the inner window end w2 the inner integral has saturated.
+    past the inner window end w2 the inner integral has saturated.  outer is
+    sum c_a E(alpha; cap).
     """
     if np.atleast_1d(phi_outer).shape != np.atleast_1d(phi_inner).shape:
         raise ValueError("phi_outer and phi_inner must have matching shapes")
@@ -186,6 +197,7 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
     s = np.minimum(cap, w2)
     past = np.flatnonzero(cap[:, 0] > s[:, 0])
     started = s[:, 0] != 0.0  # T(alpha, beta; 0) = 0 needs no series
+    outer = np.zeros((s.size, phi1.size), dtype=complex)
     out = np.zeros((s.size, phi1.size), dtype=complex)
     inner = [(cb, nub + phi2) for cb, nub in opening_inner.exp_components()]
     # T's series elements, where |beta s| is small, of each inner component;
@@ -198,6 +210,11 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
     for ca, nua in opening_outer.exp_components():
         a = nua + phi1
         e_a = phase_integral(a, s)
+        e_cap = e_a
+        if past.size:
+            e_cap = np.array(e_a)
+            e_cap[past] = phase_integral(a, cap[past])
+        outer = outer + ca * e_cap
         if union.size:
             moments = phase_moments(NESTED_ORDERS, a[ku], s[tu, 0])
         for (cb, b), (ti, ki), idx in zip(inner, below, gather):
@@ -206,7 +223,6 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
             if ti.size:
                 term[ti, ki] = _nested_series(moments[:, idx], b[ki])
             if past.size:
-                term[past] += phase_integral(b, np.array([[w2]])) * (
-                    phase_integral(a, cap[past]) - e_a[past])
+                term[past] += phase_integral(b, np.array([[w2]])) * (e_cap[past] - e_a[past])
             out = out + ca * cb * term
-    return _restore_shape(out, t, phi_outer)
+    return _restore_shape(outer, t, phi_outer), _restore_shape(out, t, phi_outer)

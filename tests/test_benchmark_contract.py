@@ -81,3 +81,25 @@ def test_run_figures_runs_each_config_with_the_benchmark_command():
     run_figures = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run_figures)
     assert run_figures.COMMANDS == load("scenarios").FIGURE_COMMANDS
+
+
+def test_bench_summary_reads_each_operations_normalised_median():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def run(wall, fig2, cloud):
+        return {"workload": "continuum", "seed": 0, "trace": False,
+                "result": {"metrics": {"norm_wall_s": {"value": wall, "unit": "s"}}},
+                "report": ["norm_wall_s: sum of per-operation medians 0.3 s",
+                           f"  op fig2: median 0.0090 s raw, {fig2} s normalised, over 68",
+                           f"  op sigma_x_cloud: median 0.2 s raw, {cloud} s normalised, over 7",
+                           "calibration: median 18.32 ms over 817, 16.00 ms on the reference host"]}
+
+    summary = bench.summarise([run(0.3, 0.0078, 0.1), run(0.5, 0.0082, 1e-1),
+                               run(0.4, 0.008, 0.12)])["continuum/seed0"]
+    assert set(summary) == {"runs", "norm_wall_s", "op.fig2", "op.sigma_x_cloud"}
+    assert summary["runs"] == 3
+    assert summary["op.fig2"]["median"] == 0.008
+    assert summary["op.sigma_x_cloud"]["median"] == 0.1
+    assert summary["op.sigma_x_cloud"]["q3"] == 0.12

@@ -221,6 +221,24 @@ def test_separation_fraction_onto_source_site_rejected(tmp_path, capsys):
     assert not list(tmp_path.glob("out*.csv"))
 
 
+def test_sweep_sites_outside_a_chain_exit_2_before_any_csv(tmp_path, capsys):
+    # every chain of the sweep is checked before the first one is summed
+    doc = {
+        "system": {"kind": "chain", "chain": {"n_sites": 100}},
+        "scenario": {"site_a": 0, "site_b": 50},
+        "run": {"mode": "tau_scan", "n_values": [100, 10], "tau_max": 0.5, "n_samples": 200},
+    }
+    code, _ = run_cli(tmp_path, "causality", doc)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scenario.site_b" in err and "n = 10" in err
+    assert not list(tmp_path.glob("*.csv"))
+    code, _ = run_cli(tmp_path, "causality", _with(doc, "scenario.site_a", 12))
+    assert code == 2
+    assert "scenario.site_a" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_dressed_trace_columns(tmp_path):
     doc = {
         "system": {"kind": "chain", "chain": {"n_sites": 100}},
@@ -520,15 +538,36 @@ def test_overflow_exit_code(tmp_path):
 def test_write_csv_cells_read_as_format_17g(tmp_path):
     rows = [(0, -0.0, 5e-324), (1.7976931348623157e308, -7, 0.1),
             (np.float64(1 / 3), np.int64(12), 10**20)]
-    out = cli.write_csv(tmp_path / "o.csv", ["a", "b", "c"], rows)
+    out = cli.write_csv(tmp_path / "o.csv", ["a", "b", "c"], list(zip(*rows)))
     want = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
     assert out.read_text() == "a,b,c\n" + want
     assert want.splitlines()[0] == "0,-0,4.9406564584124654e-324"
 
 
+def test_write_csv_column_of_repeats_matches_per_row_format(tmp_path):
+    # repeated values take their text from the table of distinct ones
+    t = np.repeat(np.linspace(0.0, 0.1, 7), 5)
+    n = np.tile(np.arange(5), 7)
+    d = np.tile([1 / 3, 0.1, 1 / 3, 2e-300, 0.1], 7) * np.repeat(np.arange(7), 5)
+    out = cli.write_csv(tmp_path / "o.csv", ["t", "n", "d_n"], [t, n, d])
+    want = "".join("%.17g,%.17g,%.17g\n" % row for row in zip(t.tolist(), n.tolist(), d.tolist()))
+    assert out.read_bytes() == ("t,n,d_n\n" + want).encode()
+
+
+def test_write_csv_keeps_the_sign_of_zero(tmp_path):
+    out = cli.write_csv(tmp_path / "o.csv", ["x", "y"],
+                        [[0.0, -0.0, 0.0, -0.0, 1.0], [-0.0, -0.0, 0.0, 0.0, 0.0]])
+    assert out.read_text().splitlines()[1:] == ["0,-0", "-0,-0", "0,0", "-0,0", "1,0"]
+
+
+def test_write_csv_of_no_rows_writes_the_header(tmp_path):
+    out = cli.write_csv(tmp_path / "o.csv", ["t", "p1"], [np.empty(0), []])
+    assert out.read_text() == "t,p1\n"
+
+
 def test_non_finite_row_exits_3_naming_the_data_row(tmp_path, monkeypatch, capsys):
     def nan_in_row_3(doc, out, report):
-        return [cli.write_csv(out, ["x"], [(0.0,), (1.0,), (float("nan"),)])]
+        return [cli.write_csv(out, ["x"], [[0.0, 1.0, float("nan")]])]
 
     monkeypatch.setitem(cli._COMMANDS, "bare", nan_in_row_3)
     code, out = run_cli(tmp_path, "bare", FIG4)
@@ -541,7 +580,16 @@ def test_non_finite_row_exits_3_naming_the_data_row(tmp_path, monkeypatch, capsy
 def test_write_csv_refuses_non_finite_cells(tmp_path, bad):
     out = tmp_path / "o.csv"
     with pytest.raises(NumericalFailureError, match="row 2"):
-        cli.write_csv(out, ["x", "y"], [(0.0, 1.0), (1.0, bad)])
+        cli.write_csv(out, ["x", "y"], [[0.0, 1.0], [1.0, bad]])
+    assert not out.exists()
+
+
+def test_write_csv_names_the_row_of_a_nan_among_repeats(tmp_path):
+    out = tmp_path / "o.csv"
+    column = np.tile([0.5, 0.25], 4)
+    column[5] = np.nan
+    with pytest.raises(NumericalFailureError, match="data row 6$"):
+        cli.write_csv(out, ["t", "d"], [np.zeros(8), column])
     assert not out.exists()
 
 
@@ -770,7 +818,7 @@ def test_ion2_schmidt_cutoff_above_two_keeps_every_schmidt_pair(tmp_path):
         assert code == 0
         want = tmp_path / f"want{cutoff}.csv"
         cli.write_csv(want, ["alpha", "probability"],
-                      [(a, swap(PulseSpec(a, a), thermal)[1]) for a in alphas])
+                      [alphas, [swap(PulseSpec(a, a), thermal)[1] for a in alphas]])
         assert out.read_bytes() == want.read_bytes()
         rows[cutoff] = np.loadtxt(out, delimiter=",", skiprows=1)
     # the two differ by the higher Schmidt pairs, of relative order e^{-2 beta}

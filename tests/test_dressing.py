@@ -336,17 +336,21 @@ def test_scheme_list_equals_one_call_per_scheme(case):
         assert trace.times.tobytes() == alone.times.tobytes()
 
 
-@pytest.mark.parametrize("schemes, nested, phase", [
+# the last column counts the single-integral sums X and Y that the schemes use
+@pytest.mark.parametrize("schemes, nested, sums", [
     (list(DressingScheme), 2, 2),
     ([DressingScheme.BARE], 2, 0),
     ([DressingScheme.SIGMA_PLUS], 2, 1),
     (DressingScheme.SIGMA_X, 2, 2),
 ])
 def test_schemes_share_the_integrals(chain100, fig7_scenario, monkeypatch, schemes, nested,
-                                     phase):
+                                     sums):
+    # X and Y sum the outer single integrals of the two nested calls, so no
+    # scheme takes a single integral of its own
     from fermi_lattice import dressing
 
     calls = {"nested": 0, "phase": 0}
+    blocks = []
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -354,13 +358,19 @@ def test_schemes_share_the_integrals(chain100, fig7_scenario, monkeypatch, schem
             return fn(*args, **kwargs)
         return wrapper
 
+    def recording(fn, *args, **kwargs):
+        blocks.extend(causality.map_row_blocks(fn, *args, **kwargs))
+        return blocks
+
     monkeypatch.setattr(dressing, "opening_nested_integral",
                         counting("nested", dressing.opening_nested_integral))
     monkeypatch.setattr(dressing, "opening_phase_integral",
                         counting("phase", dressing.opening_phase_integral))
+    monkeypatch.setattr(dressing, "map_row_blocks", recording)
     monkeypatch.setattr(causality, "MODE_SUM_BLOCK", 10**9)
     dressed_amplitude(chain100, fig7_scenario, schemes, np.linspace(0.0, 0.1, 41))
-    assert calls == {"nested": nested, "phase": phase}
+    assert calls == {"nested": nested, "phase": 0}
+    assert len(blocks) == 1 and sum(part is not None for part in blocks[0][1:]) == sums
 
 
 @pytest.mark.parametrize("schemes", [
@@ -396,8 +406,8 @@ def scheme_terms(basis, sc, times, scheme):
     om, f0, w = sc.omega_a, sc.opening_a.post_ramp(), basis.frequencies
     lam_a, lam_b = basis.row(sc.site_a), basis.row(sc.site_b)
     c_ba, c_ab = np.conj(lam_b) * lam_a, np.conj(lam_a) * lam_b
-    terms = [-c_ba * opening_nested_integral(f0, -(om + w), f0, om + w, times),
-             -c_ab * opening_nested_integral(f0, om - w, f0, -(om - w), times)]
+    terms = [-c_ba * opening_nested_integral(f0, -(om + w), f0, om + w, times)[1],
+             -c_ab * opening_nested_integral(f0, om - w, f0, -(om - w), times)[1]]
     if scheme.d1 or scheme.d2:
         terms.append((1j * c_ba / (om + w)) * opening_phase_integral(f0, -(om + w), times))
     if scheme.d1:
@@ -429,7 +439,7 @@ def test_dressed_traces_are_within_32_ulp_of_mpmath(case):
 
 def test_dressed_amplitude_memory_is_bounded_by_the_block(chain1000, monkeypatch):
     # 2000 times over 1000 modes, all three schemes, one worker: the blocked
-    # sums peak at 3.5 MB traced; in one block they held about 97 MB
+    # sums peak at 4.0 MB traced; in one block they held about 97 MB
     sc = Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.cos_sq_window(0.1), 0.1)
     monkeypatch.setattr(causality, "WORKERS", 1)
     tracemalloc.start()

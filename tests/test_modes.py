@@ -443,8 +443,8 @@ def test_grids_on_distinct_frequencies_expand_to_the_full_grids_bitwise(kind, n)
     grids = [
         lambda v: np.exp(1j * np.multiply.outer(times, v)),
         lambda v: opening_phase_integral(op, -(2.0 + v), times),
-        lambda v: opening_nested_integral(op, -(2.0 + v), op, 2.0 + v, times),
-        lambda v: opening_nested_integral(op, 2.0 - v, op, -(2.0 - v), times),
+        lambda v: opening_nested_integral(op, -(2.0 + v), op, 2.0 + v, times)[1],
+        lambda v: opening_nested_integral(op, 2.0 - v, op, -(2.0 - v), times)[1],
     ]
     for grid in grids:
         expanded = basis.expand(grid(distinct))

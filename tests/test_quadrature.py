@@ -344,7 +344,7 @@ def test_nested_integral_closed_vs_quadrature():
                OpeningFunction.sin_sq_window(0.1),
                OpeningFunction.cos_sq_window(0.1)):
         for t in (0.06, 0.1, 0.2):
-            closed = opening_nested_integral(op, -phis, op, phis, t)
+            _, closed = opening_nested_integral(op, -phis, op, phis, t)
             quad = gl_nested_integral(op, -phis, op, phis, t)
             np.testing.assert_allclose(quad, closed, rtol=1e-9, atol=1e-12)
 
@@ -366,8 +366,8 @@ def test_windowed_integrals_freeze_after_window():
     at_window = opening_phase_integral(op, phis, 0.1)
     later = opening_phase_integral(op, phis, 5.0)
     np.testing.assert_allclose(later, at_window, rtol=0, atol=1e-16)
-    n_window = opening_nested_integral(op, -phis, op, phis, 0.1)
-    n_later = opening_nested_integral(op, -phis, op, phis, 5.0)
+    _, n_window = opening_nested_integral(op, -phis, op, phis, 0.1)
+    _, n_later = opening_nested_integral(op, -phis, op, phis, 5.0)
     np.testing.assert_allclose(n_later, n_window, rtol=0, atol=1e-16)
 
 
@@ -377,9 +377,10 @@ def test_broadcast_shapes():
     times = np.linspace(0, 0.2, 5)
     single = opening_phase_integral(op, phis, times)
     assert single.shape == (5, 7)
-    nested = opening_nested_integral(op, phis, op, -phis, times)
-    assert nested.shape == (5, 7)
+    outer, nested = opening_nested_integral(op, phis, op, -phis, times)
+    assert outer.shape == nested.shape == (5, 7)
     assert isinstance(opening_phase_integral(op, 1.0, 0.05), complex)
+    assert all(isinstance(v, complex) for v in opening_nested_integral(op, 1.0, op, -1.0, 0.05))
 
 
 # ---------------------------------------------------------------- chain phases
@@ -453,7 +454,7 @@ def test_nested_integral_vs_mpmath_at_chain_phases(chain1000, opening, omega_b):
     w = _chain_modes(chain1000)
     phi1 = np.concatenate([-(2.0 + w), 2.0 - w])
     phi2 = np.concatenate([omega_b + w, -(omega_b - w)])
-    got = opening_nested_integral(opening, phi1, opening, phi2, CHAIN_TIMES)
+    _, got = opening_nested_integral(opening, phi1, opening, phi2, CHAIN_TIMES)
     pairs = dict(zip(phi1, phi2))
     _assert_matches(got, lambda phi, t: mp_profile_nested(opening, phi, opening, pairs[phi], t),
                     phi1, "T")
@@ -465,7 +466,7 @@ def test_nested_integral_vs_mpmath_past_the_inner_window(chain1000):
     outer, inner = OpeningFunction.sin_sq_window(0.1), OpeningFunction.cos_sq_window(0.05)
     w = _chain_modes(chain1000)
     phi1 = np.concatenate([-(2.0 + w), 2.0 - w])
-    got = opening_nested_integral(outer, phi1, inner, -phi1, CHAIN_TIMES)
+    _, got = opening_nested_integral(outer, phi1, inner, -phi1, CHAIN_TIMES)
     _assert_matches(got, lambda phi, t: mp_profile_nested(outer, phi, inner, -phi, t),
                     phi1, "T tail")
 
@@ -512,8 +513,32 @@ def test_grid_kernels_equal_the_elementwise_loops(chain1000, opening):
                                   loop_phase_integral(opening, phis, times))
     inner = OpeningFunction.cos_sq_window(0.05)  # ends inside the others' windows
     for op2, phi2 in ((opening, -phis), (opening, 0.5 - phis), (inner, -phis)):
-        np.testing.assert_array_equal(opening_nested_integral(opening, phis, op2, phi2, times),
+        np.testing.assert_array_equal(opening_nested_integral(opening, phis, op2, phi2, times)[1],
                                       loop_nested_integral(opening, phis, op2, phi2, times))
+
+
+@pytest.mark.parametrize("outer, inner", [
+    (OpeningFunction.sin_sq_window(0.1), OpeningFunction.sin_sq_window(0.1)),
+    (OpeningFunction.sin_sq_window(0.1), OpeningFunction.cos_sq_window(0.05)),
+    (OpeningFunction.cos_sq_window(0.05), OpeningFunction.sin_sq_window(0.1)),
+    (OpeningFunction.constant(), OpeningFunction.constant()),
+    (OpeningFunction.constant(), OpeningFunction.cos_sq_window(0.05)),
+], ids=["equal_windows", "inner_shorter", "inner_longer", "constant", "constant_outer"])
+def test_nested_returns_the_outer_single_integral_bitwise(chain1000, outer, inner):
+    # inner_shorter and constant_outer have rows past the inner window, where
+    # the outer integral is not the one the component pairs share
+    w = _chain_modes(chain1000)
+    phis = np.concatenate([-(2.0 + w), 2.0 - w, [0.0, -0.0, 1e-7, -3e-3, 2.0 * np.pi / 0.1]])
+    times = np.array([0.0, 1e-6, 0.013, 0.05, 0.07, 0.1, 0.25])
+    # a row of zero phases takes E's broadcast column t
+    for phi1 in (phis, np.zeros(3)):
+        want = opening_phase_integral(outer, phi1, times).view(np.int64)
+        for phi2 in (-phi1, 0.5 - phi1):
+            got, _ = opening_nested_integral(outer, phi1, inner, phi2, times)
+            np.testing.assert_array_equal(got.view(np.int64), want)
+    for t in (0.0, 0.07):
+        got, _ = opening_nested_integral(outer, 1.5, inner, -1.5, t)
+        assert np.array(got).tobytes() == np.array(opening_phase_integral(outer, 1.5, t)).tobytes()
 
 
 # Each outer component takes the moments once, on the union of the inner
@@ -552,7 +577,8 @@ def test_grid_kernels_equal_the_loops_on_shared_series_selections(outer, case):
         assert all(overlaps) and not np.all(masks[0] == masks[1])
     else:
         assert not any(np.any(mask) for mask in masks)
-    np.testing.assert_array_equal(opening_nested_integral(outer, phi1, SELECTION_INNER, phi2, times),
+    np.testing.assert_array_equal(opening_nested_integral(outer, phi1, SELECTION_INNER, phi2,
+                                                          times)[1],
                                   loop_nested_integral(outer, phi1, SELECTION_INNER, phi2, times))
 
 
