@@ -63,10 +63,10 @@ def _branch_integrals(basis, scenario, times):
     f_b = scenario.opening_b.post_ramp()
     out = {}
     for tag, pa, pb in (("p", om_a + w, om_b + w), ("m", om_a - w, om_b - w)):
-        sa, nested = opening_nested_integral(f_a, -pa, f_b, +pb, times)
-        out["sa_" + tag] = basis.expand(sa)
+        # S_A is the nested call's outer integral; no name holds the unexpanded grids
+        out["sa_" + tag], out["n_" + tag] = map(
+            basis.expand, opening_nested_integral(f_a, -pa, f_b, +pb, times))
         out["sb_" + tag] = basis.expand(opening_phase_integral(f_b, +pb, times))
-        out["n_" + tag] = basis.expand(nested)
     return out
 
 

@@ -544,14 +544,18 @@ def test_write_csv_cells_read_as_format_17g(tmp_path):
     assert want.splitlines()[0] == "0,-0,4.9406564584124654e-324"
 
 
-def test_write_csv_column_of_repeats_matches_per_row_format(tmp_path):
-    # repeated values take their text from the table of distinct ones
+def test_write_csv_column_of_repeats_matches_per_row_format(tmp_path, monkeypatch):
+    # repeated values take their text from the table of distinct ones, beside
+    # a column of distinct values; 35 rows in blocks of 8
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 8)
     t = np.repeat(np.linspace(0.0, 0.1, 7), 5)
     n = np.tile(np.arange(5), 7)
     d = np.tile([1 / 3, 0.1, 1 / 3, 2e-300, 0.1], 7) * np.repeat(np.arange(7), 5)
-    out = cli.write_csv(tmp_path / "o.csv", ["t", "n", "d_n"], [t, n, d])
-    want = "".join("%.17g,%.17g,%.17g\n" % row for row in zip(t.tolist(), n.tolist(), d.tolist()))
-    assert out.read_bytes() == ("t,n,d_n\n" + want).encode()
+    x = np.arange(35) / 7
+    out = cli.write_csv(tmp_path / "o.csv", ["t", "n", "d_n", "x"], [t, n, d, x])
+    want = "".join("%.17g,%.17g,%.17g,%.17g\n" % row
+                   for row in zip(t.tolist(), n.tolist(), d.tolist(), x.tolist()))
+    assert out.read_bytes() == ("t,n,d_n,x\n" + want).encode()
 
 
 def test_write_csv_keeps_the_sign_of_zero(tmp_path):
