@@ -35,7 +35,8 @@ from .amplitude import bare_amplitude, windowed_amplitude
 from .causality import (SWEEP_ELEMENT_LIMIT, causality_trace, commutator, lightcone_estimate,
                         lightcone_samples, nominal_causal_time, rise_estimate)
 from .cloud import excitation_distribution, single_site_distributions
-from .dressing import DressingScheme, dressed_amplitude, g_min, static_dressing_amplitude
+from .dressing import (DressingScheme, _require_equal_splittings, dressed_amplitude, g_min,
+                       static_dressing_amplitude)
 from .errors import FermiLatticeError, InvalidParametersError, NumericalFailureError, SchemaError
 from .ion2 import PulseSpec, swap_probability, swap_probability_full, symplectic_temperature
 from .modes import (ChainParams, ModeBasis, Scenario, TrapParams, build_harmonic_chain,
@@ -440,24 +441,19 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
     if run["mode"] != "trace" and doc["system"]["kind"] != "chain":
         raise SchemaError(f"run.mode {run['mode']!r} needs system.kind 'chain': the static "
                           "dressing amplitude is chain-only")
-    if run["mode"] == "g_scan":  # each offset sums over every mode, like a causality tau
-        n_sites = doc["system"]["chain"]["n_sites"]
-        r_values = range(n_sites // 2 + 1) if run["r_values"] == "all" else run["r_values"]
-        if len(r_values) * n_sites > SWEEP_ELEMENT_LIMIT:
-            raise SchemaError(f"run.r_values: {len(r_values)} offsets x {n_sites} modes is over "
-                              f"the limit of {SWEEP_ELEMENT_LIMIT:.3g} (offset, mode) elements")
     basis = build_basis(doc)
     scenario = build_scenario(doc, basis)
+    omega = _require_equal_splittings(scenario)
 
-    if run["mode"] == "g_scan":
-        g = [static_dressing_amplitude(basis, scenario.omega_a, r) for r in r_values]
+    if run["mode"] == "g_scan":  # one synthesis over the ring, like a causality r_scan
+        r_values = range(basis.n_sites // 2 + 1) if run["r_values"] == "all" else run["r_values"]
+        g = static_dressing_amplitude(basis, omega, np.asarray(r_values))
         return [write_csv(out, ["r", "g"], [r_values, g])]
 
     if run["mode"] == "gmin_scan":
         chain = basis.chain
         try:
-            values = g_min(run["n_values"], scenario.omega_a, chain.length, chain.pinning,
-                           chain.speed)
+            values = g_min(run["n_values"], omega, chain.length, chain.pinning, chain.speed)
         except FermiLatticeError as exc:
             raise SchemaError(f"run.n_values: {exc}") from exc
         return [write_csv(out, ["n", "g_min"], [run["n_values"], values])]

@@ -259,14 +259,24 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
     return traces[0] if isinstance(scheme, DressingScheme) else traces
 
 
-def static_dressing_amplitude(basis: ModeBasis, omega: float, separation: int) -> float:
+def static_dressing_amplitude(basis: ModeBasis, omega: float, separation):
     """G(R)/eps^2 = sum_k cos(theta_k R) / (2 N Omega w_k (Omega + w_k)),
     the time-independent mutual-dressing amplitude of a chain.  R is reduced
-    mod N first, so G(R + m N) == G(R) bitwise."""
+    mod N first, so G(R + m N) == G(R) bitwise.
+
+    An integer R gives a float from the cosine sum over the modes, whose
+    rounding grows with R mod N (6e-15 relative at N = 1001, 8e-13 at
+    N = 10**5).  An array of R gives an array of G, every offset gathered
+    from one synthesis over the ring; it is within 2e-15 relative of an
+    exactly reduced sum at every N up to 10**5, and rounds differently
+    from the integer form."""
     if basis.chain is None:
         raise UnsupportedConfigurationError("static dressing amplitude is chain-only")
     n = basis.n_sites
     w = basis.frequencies
+    if np.ndim(separation):
+        ring = basis.synthesize(np.conj(basis.row(0)) / (omega * (omega + w))).real
+        return ring[np.asarray(separation) % n]
     theta = 2.0 * np.pi * np.arange(n) / n
     return float(np.sum(np.cos(theta * (separation % n)) / (2.0 * n * omega * w * (omega + w))))
 

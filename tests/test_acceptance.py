@@ -181,7 +181,9 @@ def test_criterion_10_static_dressing():
     t0 = timed()
     chain = build_harmonic_chain(ChainParams(1000))
     g_values = np.array([static_dressing_amplitude(chain, 2.0, r) for r in range(1, 501)])
-    g_monotone = bool(np.all(np.diff(g_values) < 0))
+    # the array form, one synthesis over the ring, as g_scan computes it
+    g_array = static_dressing_amplitude(chain, 2.0, np.arange(1, 501))
+    g_monotone = bool(np.all(np.diff(g_values) < 0) and np.all(np.diff(g_array) < 0))
     ns = np.arange(10, 201, 2)
     gmin_values = g_min(ns, 2.0)
     gmin_monotone = bool(np.all(np.diff(gmin_values) < 0))

@@ -659,6 +659,12 @@ BAD_INPUTS = [
     ("ion2", ION2, "system.trap.n_ions", 3),
     ("dressed", DRESSED, "scenario.omega_b", 3.0),
     ("dressed", DRESSED, "scenario.omega", -1.0),
+    # the scans check the splittings as the trace does, before any sum
+    ("dressed", _with(G_SCAN, "scenario.omega_b", 3.0), "scenario.omega_a", 2.0),
+    ("dressed", G_SCAN, "scenario.omega", 0.0),
+    ("dressed", _with(G_SCAN, "scenario.omega_b", -1.0), "scenario.omega_a", -1.0),
+    ("dressed", GMIN_SCAN, "scenario.omega_a", 3.0),
+    ("dressed", GMIN_SCAN, "scenario.omega", -1.0000000000000002),
     ("cloud", FIG4, "scenario.omega_a", 3.0),
     ("cloud", FIG4, "scenario.omega", 0.0),
     ("cloud", FIG4, "scenario.opening_b", {"variant": "cos_sq_window", "window": 0.1}),
@@ -727,9 +733,6 @@ OVERSIZE = [
      [0.0] * (cli.CLOUD_ELEMENT_LIMIT // 100 + 1)),
     ("cloud", _with(_with(FIG4, "system.chain.n_sites", 2), "scenario.site_b", 1),
      "run.n_times", cli.COUNT_LIMIT, cli.COUNT_LIMIT + 1),
-    # a g_scan's offsets x sites, on a chain of 10**6 sites
-    ("dressed", _with(G_SCAN, "system.chain.n_sites", 10**6), "run.r_values",
-     [0] * (SWEEP_ELEMENT_LIMIT // 10**6), [0] * (SWEEP_ELEMENT_LIMIT // 10**6 + 1)),
 ]
 
 
@@ -806,10 +809,6 @@ def test_every_benchmark_config_stays_far_below_the_count_limits(tmp_path):
         if op.command == "cloud":
             n_times = len(run["t_values"]) if run["t_values"] else run["n_times"]
             assert 10 * n_times * system["chain"]["n_sites"] <= cli.CLOUD_ELEMENT_LIMIT, op.name
-        if run.get("mode") == "g_scan":
-            n = system["chain"]["n_sites"]
-            offsets = n // 2 + 1 if run["r_values"] == "all" else len(run["r_values"])
-            assert 10 * offsets * n <= SWEEP_ELEMENT_LIMIT, op.name
 
 
 def test_ion2_schmidt_cutoff_above_two_keeps_every_schmidt_pair(tmp_path):
@@ -959,17 +958,22 @@ def test_a_causality_sweep_holds_one_chain_at_a_time(tmp_path, monkeypatch, caps
         assert not list(tmp_path.glob("*.csv"))
 
 
-def test_a_g_scan_over_the_work_guard_exits_2_before_the_build(tmp_path, monkeypatch, capsys):
-    def refuse(doc):
-        raise AssertionError("g_scan built a chain it then refused")
+def test_a_g_scan_over_half_a_large_ring_is_one_transform(tmp_path):
+    from test_dressing import _g_reference
 
-    monkeypatch.setattr(cli, "build_basis", refuse)
-    # fig5 on 10**6 sites: 500 001 offsets, each a sum over every mode
-    doc = _with(json.loads((FIGURES / "fig5.json").read_text()), "system.chain.n_sites", 10**6)
-    code, _ = run_cli(tmp_path, "dressed", doc)
-    assert code == 2
-    assert "run.r_values" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    # fig5 on 10**5 sites: 50 001 offsets, 5e9 (offset, site) pairs, from
+    # one synthesis over the ring
+    doc = _with(json.loads((FIGURES / "fig5.json").read_text()), "system.chain.n_sites", 10**5)
+    code, out = run_cli(tmp_path, "dressed", doc)
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 50_001
+    basis = build_harmonic_chain(ChainParams(10**5))
+    for r in (0, 1, 14_285, 25_000, 50_000):
+        row_r, g = lines[1 + r].split(",")
+        assert int(row_r) == r
+        want = _g_reference(basis, 2.0, r)
+        assert abs(float(g) - want) <= 2e-15 * abs(want)
 
 
 def test_causality_configs_stay_well_under_the_work_guard(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import mpmath
@@ -226,9 +227,11 @@ def test_dressed_amplitude_rejects_mixed_openings(chain100):
 # ---------------------------------------------------------------- static G
 
 def test_g_decreasing(chain1000):
-    values = [static_dressing_amplitude(chain1000, 2.0, r) for r in range(0, 501)]
-    assert np.all(np.diff(values[1:]) < 0)
-    assert values[0] == max(values)
+    scalar = [static_dressing_amplitude(chain1000, 2.0, r) for r in range(0, 501)]
+    array = static_dressing_amplitude(chain1000, 2.0, np.arange(501))
+    for values in (scalar, array):
+        assert np.all(np.diff(values[1:]) < 0)
+        assert values[0] == max(values)
 
 
 def test_g_r0_is_maximal(chain100):
@@ -245,6 +248,38 @@ def test_g_is_periodic_in_r(chain100):
             assert static_dressing_amplitude(chain100, 2.0, r + m * 100) == g
     assert static_dressing_amplitude(chain100, 2.0, 10**16 + 1) == \
         static_dressing_amplitude(chain100, 2.0, 1)
+    # the array form gathers R mod N from one synthesis
+    rs = np.array([0, 1, 31, 99])
+    g = static_dressing_amplitude(chain100, 2.0, rs)
+    for m in (1, -1, 7, 10**14, -(10**14)):
+        assert np.array_equal(static_dressing_amplitude(chain100, 2.0, rs + m * 100), g)
+
+
+def _g_reference(basis, omega, r):
+    """G(R)/eps^2 with k R reduced mod N in integers before the cosine, and
+    the terms summed exactly by math.fsum (within 1.1e-16 relative of a
+    30-digit mpmath sum at N <= 1001)."""
+    n, w = basis.n_sites, basis.frequencies
+    phase = (np.arange(n) * (r % n)) % n
+    return math.fsum((np.cos(2.0 * np.pi * phase / n)
+                      / (2.0 * n * omega * w * (omega + w))).tolist())
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 1001, 10**5])
+def test_g_array_form_matches_an_exactly_summed_reference(n):
+    basis = build_harmonic_chain(ChainParams(n))
+    base = [0, 1, n // 7, n // 4, n // 2]
+    rs = base + [r + 3 * n for r in base] + [-r for r in base] + [2**53 - 1, -(2**53 - 1)]
+    want = np.array([_g_reference(basis, 2.0, r) for r in rs])
+    got = static_dressing_amplitude(basis, 2.0, np.array(rs))
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+    if n <= 1001:
+        # no further from the reference than the per-offset sum, to one unit in
+        # the last place: the sum of 3 or 7 terms can be exact where the
+        # transform is 1 or 2 units off
+        scalar = np.array([static_dressing_amplitude(basis, 2.0, r) for r in rs])
+        ulp = np.spacing(np.abs(want))
+        assert np.max(np.abs(got - want) / ulp) <= np.max(np.abs(scalar - want) / ulp) + 1
 
 
 def test_g_needs_chain():
