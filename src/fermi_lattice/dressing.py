@@ -259,17 +259,18 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
     return traces[0] if isinstance(scheme, DressingScheme) else traces
 
 
-def static_dressing_amplitude(basis: ModeBasis, omega: float, separation):
+def static_dressing_amplitude(basis: ModeBasis, omega: float,
+                              separation: int | np.ndarray) -> float | np.ndarray:
     """G(R)/eps^2 = sum_k cos(theta_k R) / (2 N Omega w_k (Omega + w_k)),
     the time-independent mutual-dressing amplitude of a chain.  R is reduced
     mod N first, so G(R + m N) == G(R) bitwise.
 
     An integer R gives a float from the cosine sum over the modes, whose
-    rounding grows with R mod N (6e-15 relative at N = 1001, 8e-13 at
-    N = 10**5).  An array of R gives an array of G, every offset gathered
-    from one synthesis over the ring; it is within 2e-15 relative of an
-    exactly reduced sum at every N up to 10**5, and rounds differently
-    from the integer form."""
+    rounding grows with R mod N: up to 4e-14 relative at N = 1001 and
+    7e-12 at N = 10**5.  An integer array of R gives an array of G, each
+    gathered from one synthesis over the ring: within 8e-16 relative of a
+    sum with k R reduced mod N in integers and added exactly, at both
+    sizes, though it rounds differently from the integer form."""
     if basis.chain is None:
         raise UnsupportedConfigurationError("static dressing amplitude is chain-only")
     n = basis.n_sites
