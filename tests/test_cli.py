@@ -733,6 +733,9 @@ OVERSIZE = [
      [0.0] * (cli.CLOUD_ELEMENT_LIMIT // 100 + 1)),
     ("cloud", _with(_with(FIG4, "system.chain.n_sites", 2), "scenario.site_b", 1),
      "run.n_times", cli.COUNT_LIMIT, cli.COUNT_LIMIT + 1),
+    # a g_scan's offsets, each within +-R_LIMIT; their count is free, as the
+    # scan is one transform over the ring
+    ("dressed", G_SCAN, "run.r_values", [cli.R_LIMIT, -cli.R_LIMIT], [0, cli.R_LIMIT + 1]),
 ]
 
 
@@ -956,6 +959,24 @@ def test_a_causality_sweep_holds_one_chain_at_a_time(tmp_path, monkeypatch, caps
         assert code == 2 and "run.n_values" in capsys.readouterr().err
         assert len(built) == 1 + 3
         assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_g_scan_over_the_work_guard_exits_2_before_the_build(tmp_path, monkeypatch, capsys):
+    def stop(doc):
+        raise _Built
+
+    # a g_scan's work is one transform over the ring, so the chain's size is
+    # its guard: fig5 on the largest chain reaches the build, one site more
+    # is refused before it
+    monkeypatch.setattr(cli, "build_basis", stop)
+    doc = json.loads((FIGURES / "fig5.json").read_text())
+    with pytest.raises(_Built):
+        run_cli(tmp_path, "dressed", _with(doc, "system.chain.n_sites", cli.CHAIN_SITES_LIMIT))
+    code, _ = run_cli(tmp_path, "dressed",
+                      _with(doc, "system.chain.n_sites", cli.CHAIN_SITES_LIMIT + 1))
+    assert code == 2
+    assert "system.chain.n_sites" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_a_g_scan_over_half_a_large_ring_is_one_transform(tmp_path):
