@@ -22,7 +22,9 @@ import numpy as np
 from .causality import map_row_blocks, nominal_causal_time
 from .errors import InvalidParametersError
 from .modes import ModeBasis, Scenario
-from .quadrature import opening_nested_integral, opening_phase_integral
+# opening_phase_integral is not called here (the nested integral returns both
+# single ones); perfbench/spans.py traces the quadrature calls by this name
+from .quadrature import opening_nested_integral, opening_phase_integral  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +65,10 @@ def _branch_integrals(basis, scenario, times):
     f_b = scenario.opening_b.post_ramp()
     out = {}
     for tag, pa, pb in (("p", om_a + w, om_b + w), ("m", om_a - w, om_b - w)):
-        # S_A is the nested call's outer integral; no name holds the unexpanded grids
-        out["sa_" + tag], out["n_" + tag] = map(
+        # S_A and S_B are the nested call's single integrals; no name holds
+        # the unexpanded grids
+        out["sa_" + tag], out["sb_" + tag], out["n_" + tag] = map(
             basis.expand, opening_nested_integral(f_a, -pa, f_b, +pb, times))
-        out["sb_" + tag] = basis.expand(opening_phase_integral(f_b, +pb, times))
     return out
 
 

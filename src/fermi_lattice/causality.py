@@ -157,15 +157,17 @@ def nominal_causal_time(basis: ModeBasis, site_a: int, site_b: int) -> float:
     """x/c for chains (x = ring distance along the propagation direction);
     the 1/omega_0 propagation scale for everything else."""
     if basis.chain is not None:
-        p = basis.chain
-        separation = (site_b - site_a) % p.n_sites
-        return p.length * separation / (p.speed * p.n_sites)
+        return basis.chain.causal_time(site_a, site_b)
     return 1.0 / float(np.min(basis.frequencies))
 
 
 def lightcone_samples(basis: ModeBasis, tau_max: float, n_samples: int = DEFAULT_SAMPLES) -> int:
     """n_samples, widened until the fastest mode is resolved on [0, tau_max]."""
-    w_max = float(np.max(basis.frequencies))
+    return resolved_samples(float(np.max(basis.frequencies)), tau_max, n_samples)
+
+
+def resolved_samples(w_max: float, tau_max: float, n_samples: int) -> int:
+    """n_samples, widened until a mode of frequency w_max is resolved on [0, tau_max]."""
     return max(n_samples, int(np.ceil(tau_max * SAMPLES_PER_PERIOD * w_max / (2.0 * np.pi))) + 1)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .amplitude import bare_amplitude, windowed_amplitude
 from .causality import (SWEEP_ELEMENT_LIMIT, causality_trace, commutator, lightcone_estimate,
-                        lightcone_samples, nominal_causal_time, rise_estimate)
+                        nominal_causal_time, resolved_samples, rise_estimate)
 from .cloud import excitation_distribution, single_site_distributions
 from .dressing import (DressingScheme, _require_equal_splittings, dressed_amplitude, g_min,
                        static_dressing_amplitude)
@@ -359,10 +359,25 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
         f_c = commutator(basis, scenario.site_a, sites, run["tau"])
         return [write_csv(out, ["r", "f_c"], [r_values, f_c])]
 
+    n_samples = run["n_samples"]
+    grid = max(n_samples, 100)
+
+    def plan(w_max, n_freqs, causal_time):
+        """tau_max, whether the estimate widens the grid, and the elements summed."""
+        tau_max = run["tau_max"] or 2.0 * causal_time
+        # one mode sum serves both unless the estimate needs a finer grid
+        estimate_samples = resolved_samples(w_max, tau_max, grid)
+        widen = estimate_samples != n_samples
+        return tau_max, widen, (n_samples + widen * estimate_samples) * n_freqs
+
     # each point makes its chain when it needs it: the system's, or a sweep
-    # chain built anew each time, so that a sweep holds one of its chains at a time
-    points = [(lambda: basis, scenario.site_a, scenario.site_b, "")]
-    if run["n_values"] is not None:
+    # chain built once, after the whole sweep is planned from its parameters,
+    # so that a sweep holds one of its chains at a time
+    if run["n_values"] is None:
+        points = [(lambda: basis, scenario.site_a, scenario.site_b, "",
+                   plan(float(np.max(basis.frequencies)), basis.distinct_frequencies.size,
+                        nominal_causal_time(basis, scenario.site_a, scenario.site_b)))]
+    else:
         if basis.chain is None:
             raise SchemaError("run.n_values sweeps are for chain systems")
         frac = run["separation_fraction"]
@@ -383,28 +398,19 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
                     if site >= n:
                         raise SchemaError(f"scenario.{key} = {site} is out of range for the "
                                           f"n = {n} chain of run.n_values")
-            points.append((partial(build_harmonic_chain, chain), site_a, site_b, f"_n{n}"))
+            # a chain of n sites has n // 2 + 1 distinct frequencies
+            points.append((partial(build_harmonic_chain, chain), site_a, site_b, f"_n{n}",
+                           plan(chain.max_frequency, n // 2 + 1,
+                                chain.causal_time(site_a, site_b))))
 
-    n_samples = run["n_samples"]
-    grid = max(n_samples, 100)
-
-    def plan(b, site_a, site_b):
-        """tau_max, whether the estimate widens the grid, and the elements summed."""
-        tau_max = run["tau_max"] or 2.0 * nominal_causal_time(b, site_a, site_b)
-        # one mode sum serves both unless the estimate needs a finer grid
-        estimate_samples = lightcone_samples(b, tau_max, grid)
-        widen = estimate_samples != n_samples
-        return tau_max, widen, (n_samples + widen * estimate_samples) * b.distinct_frequencies.size
-
-    plans = [plan(make(), site_a, site_b) for make, site_a, site_b, _ in points]
-    elements = sum(count for _, _, count in plans)
+    elements = sum(count for *_, (_, _, count) in points)
     if elements > SWEEP_ELEMENT_LIMIT:
         key = "run.n_samples" if run["n_values"] is None else "run.n_values"
         raise SchemaError(f"{key}: the mode sums need {elements:.3g} (tau x frequency) "
                           f"elements, over the limit of {SWEEP_ELEMENT_LIMIT:.3g}; "
                           f"use fewer samples or smaller chains")
     outputs = []
-    for (make, site_a, site_b, suffix), (tau_max, widen, _) in zip(points, plans):
+    for make, site_a, site_b, suffix, (tau_max, widen, _) in points:
         b = make()
         trace = causality_trace(b, site_a, site_b, np.linspace(0.0, tau_max, n_samples))
         est = (lightcone_estimate(b, site_a, site_b, tau_max, grid) if widen

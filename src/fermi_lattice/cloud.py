@@ -46,7 +46,7 @@ def single_site_distributions(basis: ModeBasis, scenario: Scenario,
     om = _require_equal_splittings(scenario)
     f0 = _shared_opening(scenario)
     w = basis.distinct_frequencies
-    phase = cis(-basis.frequencies * times[..., None])
+    phase = basis.expand(cis(-w * times[..., None]))
 
     def site_cloud(site: int, static: float, phi: np.ndarray) -> np.ndarray:
         # c_k(t) = conj(lambda[site, k]) (static / (Omega + w_k) + i int_0^t f0 e^{i phi_k u} du)

@@ -31,7 +31,7 @@ from .errors import InvalidParametersError, UnsupportedConfigurationError
 from .modes import ChainParams, ModeBasis, Scenario, build_harmonic_chain
 from .openings import OpeningFunction
 # opening_phase_integral is not called here (the nested integral returns the
-# single one); perfbench/spans.py traces the quadrature calls by this name
+# single ones); perfbench/spans.py traces the quadrature calls by this name
 from .quadrature import opening_nested_integral, opening_phase_integral  # noqa: F401
 
 
@@ -211,9 +211,10 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
     initial state, to leading order.
 
     The opening profile must be the shared post-ramp profile f0 of both
-    sites.  With (d1, d2) = (0, 0) this is bare_amplitude to within 1e-10 at
-    fig4's scale.  A sequence of schemes gives a list of traces, from one set
-    of sums; each equals the one-scheme call byte for byte.
+    sites.  With (d1, d2) = (0, 0) this is bare_amplitude to within 1.4e-14
+    of max|A| at fig4's and fig7's scale, the two summing in different
+    orders.  A sequence of schemes gives a list of traces, from one set of
+    sums; each equals the one-scheme call byte for byte.
     """
     schemes = (scheme,) if isinstance(scheme, DressingScheme) else tuple(scheme)
     if not schemes or not all(isinstance(s, DressingScheme) for s in schemes):
@@ -235,18 +236,20 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
 
     def block(rows):
         t = times[rows]
-        # X and Y sum the outer single integrals that the nested calls return
-        outer, nested = opening_nested_integral(f0, -(om + w), f0, +(om + w), t)
+        # X and Y sum the outer single integrals that the nested calls return;
+        # [::2] drops the inner single integral at once
+        outer, nested = opening_nested_integral(f0, -(om + w), f0, +(om + w), t)[::2]
         x = np.sum(wx * outer, axis=-1) if need_x else None
         b = c_ba * nested
         del outer, nested  # before the second call makes its grids
-        outer, nested = opening_nested_integral(f0, +(om - w), f0, -(om - w), t)
+        outer, nested = opening_nested_integral(f0, +(om - w), f0, -(om - w), t)[::2]
         y = np.sum(wy * outer, axis=-1) + static if need_y else None
         b = -np.sum(b + c_ab * nested, axis=-1)
         return b, x, y
 
-    # measured at N = 1000, 2000 times, one worker: a block peaks at 4.0 MB (14.6 at grids=4)
-    sums = map_row_blocks(block, times.size, w.size, grids=16)
+    # measured at N = 1000, 2000 times, one worker: a block peaks at 4.0 MB (5.8 at
+    # grids=16, as a nested call holds each mirrored grid until its mirror takes it)
+    sums = map_row_blocks(block, times.size, w.size, grids=24)
     b, x, y = (None if parts[0] is None else np.concatenate(parts) for parts in zip(*sums))
 
     def total(d1, d2):
@@ -265,12 +268,12 @@ def static_dressing_amplitude(basis: ModeBasis, omega: float,
     the time-independent mutual-dressing amplitude of a chain.  R is reduced
     mod N first, so G(R + m N) == G(R) bitwise.
 
-    An integer R gives a float from the cosine sum over the modes, whose
-    rounding grows with R mod N: up to 4e-14 relative at N = 1001 and
-    7e-12 at N = 10**5.  An integer array of R gives an array of G, each
-    gathered from one synthesis over the ring: within 8e-16 relative of a
-    sum with k R reduced mod N in integers and added exactly, at both
-    sizes, though it rounds differently from the integer form."""
+    An integer R gives a float from the cosine sum over the modes, with
+    each angle 2 pi (k R mod N) / N reduced in integers first, so its
+    rounding does not grow with R.  An integer array of R gives an array of
+    G, each gathered from one synthesis over the ring.  Both are within
+    8e-16 relative of the same sum added exactly, over every R at N = 1001
+    and 300 offsets at N = 10**5, though they round differently."""
     if basis.chain is None:
         raise UnsupportedConfigurationError("static dressing amplitude is chain-only")
     n = basis.n_sites
@@ -278,14 +281,15 @@ def static_dressing_amplitude(basis: ModeBasis, omega: float,
     if np.ndim(separation):
         ring = basis.synthesize(np.conj(basis.row(0)) / (omega * (omega + w))).real
         return ring[np.asarray(separation) % n]
-    theta = 2.0 * np.pi * np.arange(n) / n
-    return float(np.sum(np.cos(theta * (separation % n)) / (2.0 * n * omega * w * (omega + w))))
+    turns = (np.arange(n) * (separation % n)) % n
+    return float(np.sum(np.cos(2.0 * np.pi * turns / n) / (2.0 * n * omega * w * (omega + w))))
 
 
 def g_min(n_values, omega: float, length: float = 1.0, pinning: float = 1.0,
           speed: float = 1.0) -> np.ndarray:
     """G_min(N)/eps^2 = G(N/2)/eps^2 for antipodal sites, one value per even N
-    (cos(theta_k N/2) rounds to exactly (-1)^k: the sum alternates in sign)."""
+    (k N/2 mod N is 0 or N/2, so each cosine is exactly (-1)^k: the sum
+    alternates in sign)."""
     n_values = np.asarray(n_values, dtype=int)
     if np.any(n_values % 2 != 0):
         bad = int(n_values[n_values % 2 != 0][0])

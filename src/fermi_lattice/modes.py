@@ -71,6 +71,22 @@ class ChainParams:
         """E0 = nu / sqrt(1 - alpha)."""
         return self.pinning / np.sqrt(1.0 - self.alpha)
 
+    def mode_frequencies(self, k) -> np.ndarray:
+        """omega_k for mode indices 0 <= k <= N/2; omega_{N-k} == omega_k."""
+        cos_theta = np.cos(2.0 * np.pi * np.asarray(k) / self.n_sites)
+        return self.base_energy * np.sqrt(1.0 - self.alpha * cos_theta)
+
+    @property
+    def max_frequency(self) -> float:
+        """The largest omega_k, at k = N // 2: max(build_harmonic_chain(self).frequencies)
+        bit for bit, without building the chain."""
+        return float(self.mode_frequencies(np.array([self.n_sites // 2]))[0])
+
+    def causal_time(self, site_a: int, site_b: int) -> float:
+        """x/c, with x the ring distance from site_a forward to site_b."""
+        separation = (site_b - site_a) % self.n_sites
+        return self.length * separation / (self.speed * self.n_sites)
+
 
 @dataclass(frozen=True)
 class TrapParams:
@@ -253,11 +269,8 @@ def build_harmonic_chain(params: ChainParams) -> ModeBasis:
     conj(lambda[n, k]) hold bitwise.
     """
     n = params.n_sites
-    half = n // 2
-    cos_theta = np.empty(n)
-    cos_theta[: half + 1] = np.cos(2.0 * np.pi * np.arange(half + 1) / n)
-    cos_theta[half + 1:] = cos_theta[(n - 1) // 2:0:-1]
-    freqs = params.base_energy * np.sqrt(1.0 - params.alpha * cos_theta)
+    half = params.mode_frequencies(np.arange(n // 2 + 1))
+    freqs = np.concatenate([half, half[(n - 1) // 2:0:-1]])
     return ModeBasis(n, freqs, None, chain=params)
 
 

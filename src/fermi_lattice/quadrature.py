@@ -99,33 +99,44 @@ def _nested_series(moments, beta):
 # profile-aware integrals
 # ---------------------------------------------------------------------------
 #
-# Inside these, t is a (T, 1) column and the phases are (K,) rows.  Each
-# distinct phase row gets one exponential over the grid, and no more: E of
-# an outer component is shared by its three component pairs, E of a pair
-# phase that is exactly 0 (nu_a = -nu_b with phi2 = -phi1, as in every
-# amplitude kernel) is the column t, the saturated-tail term is evaluated
-# only on rows past the inner window end, and the small-argument series run
-# on the elements that need them.  T's series takes the moments M_1 ... M_7
-# of the outer phase in one phase_moments pass per outer component, on the
-# union of the inner components' series elements, and each component pair
-# gathers its elements from that table (numpy's complex *, /, + and cos/sin
-# give an element the same bytes wherever it sits in an array).  Every
-# element is computed by the same floating-point operations as the
-# elementwise E and T (kept in tests/test_quadrature.py as the references),
-# so results equal the elementwise primitives exactly (up to the sign of a
-# zero at t = 0, where T's series is skipped).  That is deliberate: the
-# oracle's residuals are O(eps^4) differences of O(eps^2) amplitudes, so a
-# last-digit change in the kernels moves its fitted slope by ~1e-11.
-# Factoring e^{i (nu + phi) t} into e^{i nu t} e^{i phi t} would save about
-# four fifths of the exponentials but changes those last digits.
+# Inside these, t is a (T, 1) column and the phases are (K,) rows.  One
+# exponential over the grid is taken per +- pair of distinct phase rows:
+# E(-phi; s) is conj(E(phi; s)) bit for bit (numpy's sin is odd and its cos
+# even, and its complex division by 1j phi is sign-symmetric), so a nested
+# call takes a row that is the exact negation of one it has evaluated as
+# that grid's conjugate.  With equal splittings and a shared opening the
+# inner phases are the negatives of the outer ones: the pair phases (j, i)
+# and (i*, j*) mirror each other (nu_i* = -nu_i), and so do the inner
+# singles nu_j + phi2 and the outer rows nu_j* + phi1, which halves the
+# exponentials; with unequal splittings nothing mirrors.  E of an outer
+# component is shared by its three component pairs, E of a pair phase that
+# is exactly 0 (nu_a = -nu_b with phi2 = -phi1, as in every amplitude
+# kernel) is the column t, the saturated-tail term is evaluated only on rows
+# past the inner window end, and the small-argument series run on the
+# elements that need them.  T's series takes the moments M_1 ... M_7 of every
+# outer component in one phase_moments pass, on the union of the inner
+# components' series elements, and each component pair gathers its elements
+# from that table (numpy's complex *, /, + and cos/sin give an element the
+# same bytes wherever it sits in an array).  Every element is computed by the
+# same floating-point operations as the elementwise E and T (kept in
+# tests/test_quadrature.py as the references), so results equal the
+# elementwise primitives exactly (up to the sign of a zero, which the
+# zero-initialised sums drop).  That is deliberate: the oracle's residuals
+# are O(eps^4) differences of O(eps^2) amplitudes, so a last-digit change in
+# the kernels moves its fitted slope by ~1e-11.  Factoring e^{i (nu + phi) t}
+# into e^{i nu t} e^{i phi t} would save about four fifths of the
+# exponentials but changes those last digits.
 #
-# The nested integral also returns the outer single integral, sum c_a
-# E(alpha; cap) with cap = min(t, w1), which every caller of it needs.  On
-# the rows inside the inner window cap = s, so E(alpha; cap) is the e_a that
-# the component pairs already use; on the rows past it E(alpha; cap) is
-# taken once per outer component, and the pairs' saturated-tail terms share
-# it.  The components are summed in opening_phase_integral's order from the
-# same zeros, so the two results are equal bit for bit.
+# The nested integral also returns both single integrals, sum c E(phase;
+# min(t, w)) of each profile, which the bare amplitude needs (the dressed
+# sums need the outer one).  The outer one, with cap = min(t, w1), is sum c_a
+# E(alpha; cap): on the rows inside the inner window cap = s, so E(alpha;
+# cap) is the e_a that the component pairs already use; on the rows past it
+# E(alpha; cap) is taken once per outer component, and the pairs'
+# saturated-tail terms share it.  The inner one is sum c_b E(beta; s) when
+# min(t, w2) = s on every row, so its rows can mirror the outer ones.  Each
+# is summed in opening_phase_integral's order from the same zeros, so the
+# results are equal bit for bit.
 
 def _below(phase, t, limit: float, rows=True):
     """Grid indices (ti, ki) of |phase t| < limit among the rows selected by
@@ -175,10 +186,60 @@ def opening_phase_integral(opening: OpeningFunction, phi, t):
     return _restore_shape(out, t, phi)
 
 
+def _take_order(alphas, betas, singles: bool) -> list[tuple]:
+    """The rows (i, j, phase) of E(phase; s) that a nested call takes, in the
+    order it takes them: (i, None, alpha_i), then (i, j, alpha_i + beta_j)
+    for each pair; with singles, (None, j, beta_j) as well, in order, each
+    right after the row it is the negation of (first if it is none's), so
+    that the grid it mirrors is dropped soon."""
+    rows = [(i, j, a if j is None else a + betas[j][1])
+            for i, (_, a) in enumerate(alphas) for j in (None, *range(len(betas)))]
+    if not singles:
+        return rows
+    where = {}
+    for n, (_, _, phase) in enumerate(rows):
+        where.setdefault(phase.tobytes(), n)
+    after, last = {}, -1
+    for j, (_, b) in enumerate(betas):
+        last = max(last, where.get(np.negative(b).tobytes(), -1))
+        after.setdefault(last, []).append((None, j, b))
+    return after.get(-1, []) + [row for n, main in enumerate(rows)
+                                for row in [main, *after.get(n, [])]]
+
+
+class _MirroredGrids:
+    """E(phase; t) for a fixed sequence of (K,) phase rows, taken in order:
+    a row that is the exact negation of a row evaluated before it is that
+    grid's conjugate, and a grid is held only until its mirror takes it."""
+
+    def __init__(self, phases, t):
+        self.phases, self.t = phases, t
+        self.source, self.held = {}, {}
+        open_rows = {}
+        for k, p in enumerate(phases):
+            if not np.any(p):  # a zero row is the column t, no exponential
+                continue
+            m = open_rows.pop(np.negative(p).tobytes(), None)
+            if m is None:
+                open_rows.setdefault(p.tobytes(), k)
+            else:
+                self.source[k] = m
+        self.hold = set(self.source.values())
+
+    def take(self, k):
+        if k in self.source:
+            return np.conj(self.held.pop(self.source[k]))
+        grid = phase_integral(self.phases[k], self.t)
+        if k in self.hold:
+            self.held[k] = grid
+        return grid
+
+
 def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
                             opening_inner: OpeningFunction, phi_inner, t):
-    """(outer, nested): int_0^t f1(u) e^{i phi1 u} du, equal to
-    opening_phase_integral(opening_outer, phi_outer, t) bit for bit, and
+    """(outer, inner, nested): int_0^t f1(u) e^{i phi1 u} du and
+    int_0^t f2(u) e^{i phi2 u} du, equal to opening_phase_integral of each
+    profile and phase bit for bit, and
     int_0^t dt' f1(t') e^{i phi1 t'} int_0^t' dt'' f2(t'') e^{i phi2 t''}.
 
     phi_outer and phi_inner must have the same shape; each result has shape
@@ -186,7 +247,7 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
     and beta = nu_b + phi2, nested is sum c_a c_b [T(alpha, beta; s) + E(beta; w2)
     (E(alpha; cap) - E(alpha; s))] for cap = min(t, w1) and s = min(cap, w2):
     past the inner window end w2 the inner integral has saturated.  outer is
-    sum c_a E(alpha; cap).
+    sum c_a E(alpha; cap) and inner sum c_b E(beta; min(t, w2)).
     """
     if np.atleast_1d(phi_outer).shape != np.atleast_1d(phi_inner).shape:
         raise ValueError("phi_outer and phi_inner must have matching shapes")
@@ -195,34 +256,50 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
     w2 = opening_inner.window_end
     cap = np.minimum(t_col, opening_outer.window_end)
     s = np.minimum(cap, w2)
+    tt = np.minimum(t_col, w2)
     past = np.flatnonzero(cap[:, 0] > s[:, 0])
     started = s[:, 0] != 0.0  # T(alpha, beta; 0) = 0 needs no series
-    outer = np.zeros((s.size, phi1.size), dtype=complex)
-    out = np.zeros((s.size, phi1.size), dtype=complex)
-    inner = [(cb, nub + phi2) for cb, nub in opening_inner.exp_components()]
+    outer, inner, out = (np.zeros((s.size, phi1.size), dtype=complex) for _ in range(3))
+    alphas = [(ca, nua + phi1) for ca, nua in opening_outer.exp_components()]
+    betas = [(cb, nub + phi2) for cb, nub in opening_inner.exp_components()]
     # T's series elements, where |beta s| is small, of each inner component;
-    # the moments of each outer component are taken once on their union
-    below = [_below(b, s, NESTED_SERIES_BELOW, started) for _, b in inner]
+    # the moments of every outer component are taken in one pass on their union
+    below = [_below(b, s, NESTED_SERIES_BELOW, started) for _, b in betas]
     flat = [ti * phi1.size + ki for ti, ki in below]
     union = np.unique(np.concatenate(flat))
     gather = [np.searchsorted(union, f) for f in flat]
     tu, ku = np.divmod(union, phi1.size)
-    for ca, nua in opening_outer.exp_components():
-        a = nua + phi1
-        e_a = phase_integral(a, s)
-        e_cap = e_a
-        if past.size:
-            e_cap = np.array(e_a)
-            e_cap[past] = phase_integral(a, cap[past])
-        outer = outer + ca * e_cap
-        if union.size:
-            moments = phase_moments(NESTED_ORDERS, a[ku], s[tu, 0])
-        for (cb, b), (ti, ki), idx in zip(inner, below, gather):
-            # T's difference form, and its series where |beta s| is small
-            term = (phase_integral(a + b, s) - e_a) / (1j * np.where(b == 0.0, 1.0, b))
-            if ti.size:
-                term[ti, ki] = _nested_series(moments[:, idx], b[ki])
+    if union.size:
+        moments = phase_moments(NESTED_ORDERS, np.concatenate([a[ku] for _, a in alphas]),
+                                np.tile(s[tu, 0], len(alphas)))
+    # the inner single integral shares the grid s, and may mirror its rows,
+    # unless the outer window ends first
+    singles = np.array_equal(tt, s)
+    if not singles:
+        for cb, b in betas:
+            inner = inner + cb * phase_integral(b, tt)
+    order = _take_order(alphas, betas, singles)
+    grids = _MirroredGrids([phase for _, _, phase in order], s)
+    for k, (i, j, _) in enumerate(order):
+        if i is None:
+            inner = inner + betas[j][0] * grids.take(k)
+            continue
+        ca, a = alphas[i]
+        if j is None:
+            e_a = grids.take(k)
+            e_cap = e_a
             if past.size:
-                term[past] += phase_integral(b, np.array([[w2]])) * (e_cap[past] - e_a[past])
-            out = out + ca * cb * term
-    return _restore_shape(outer, t, phi_outer), _restore_shape(out, t, phi_outer)
+                e_cap = np.array(e_a)
+                e_cap[past] = phase_integral(a, cap[past])
+            outer = outer + ca * e_cap
+            continue
+        # T's difference form, and its series where |beta s| is small
+        cb, b = betas[j]
+        ti, ki = below[j]
+        term = (grids.take(k) - e_a) / (1j * np.where(b == 0.0, 1.0, b))
+        if ti.size:
+            term[ti, ki] = _nested_series(moments[:, i * union.size + gather[j]], b[ki])
+        if past.size:
+            term[past] += phase_integral(b, np.array([[w2]])) * (e_cap[past] - e_a[past])
+        out = out + ca * cb * term
+    return tuple(_restore_shape(grid, t, phi_outer) for grid in (outer, inner, out))

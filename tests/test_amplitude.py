@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fermi_lattice import causality
+from fermi_lattice import causality, quadrature
 from fermi_lattice import (
     ChainParams,
     InvalidParametersError,
@@ -29,8 +29,8 @@ def reference_time_ordered_amplitude(basis, scenario, times):
     f_b = scenario.opening_b.post_ramp()
     om_a, om_b = scenario.omega_a, scenario.omega_b
 
-    _, n_plus = opening_nested_integral(f_a, -(om_a + w), f_b, +(om_b + w), times)
-    _, m_minus = opening_nested_integral(f_b, +(om_b - w), f_a, -(om_a - w), times)
+    _, _, n_plus = opening_nested_integral(f_a, -(om_a + w), f_b, +(om_b + w), times)
+    _, _, m_minus = opening_nested_integral(f_b, +(om_b - w), f_a, -(om_a - w), times)
     return -scenario.epsilon**2 * np.sum(mu * n_plus + np.conj(mu) * m_minus, axis=-1)
 
 
@@ -150,7 +150,7 @@ def test_negative_times_rejected(chain100, fig4_scenario):
 def test_dwi_constant_resonant_nested():
     # splitting 2 against mode frequency -2: phase 0
     op = OpeningFunction.constant()
-    _, got = opening_nested_integral(op, -0.0, op, 0.0, 1.3)
+    _, _, got = opening_nested_integral(op, -0.0, op, 0.0, 1.3)
     assert got == pytest.approx(1.3**2 / 2, rel=1e-14)
 
 
@@ -171,7 +171,7 @@ def test_dwi_quadrature_agrees_with_closed_form():
     closed = opening_phase_integral(op, -phi, t) * opening_phase_integral(op, phi, t)
     quad = gl_phase_integral(op, -phi, t) * gl_phase_integral(op, phi, t)
     np.testing.assert_allclose(quad, closed, rtol=1e-9, atol=1e-12)
-    _, closed = opening_nested_integral(op, -phi, op, phi, t)
+    _, _, closed = opening_nested_integral(op, -phi, op, phi, t)
     quad = gl_nested_integral(op, -phi, op, phi, t)
     np.testing.assert_allclose(quad, closed, rtol=1e-9, atol=1e-12)
 
@@ -189,6 +189,26 @@ def test_blocked_amplitude_equals_unblocked(chain1000, monkeypatch):
     whole = bare_amplitude(chain1000, sc, times)
     for name in ("a0", "ac", "total", "probability"):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+
+
+def test_windowed_amplitude_takes_one_exponential_per_mirrored_pair(chain1000, monkeypatch):
+    # the continuum benchmark's windowed_bare config: equal splittings and a
+    # shared sin^2 window, so per branch the inner singles mirror the 3 outer
+    # rows and the 6 nonzero pair phases come in 3 +- pairs.  One exponential
+    # per distinct phase row took 12 (time, frequency) grids per branch
+    elements = []
+    cis = quadrature.cis
+
+    def counting(x):
+        elements.append(np.size(x))
+        return cis(x)
+
+    monkeypatch.setattr(quadrature, "cis", counting)
+    sc = Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.sin_sq_window(0.1), 0.1)
+    trace = windowed_amplitude(chain1000, sc)
+    grid = trace.times.size * chain1000.distinct_frequencies.size
+    # no series element has |alpha s| >= 2, so the moments take no exponential
+    assert sum(elements) == 2 * 6 * grid == (2 * 12 * grid) // 2
 
 
 def test_windowed_amplitude_memory_is_bounded_by_the_block():

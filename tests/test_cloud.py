@@ -91,6 +91,21 @@ def test_grid_cloud_equals_the_per_time_cloud_bitwise(n, scheme):
         assert total[i].tobytes() == (ref_up + ref_down).tobytes()
 
 
+def test_cloud_evolves_the_distinct_frequencies_only(monkeypatch):
+    # e^{-i w_k t} depends on the mode through w_k alone: a chain of 2000
+    # sites takes it on its 1001 distinct frequencies and spreads it
+    basis = build_harmonic_chain(ChainParams(2000))
+    sizes = []
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return cis(x)
+
+    monkeypatch.setattr(cloud, "cis", counting)
+    single_site_distributions(basis, fig_b1_scenario(), DressingScheme.SIGMA_X, TIMES)
+    assert sizes == [TIMES.size * 1001]
+
+
 @pytest.mark.parametrize("scheme", list(DressingScheme))
 def test_grid_cloud_on_a_trap_matches_the_per_time_cloud(scheme):
     basis = build_ion_trap(TrapParams(7))

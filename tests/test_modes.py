@@ -93,6 +93,17 @@ def test_chain_mode_symmetry_is_exact():
         assert np.array_equal(lam[:, 1:], np.conj(lam[:, :0:-1]))
 
 
+def test_chain_parameters_give_the_largest_and_the_distinct_frequencies():
+    # a causality sweep plans each chain from its parameters, before building it
+    for n in [*range(2, 2001), 10**6]:
+        params = ChainParams(n)
+        basis = build_harmonic_chain(params)
+        assert params.max_frequency == np.max(basis.frequencies)
+        if n <= 2000:
+            assert basis.distinct_frequencies.size == n // 2 + 1
+    assert basis.distinct_frequencies.size == 10**6 // 2 + 1
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 100, 101, 1000])
 def test_chain_rows_match_dense_reference_bitwise(n):
     params = ChainParams(n)
@@ -443,8 +454,8 @@ def test_grids_on_distinct_frequencies_expand_to_the_full_grids_bitwise(kind, n)
     grids = [
         lambda v: np.exp(1j * np.multiply.outer(times, v)),
         lambda v: opening_phase_integral(op, -(2.0 + v), times),
-        lambda v: opening_nested_integral(op, -(2.0 + v), op, 2.0 + v, times)[1],
-        lambda v: opening_nested_integral(op, 2.0 - v, op, -(2.0 - v), times)[1],
+        lambda v: opening_nested_integral(op, -(2.0 + v), op, 2.0 + v, times)[2],
+        lambda v: opening_nested_integral(op, 2.0 - v, op, -(2.0 - v), times)[2],
     ]
     for grid in grids:
         expanded = basis.expand(grid(distinct))
