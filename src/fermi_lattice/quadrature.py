@@ -129,7 +129,7 @@ def _nested_series(moments, beta):
 #
 # The nested integral also returns both single integrals, sum c E(phase;
 # min(t, w)) of each profile, which the bare amplitude needs (the dressed
-# sums need the outer one).  The outer one, with cap = min(t, w1), is sum c_a
+# sums need the outer one only, and skip the inner one).  The outer one, with cap = min(t, w1), is sum c_a
 # E(alpha; cap): on the rows inside the inner window cap = s, so E(alpha;
 # cap) is the e_a that the component pairs already use; on the rows past it
 # E(alpha; cap) is taken once per outer component, and the pairs'
@@ -186,27 +186,6 @@ def opening_phase_integral(opening: OpeningFunction, phi, t):
     return _restore_shape(out, t, phi)
 
 
-def _take_order(alphas, betas, singles: bool) -> list[tuple]:
-    """The rows (i, j, phase) of E(phase; s) that a nested call takes, in the
-    order it takes them: (i, None, alpha_i), then (i, j, alpha_i + beta_j)
-    for each pair; with singles, (None, j, beta_j) as well, in order, each
-    right after the row it is the negation of (first if it is none's), so
-    that the grid it mirrors is dropped soon."""
-    rows = [(i, j, a if j is None else a + betas[j][1])
-            for i, (_, a) in enumerate(alphas) for j in (None, *range(len(betas)))]
-    if not singles:
-        return rows
-    where = {}
-    for n, (_, _, phase) in enumerate(rows):
-        where.setdefault(phase.tobytes(), n)
-    after, last = {}, -1
-    for j, (_, b) in enumerate(betas):
-        last = max(last, where.get(np.negative(b).tobytes(), -1))
-        after.setdefault(last, []).append((None, j, b))
-    return after.get(-1, []) + [row for n, main in enumerate(rows)
-                                for row in [main, *after.get(n, [])]]
-
-
 class _MirroredGrids:
     """E(phase; t) for a fixed sequence of (K,) phase rows, taken in order:
     a row that is the exact negation of a row evaluated before it is that
@@ -236,11 +215,12 @@ class _MirroredGrids:
 
 
 def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
-                            opening_inner: OpeningFunction, phi_inner, t):
+                            opening_inner: OpeningFunction, phi_inner, t, *, inner=True):
     """(outer, inner, nested): int_0^t f1(u) e^{i phi1 u} du and
     int_0^t f2(u) e^{i phi2 u} du, equal to opening_phase_integral of each
     profile and phase bit for bit, and
     int_0^t dt' f1(t') e^{i phi1 t'} int_0^t' dt'' f2(t'') e^{i phi2 t''}.
+    With inner=False the inner single integral is not taken, and is None.
 
     phi_outer and phi_inner must have the same shape; each result has shape
     t.shape + phi.shape.  Over the component pairs, with alpha = nu_a + phi1
@@ -256,10 +236,10 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
     w2 = opening_inner.window_end
     cap = np.minimum(t_col, opening_outer.window_end)
     s = np.minimum(cap, w2)
-    tt = np.minimum(t_col, w2)
     past = np.flatnonzero(cap[:, 0] > s[:, 0])
     started = s[:, 0] != 0.0  # T(alpha, beta; 0) = 0 needs no series
-    outer, inner, out = (np.zeros((s.size, phi1.size), dtype=complex) for _ in range(3))
+    outer, out = (np.zeros((s.size, phi1.size), dtype=complex) for _ in range(2))
+    single = np.zeros_like(outer) if inner else None
     alphas = [(ca, nua + phi1) for ca, nua in opening_outer.exp_components()]
     betas = [(cb, nub + phi2) for cb, nub in opening_inner.exp_components()]
     # T's series elements, where |beta s| is small, of each inner component;
@@ -274,15 +254,21 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
                                 np.tile(s[tu, 0], len(alphas)))
     # the inner single integral shares the grid s, and may mirror its rows,
     # unless the outer window ends first
-    singles = np.array_equal(tt, s)
-    if not singles:
+    tt = np.minimum(t_col, w2)
+    singles = inner and np.array_equal(tt, s)
+    if inner and not singles:
         for cb, b in betas:
-            inner = inner + cb * phase_integral(b, tt)
-    order = _take_order(alphas, betas, singles)
+            single = single + cb * phase_integral(b, tt)
+    # the E(phase; s) rows in the order the sums take them: alpha_i, then each
+    # pair phase alpha_i + beta_j, and the inner singles beta_j last
+    order = [(i, j, a if j is None else a + betas[j][1])
+             for i, (_, a) in enumerate(alphas) for j in (None, *range(len(betas)))]
+    if singles:
+        order += [(None, j, b) for j, (_, b) in enumerate(betas)]
     grids = _MirroredGrids([phase for _, _, phase in order], s)
     for k, (i, j, _) in enumerate(order):
         if i is None:
-            inner = inner + betas[j][0] * grids.take(k)
+            single = single + betas[j][0] * grids.take(k)
             continue
         ca, a = alphas[i]
         if j is None:
@@ -302,4 +288,5 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
         if past.size:
             term[past] += phase_integral(b, np.array([[w2]])) * (e_cap[past] - e_a[past])
         out = out + ca * cb * term
-    return tuple(_restore_shape(grid, t, phi_outer) for grid in (outer, inner, out))
+    single = None if single is None else _restore_shape(single, t, phi_outer)
+    return _restore_shape(outer, t, phi_outer), single, _restore_shape(out, t, phi_outer)

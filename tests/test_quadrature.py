@@ -563,6 +563,12 @@ def test_nested_returns_the_inner_single_integral_bitwise(chain1000, outer, inne
     for t in (0.0, 0.07):
         _, got, _ = opening_nested_integral(outer, 1.5, inner, -1.5, t)
         assert np.array(got).tobytes() == np.array(opening_phase_integral(inner, -1.5, t)).tobytes()
+    # skipping the inner integral leaves the other two as they were
+    both = opening_nested_integral(outer, chain_phis, inner, -chain_phis, SINGLE_TIMES)
+    skipped = opening_nested_integral(outer, chain_phis, inner, -chain_phis, SINGLE_TIMES,
+                                      inner=False)
+    assert skipped[1] is None
+    assert [g.tobytes() for g in skipped[::2]] == [g.tobytes() for g in both[::2]]
 
 
 # Each outer component takes the moments once, on the union of the inner
