@@ -571,8 +571,8 @@ def test_nested_returns_the_inner_single_integral_bitwise(chain1000, outer, inne
     assert [g.tobytes() for g in skipped[::2]] == [g.tobytes() for g in both[::2]]
 
 
-# Each outer component takes the moments once, on the union of the inner
-# components' series elements (|beta s| < NESTED_SERIES_BELOW).  Phases near
+# The outer components take their moments in one pass, on the union of the
+# inner components' series elements (|beta s| < NESTED_SERIES_BELOW).  Phases near
 # -nu_b select the elements of one inner component only; tiny times select
 # every component's.
 SELECTION_INNER = OpeningFunction.sin_sq_window(0.1)
