@@ -161,11 +161,6 @@ def nominal_causal_time(basis: ModeBasis, site_a: int, site_b: int) -> float:
     return 1.0 / float(np.min(basis.frequencies))
 
 
-def lightcone_samples(basis: ModeBasis, tau_max: float, n_samples: int = DEFAULT_SAMPLES) -> int:
-    """n_samples, widened until the fastest mode is resolved on [0, tau_max]."""
-    return resolved_samples(float(np.max(basis.frequencies)), tau_max, n_samples)
-
-
 def resolved_samples(w_max: float, tau_max: float, n_samples: int) -> int:
     """n_samples, widened until a mode of frequency w_max is resolved on [0, tau_max]."""
     return max(n_samples, int(np.ceil(tau_max * SAMPLES_PER_PERIOD * w_max / (2.0 * np.pi))) + 1)
@@ -196,10 +191,12 @@ def rise_estimate(basis: ModeBasis, trace: CausalityTrace) -> LightconeEstimate:
 
 def lightcone_estimate(basis: ModeBasis, site_a: int, site_b: int,
                        tau_max: float, n_samples: int = DEFAULT_SAMPLES) -> LightconeEstimate:
-    """The rise_estimate of F_c on a lightcone_samples grid on [0, tau_max]."""
+    """The rise_estimate of F_c on [0, tau_max], on n_samples points widened
+    until the fastest mode is resolved."""
     if tau_max <= 0:
         raise ValueError("tau_max must be > 0")
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    taus = np.linspace(0.0, tau_max, lightcone_samples(basis, tau_max, n_samples))
+    w_max = float(np.max(basis.frequencies))
+    taus = np.linspace(0.0, tau_max, resolved_samples(w_max, tau_max, n_samples))
     return rise_estimate(basis, causality_trace(basis, site_a, site_b, taus))

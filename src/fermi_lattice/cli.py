@@ -35,8 +35,8 @@ from .amplitude import bare_amplitude, windowed_amplitude
 from .causality import (SWEEP_ELEMENT_LIMIT, causality_trace, commutator, lightcone_estimate,
                         nominal_causal_time, resolved_samples, rise_estimate)
 from .cloud import excitation_distribution, single_site_distributions
-from .dressing import (DressingScheme, _require_equal_splittings, dressed_amplitude, g_min,
-                       static_dressing_amplitude)
+from .dressing import (DressingScheme, _require_equal_splittings, _shared_opening,
+                       dressed_amplitude, g_min, static_dressing_amplitude)
 from .errors import FermiLatticeError, InvalidParametersError, NumericalFailureError, SchemaError
 from .ion2 import PulseSpec, swap_probability, swap_probability_full, symplectic_temperature
 from .modes import (ChainParams, ModeBasis, Scenario, TrapParams, build_harmonic_chain,
@@ -239,24 +239,30 @@ def _opening(doc: dict) -> OpeningFunction:
     return OpeningFunction(**doc)
 
 
-def build_basis(doc: dict) -> ModeBasis:
-    """The mode basis of a checked scenario file (see apply_schema)."""
+def _system_params(doc: dict) -> ChainParams | TrapParams:
+    """The ChainParams or TrapParams of a checked scenario file."""
     kind = doc["system"]["kind"]
     try:
-        params = (ChainParams if kind == "chain" else TrapParams)(**doc["system"][kind])
+        return (ChainParams if kind == "chain" else TrapParams)(**doc["system"][kind])
     except FermiLatticeError as exc:
         raise SchemaError(f"system.{kind}: {exc}") from exc
-    return build_harmonic_chain(params) if kind == "chain" else build_ion_trap(params)
 
 
-def build_scenario(doc: dict, basis: ModeBasis) -> Scenario:
-    """The Scenario of a checked scenario file (see apply_schema)."""
-    sc = doc["scenario"]
+def build_basis(doc: dict) -> ModeBasis:
+    """The mode basis of a checked scenario file (see apply_schema)."""
+    build = build_harmonic_chain if doc["system"]["kind"] == "chain" else build_ion_trap
+    return build(_system_params(doc))
+
+
+def build_scenario(doc: dict) -> Scenario:
+    """The Scenario of a checked scenario file (see apply_schema), its sites
+    checked against the system's size before any basis is built."""
+    sc, kind = doc["scenario"], doc["system"]["kind"]
     try:
         scenario = Scenario(sc["site_a"], sc["site_b"], sc["omega_a"], sc["omega_b"],
                             sc["epsilon"], _opening(sc["opening_a"]), _opening(sc["opening_b"]),
                             sc["duration"])
-        scenario.check_sites(basis.n_sites)
+        scenario.check_sites(doc["system"][kind]["n_sites" if kind == "chain" else "n_ions"])
     except (FermiLatticeError, IndexError) as exc:
         raise SchemaError(f"scenario section: {exc}") from exc
     return scenario
@@ -344,18 +350,19 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
     if run.get("separation_fraction") is not None and run["n_values"] is None:
         raise SchemaError("run.separation_fraction needs run.n_values (it places site_b "
                           "for each chain size of the sweep)")
-    basis = build_basis(doc)
-    scenario = build_scenario(doc, basis)
+    scenario = build_scenario(doc)
 
     if run["mode"] == "r_scan":
-        if basis.chain is None:
+        if doc["system"]["kind"] != "chain":
             raise SchemaError("r_scan mode needs a chain system")
-        r_values = range(1, basis.n_sites) if run["r_values"] == "all" else run["r_values"]
+        n_sites = doc["system"]["chain"]["n_sites"]
+        r_values = range(1, n_sites) if run["r_values"] == "all" else run["r_values"]
         for r in r_values:
-            if r % basis.n_sites == 0:
+            if r % n_sites == 0:
                 raise SchemaError(f"run.r_values: r = {r} puts site_b on site_a "
-                                  f"(r must not be a multiple of n_sites = {basis.n_sites})")
-        sites = (scenario.site_a + np.asarray(r_values)) % basis.n_sites
+                                  f"(r must not be a multiple of n_sites = {n_sites})")
+        basis = build_basis(doc)
+        sites = (scenario.site_a + np.asarray(r_values)) % n_sites
         f_c = commutator(basis, scenario.site_a, sites, run["tau"])
         return [write_csv(out, ["r", "f_c"], [r_values, f_c])]
 
@@ -372,32 +379,30 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
     # each point makes its chain when it needs it: the system's, or a sweep
     # chain built once, after the whole sweep is planned from its parameters,
-    # so that a sweep holds one of its chains at a time
+    # so that a sweep holds one of its chains at a time and builds no system chain
     if run["n_values"] is None:
+        basis = build_basis(doc)
         points = [(lambda: basis, scenario.site_a, scenario.site_b, "",
                    plan(float(np.max(basis.frequencies)), basis.distinct_frequencies.size,
                         nominal_causal_time(basis, scenario.site_a, scenario.site_b)))]
     else:
-        if basis.chain is None:
+        if doc["system"]["kind"] != "chain":
             raise SchemaError("run.n_values sweeps are for chain systems")
+        system = _system_params(doc)
         frac = run["separation_fraction"]
         points = []
         for n in run["n_values"]:
             try:
-                chain = ChainParams(n, basis.chain.length, basis.chain.pinning, basis.chain.speed)
-            except FermiLatticeError as exc:
+                chain = ChainParams(n, system.length, system.pinning, system.speed)
+                if frac is None:
+                    scenario.check_sites(n)
+            except (FermiLatticeError, IndexError) as exc:
                 raise SchemaError(f"run.n_values: n = {n}: {exc}") from exc
-            if frac is not None:
-                site_a, site_b = 0, int(round(frac * n)) % n
-                if site_b == site_a:
-                    raise SchemaError(f"run.separation_fraction = {frac} puts site_b on "
-                                      f"site_a for n = {n}")
-            else:
-                site_a, site_b = scenario.site_a, scenario.site_b
-                for key, site in (("site_a", site_a), ("site_b", site_b)):
-                    if site >= n:
-                        raise SchemaError(f"scenario.{key} = {site} is out of range for the "
-                                          f"n = {n} chain of run.n_values")
+            site_a, site_b = ((scenario.site_a, scenario.site_b) if frac is None
+                              else (0, int(round(frac * n)) % n))
+            if site_b == site_a:  # the scenario's own sites differ
+                raise SchemaError(f"run.separation_fraction = {frac} puts site_b on "
+                                  f"site_a for n = {n}")
             # a chain of n sites has n // 2 + 1 distinct frequencies
             points.append((partial(build_harmonic_chain, chain), site_a, site_b, f"_n{n}",
                            plan(chain.max_frequency, n // 2 + 1,
@@ -426,8 +431,8 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
 
 def cmd_bare(doc: dict, out: Path, report: Reporter) -> list[Path]:
+    scenario = build_scenario(doc)
     basis = build_basis(doc)
-    scenario = build_scenario(doc, basis)
     run = doc["run"]
     t_max = _window_t_max(run, scenario)
     if run["t_max"] is None:  # windowed_amplitude ends at the same window end
@@ -445,25 +450,27 @@ def cmd_bare(doc: dict, out: Path, report: Reporter) -> list[Path]:
 def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
     run = doc["run"]
     if run["mode"] != "trace" and doc["system"]["kind"] != "chain":
-        raise SchemaError(f"run.mode {run['mode']!r} needs system.kind 'chain': the static "
-                          "dressing amplitude is chain-only")
-    basis = build_basis(doc)
-    scenario = build_scenario(doc, basis)
+        raise SchemaError(f"run.mode {run['mode']!r} needs system.kind 'chain': its offsets "
+                          "r from site 0 and antipodal sites N/2 are taken around a ring")
+    scenario = build_scenario(doc)
     omega = _require_equal_splittings(scenario)
 
     if run["mode"] == "g_scan":  # one synthesis over the ring, like a causality r_scan
+        basis = build_basis(doc)
         r_values = range(basis.n_sites // 2 + 1) if run["r_values"] == "all" else run["r_values"]
-        g = static_dressing_amplitude(basis, omega, np.asarray(r_values))
+        g = static_dressing_amplitude(basis, omega, 0, np.asarray(r_values))
         return [write_csv(out, ["r", "g"], [r_values, g])]
 
-    if run["mode"] == "gmin_scan":
-        chain = basis.chain
+    if run["mode"] == "gmin_scan":  # one chain per entry of run.n_values, not the system's
+        chain = _system_params(doc)
         try:
             values = g_min(run["n_values"], omega, chain.length, chain.pinning, chain.speed)
         except FermiLatticeError as exc:
             raise SchemaError(f"run.n_values: {exc}") from exc
         return [write_csv(out, ["n", "g_min"], [run["n_values"], values])]
 
+    _shared_opening(scenario)
+    basis = build_basis(doc)
     names = run["schemes"]
     times = np.linspace(0.0, _window_t_max(run, scenario), run["n_times"])
     traces = dressed_amplitude(basis, scenario, [DressingScheme[n.upper()] for n in names], times)
@@ -516,8 +523,10 @@ def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
     if n_times * n_sites > CLOUD_ELEMENT_LIMIT:
         raise SchemaError(f"{key}: {n_times} times x {n_sites} sites is over the cloud's "
                           f"limit of {CLOUD_ELEMENT_LIMIT:.3g} (time, site) elements")
+    scenario = build_scenario(doc)
+    _require_equal_splittings(scenario)
+    _shared_opening(scenario)
     basis = build_basis(doc)
-    scenario = build_scenario(doc, basis)
     scheme = DressingScheme[run["scheme"].upper()]
     component = run["component"]
     t_values = run["t_values"] or np.linspace(0.0, _window_t_max(run, scenario), n_times)
@@ -535,12 +544,12 @@ def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
 
 def cmd_oracle_check(doc: dict, out: Path, report: Reporter) -> list[Path]:
-    basis = build_basis(doc)
-    scenario = build_scenario(doc, basis)
+    scenario = build_scenario(doc)
     run = doc["run"]
     times = np.linspace(0.0, run["t_max"], run["n_times"] + 1)[1:]
     if np.any(np.diff(times) <= 0):
         raise SchemaError(f"run.t_max = {run['t_max']!r} is too small for run.n_times times")
+    basis = build_basis(doc)
     cutoff = run["cutoff"]
     try:
         residuals, slope = residual_slope(basis, scenario, run["epsilons"], times,

@@ -13,7 +13,8 @@ site A then selects one of three initial states, labelled by constants
 The amplitude is linear in the constants, A/eps^2 = B + (d1 + d2) X + d1 Y.
 With mode weights c_ba = conj(lam_Bk) lam_Ak and c_ab = conj(c_ba), B sums the
 two nested integrals, X and Y one single integral each, and Y's static part
-sum_k (c_ba + c_ab) / (2 Omega (Omega + w_k)) is G(R)/eps^2 on a chain.
+sum_k (c_ba + c_ab) / (2 Omega (Omega + w_k)) is the mutual dressing G(a, b)/eps^2
+of static_dressing_amplitude, on any basis.
 """
 
 from __future__ import annotations
@@ -173,8 +174,6 @@ def dressed_ground_state(basis: ModeBasis, scenario: Scenario) -> StateExpansion
     n_modes = basis.n_modes
     denom = om + w
 
-    mutual_static = complex(np.sum((la * np.conj(lb) + lb * np.conj(la)) / (2.0 * om * denom)))
-
     # order 2, one (k, l >= k) pair per entry in row-major order; k == l is |2_k>
     k, l = np.triu_indices(n_modes)
     diagonal = k == l
@@ -196,7 +195,8 @@ def dressed_ground_state(basis: ModeBasis, scenario: Scenario) -> StateExpansion
     first_count = np.concatenate(([0], np.ones(2 * n_modes), [0],
                                   np.repeat(np.where(diagonal, 2, 1), 2)))
     coeff = np.concatenate((
-        [1.0], np.column_stack((-la / denom, -lb / denom)).ravel(), [mutual_static],
+        [1.0], np.column_stack((-la / denom, -lb / denom)).ravel(),
+        [static_dressing_amplitude(basis, om, scenario.site_a, scenario.site_b)],
         np.column_stack((down_down, up_up)).ravel()))
     # a second mode, when there is one, holds one phonon
     return StateExpansion(
@@ -232,7 +232,7 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
     c_ba, c_ab = basis.fold(np.conj(lam_b) * lam_a), basis.fold(np.conj(lam_a) * lam_b)
     need_x, need_y = any(s.d1 or s.d2 for s in schemes), any(s.d1 for s in schemes)
     wx, wy = 1j * c_ba / (om + w), 1j * c_ab / (om + w)
-    static = np.sum((c_ba + c_ab) / (2.0 * om * (om + w)))
+    static = static_dressing_amplitude(basis, om, scenario.site_a, scenario.site_b)
 
     def block(rows):
         t = times[rows]
@@ -261,27 +261,29 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
     return traces[0] if isinstance(scheme, DressingScheme) else traces
 
 
-def static_dressing_amplitude(basis: ModeBasis, omega: float,
-                              separation: int | np.ndarray) -> float | np.ndarray:
-    """G(R)/eps^2 = sum_k cos(theta_k R) / (2 N Omega w_k (Omega + w_k)),
-    the time-independent mutual-dressing amplitude of a chain.  R is reduced
-    mod N first, so G(R + m N) == G(R) bitwise.
+def static_dressing_amplitude(basis: ModeBasis, omega: float, site_a: int,
+                              sites: int | np.ndarray) -> float | np.ndarray:
+    """G(a, b)/eps^2 = Re sum_k lam[b, k] conj(lam[a, k]) / (Omega (Omega + w_k)),
+    the static mutual dressing of site a with a site b or an array of them,
+    on any basis.  Chain sites are reduced mod N (G is periodic bitwise);
+    elsewhere a site outside [0, N) raises IndexError.
 
-    An integer R gives a float from the cosine sum over the modes, with
-    each angle 2 pi (k R mod N) / N reduced in integers first, so its
-    rounding does not grow with R.  An integer array of R gives an array of
-    G, each gathered from one synthesis over the ring.  Both are within
-    8e-16 relative of the same sum added exactly, over every R at N = 1001
-    and 300 offsets at N = 10**5, though they round differently."""
-    if basis.chain is None:
-        raise UnsupportedConfigurationError("static dressing amplitude is chain-only")
-    n = basis.n_sites
-    w = basis.frequencies
-    if np.ndim(separation):
-        ring = basis.synthesize(np.conj(basis.row(0)) / (omega * (omega + w))).real
-        return ring[np.asarray(separation) % n]
-    turns = (np.arange(n) * (separation % n)) % n
-    return float(np.sum(np.cos(2.0 * np.pi * turns / n) / (2.0 * n * omega * w * (omega + w))))
+    One integer site of a chain gives the cosine sum over R = b - a, each
+    angle 2 pi (k R mod N) / N reduced in integers so that its rounding does
+    not grow with R; any other input is gathered from one synthesis of
+    conj(lam[a]) / (Omega (Omega + w)).  Against an exactly added sum: 8e-16
+    on chains (every R at N = 1001), 2.5e-15 from the middle of 201 ions."""
+    n, w = basis.n_sites, basis.frequencies
+    if basis.chain is not None:
+        if not np.ndim(sites):
+            turns = (np.arange(n) * ((sites - site_a) % n)) % n
+            return float(np.sum(np.cos(2.0 * np.pi * turns / n)
+                                / (2.0 * n * omega * w * (omega + w))))
+        site_a, sites = site_a % n, np.asarray(sites) % n
+    elif np.any((np.asarray(sites) < 0) | (np.asarray(sites) >= n)):
+        raise IndexError(f"site index out of range for {n} sites")
+    ring = basis.synthesize(np.conj(basis.row(site_a)) / (omega * (omega + w))).real
+    return ring[sites] if np.ndim(sites) else float(ring[sites])
 
 
 def g_min(n_values, omega: float, length: float = 1.0, pinning: float = 1.0,
@@ -296,5 +298,5 @@ def g_min(n_values, omega: float, length: float = 1.0, pinning: float = 1.0,
     out = np.empty(n_values.size, dtype=float)
     for i, n in enumerate(n_values.tolist()):
         chain = build_harmonic_chain(ChainParams(n, length, pinning, speed))
-        out[i] = static_dressing_amplitude(chain, omega, n // 2)
+        out[i] = static_dressing_amplitude(chain, omega, 0, n // 2)
     return out

@@ -34,8 +34,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParametersError
-from .modes import Scenario
-from .quadrature import opening_phase_integral
+# opening_phase_integral is not called here (the pulse areas come in as
+# numbers); perfbench/spans.py traces the quadrature calls by this name
+from .quadrature import opening_phase_integral  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -56,16 +57,6 @@ class PulseSpec:
 
     alpha_a: float
     alpha_b: float
-
-    @classmethod
-    def from_drive(cls, epsilon: float, omega0: float, scenario: Scenario) -> "PulseSpec":
-        if omega0 <= 0:
-            raise InvalidParametersError("omega0 must be > 0")
-        scale = -epsilon / math.sqrt(2.0 * omega0)
-        t_end = scenario.duration
-        area_a = opening_phase_integral(scenario.opening_a.post_ramp(), 0.0, t_end).real
-        area_b = opening_phase_integral(scenario.opening_b.post_ramp(), 0.0, t_end).real
-        return cls(scale * area_a, scale * area_b)
 
 
 def symplectic_temperature(omega0: float, omega1: float) -> ThermalGroundState:

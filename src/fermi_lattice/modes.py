@@ -113,8 +113,7 @@ class Scenario:
     (hold -delta for trap scenarios), coupling strength and opening profiles.
 
     The interaction windows come from the openings.  ``duration`` is
-    accepted and checked but read by no command; its one reader is
-    ``PulseSpec.from_drive``."""
+    accepted and checked but read by nothing in the package."""
 
     site_a: int
     site_b: int
@@ -140,9 +139,9 @@ class Scenario:
         return cls(site_a, site_b, omega, omega, epsilon, opening, opening, duration)
 
     def check_sites(self, n_sites: int) -> None:
-        for s in (self.site_a, self.site_b):
-            if not (0 <= s < n_sites):
-                raise IndexError(f"site index {s} out of range for {n_sites} sites")
+        for key, site in (("site_a", self.site_a), ("site_b", self.site_b)):
+            if not (0 <= site < n_sites):
+                raise IndexError(f"scenario.{key} = {site} is out of range for {n_sites} sites")
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ import pytest
 
 import fermi_lattice
 from fermi_lattice import causality, cli, dressing, oracle
-from fermi_lattice.causality import SWEEP_ELEMENT_LIMIT, lightcone_samples
+from fermi_lattice.causality import SWEEP_ELEMENT_LIMIT, resolved_samples
 from fermi_lattice.errors import NumericalFailureError
 from fermi_lattice.ion2 import (PulseSpec, swap_probability, swap_probability_full,
                                 symplectic_temperature)
@@ -268,7 +268,7 @@ def test_dressed_notes_and_columns_follow_the_schemes(tmp_path, names):
     summary = json.loads(out.with_suffix(".manifest.json").read_text())["summary"]
     assert list(summary) == [f"p_final.{name}" for name in names]
     basis = build_harmonic_chain(ChainParams(100))
-    scenario = cli.build_scenario(cli.apply_schema(doc, "dressed"), basis)
+    scenario = cli.build_scenario(cli.apply_schema(doc, "dressed"))
     for name in names:
         trace = dressing.dressed_amplitude(basis, scenario, dressing.DressingScheme[name.upper()],
                                            np.linspace(0.0, 0.1, 31))
@@ -944,9 +944,9 @@ def test_a_causality_sweep_holds_one_chain_at_a_time(tmp_path, monkeypatch, caps
     built = []
 
     def spy(params):
-        # the system's own chain comes first; every sweep chain must be gone
+        # the sweep builds no system chain, and every sweep chain must be gone
         # before the next one is built
-        alive = [ref().n_sites for ref in built[1:] if ref() is not None]
+        alive = [ref().n_sites for ref in built if ref() is not None]
         assert not alive, f"sweep chains of {alive} sites alive at a new build"
         chain = build_harmonic_chain(params)
         built.append(weakref.ref(chain))
@@ -959,11 +959,47 @@ def test_a_causality_sweep_holds_one_chain_at_a_time(tmp_path, monkeypatch, caps
     # the sweep is planned from its chains' parameters: each chain is built
     # once, to sum, and a refused sweep builds none
     if limit == SWEEP_ELEMENT_LIMIT:
-        assert code == 0 and len(built) == 1 + 3
+        assert code == 0 and len(built) == 3
     else:
         assert code == 2 and "run.n_values" in capsys.readouterr().err
-        assert len(built) == 1
+        assert not built
         assert not list(tmp_path.glob("*.csv"))
+
+
+# the largest trap the schema takes; each command's base run below reaches its build
+TRAP_AT_LIMIT = {"system": {"kind": "trap", "trap": {"n_ions": cli.TRAP_IONS_LIMIT}},
+                 "scenario": {"site_a": 0, "site_b": 1, "omega": 2.0,
+                              "opening": {"variant": "sin_sq_window", "window": 0.1}}}
+# command, its run section, the refused key and its value
+REFUSED_SCENARIOS = [
+    ("bare", {}, "scenario.site_b", cli.TRAP_IONS_LIMIT),
+    ("dressed", {"n_times": 5}, "scenario.site_a", cli.TRAP_IONS_LIMIT + 7),
+    ("dressed", {"n_times": 5}, "scenario.omega_b", 2.5),
+    ("cloud", {}, "scenario.omega_b", 2.5),
+    ("cloud", {}, "scenario.opening_b", {"variant": "cos_sq_window", "window": 0.1}),
+    ("oracle-check", {"epsilons": [0.01], "t_max": 0.5, "n_times": 3}, "scenario.site_a",
+     cli.TRAP_IONS_LIMIT),
+    ("causality", {"tau_max": 0.5, "n_samples": 200}, "scenario.site_b", cli.TRAP_IONS_LIMIT),
+]
+
+
+@pytest.mark.parametrize("command, run, key, value", [
+    pytest.param(*case, id=f"{case[0]}:{case[2]}") for case in REFUSED_SCENARIOS])
+def test_a_refused_scenario_exits_2_before_the_basis(tmp_path, monkeypatch, capsys,
+                                                     command, run, key, value):
+    def stop(doc):
+        raise _Built
+
+    # a trap at the size limit takes seconds to build, so a scenario the
+    # command refuses is refused from the file alone
+    monkeypatch.setattr(cli, "build_basis", stop)
+    doc = {**TRAP_AT_LIMIT, "run": run}
+    with pytest.raises(_Built):
+        run_cli(tmp_path, command, doc)
+    code, _ = run_cli(tmp_path, command, _with(doc, key, value))
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_a_g_scan_over_the_work_guard_exits_2_before_the_build(tmp_path, monkeypatch, capsys):
@@ -1011,7 +1047,8 @@ def test_causality_configs_stay_well_under_the_work_guard(tmp_path, monkeypatch,
            "run": {"mode": "tau_scan", "n_values": [2000], "separation_fraction": 0.3,
                    "tau_max": 0.6, "n_samples": 2000}}
     basis = build_harmonic_chain(ChainParams(2000))
-    elements = (2000 + lightcone_samples(basis, 0.6, 2000)) * basis.distinct_frequencies.size
+    widened = resolved_samples(float(np.max(basis.frequencies)), 0.6, 2000)
+    elements = (2000 + widened) * basis.distinct_frequencies.size
     assert 9e6 < elements < SWEEP_ELEMENT_LIMIT / 100
     monkeypatch.setattr(cli, "SWEEP_ELEMENT_LIMIT", elements - 1)
     assert run_cli(tmp_path, "causality", doc)[0] == 2

@@ -115,7 +115,7 @@ def test_mutual_static_coefficient(chain100):
     got = coefficient(ground, SpinPattern.UP_UP, ())
     assert got == pytest.approx(complex(want), rel=1e-14)
     # equals the static dressing amplitude by construction
-    assert got.real == pytest.approx(static_dressing_amplitude(chain100, 2.0, 31), rel=1e-12)
+    assert got.real == pytest.approx(static_dressing_amplitude(chain100, 2.0, 0, 31), rel=1e-12)
 
 
 def test_ground_state_requires_equal_splittings(chain100):
@@ -194,7 +194,7 @@ def test_scheme_algebra_at_t0(chain100, fig7_scenario):
     t0 = np.array([0.0])
     a_x = dressed_amplitude(chain100, fig7_scenario, DressingScheme.SIGMA_X, t0).total[0]
     a_p = dressed_amplitude(chain100, fig7_scenario, DressingScheme.SIGMA_PLUS, t0).total[0]
-    g = static_dressing_amplitude(chain100, 2.0, 31)
+    g = static_dressing_amplitude(chain100, 2.0, 0, 31)
     assert abs((a_x - a_p) - g) <= 1e-10
 
 
@@ -230,8 +230,8 @@ def test_dressed_amplitude_rejects_mixed_openings(chain100):
 # ---------------------------------------------------------------- static G
 
 def test_g_decreasing(chain1000):
-    scalar = [static_dressing_amplitude(chain1000, 2.0, r) for r in range(0, 501)]
-    array = static_dressing_amplitude(chain1000, 2.0, np.arange(501))
+    scalar = [static_dressing_amplitude(chain1000, 2.0, 0, r) for r in range(0, 501)]
+    array = static_dressing_amplitude(chain1000, 2.0, 0, np.arange(501))
     for values in (scalar, array):
         assert np.all(np.diff(values[1:]) < 0)
         assert values[0] == max(values)
@@ -240,22 +240,22 @@ def test_g_decreasing(chain1000):
 def test_g_r0_is_maximal(chain100):
     w = chain100.frequencies
     want = np.sum(1.0 / (2 * 100 * 2.0 * w * (2.0 + w)))
-    assert static_dressing_amplitude(chain100, 2.0, 0) == pytest.approx(want, rel=1e-14)
+    assert static_dressing_amplitude(chain100, 2.0, 0, 0) == pytest.approx(want, rel=1e-14)
 
 
 def test_g_is_periodic_in_r(chain100):
     # R is reduced mod N before cos(theta_k R): G(R + m N) == G(R) bitwise
     for r in (0, 1, 31, 99):
-        g = static_dressing_amplitude(chain100, 2.0, r)
+        g = static_dressing_amplitude(chain100, 2.0, 0, r)
         for m in (1, -1, 7, 10**14, -(10**30)):
-            assert static_dressing_amplitude(chain100, 2.0, r + m * 100) == g
-    assert static_dressing_amplitude(chain100, 2.0, 10**16 + 1) == \
-        static_dressing_amplitude(chain100, 2.0, 1)
+            assert static_dressing_amplitude(chain100, 2.0, 0, r + m * 100) == g
+    assert static_dressing_amplitude(chain100, 2.0, 0, 10**16 + 1) == \
+        static_dressing_amplitude(chain100, 2.0, 0, 1)
     # the array form gathers R mod N from one synthesis
     rs = np.array([0, 1, 31, 99])
-    g = static_dressing_amplitude(chain100, 2.0, rs)
+    g = static_dressing_amplitude(chain100, 2.0, 0, rs)
     for m in (1, -1, 7, 10**14, -(10**14)):
-        assert np.array_equal(static_dressing_amplitude(chain100, 2.0, rs + m * 100), g)
+        assert np.array_equal(static_dressing_amplitude(chain100, 2.0, 0, rs + m * 100), g)
 
 
 def _g_reference(basis, omega, r):
@@ -274,13 +274,13 @@ def test_g_array_form_matches_an_exactly_summed_reference(n):
     base = [0, 1, n // 7, n // 4, n // 2]
     rs = base + [r + 3 * n for r in base] + [-r for r in base] + [2**53 - 1, -(2**53 - 1)]
     want = np.array([_g_reference(basis, 2.0, r) for r in rs])
-    got = static_dressing_amplitude(basis, 2.0, np.array(rs))
+    got = static_dressing_amplitude(basis, 2.0, 0, np.array(rs))
     assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
     if n <= 1001:
         # no further from the reference than the per-offset sum, to one unit in
         # the last place: the sum of 3 or 7 terms can be exact where the
         # transform is 1 or 2 units off
-        scalar = np.array([static_dressing_amplitude(basis, 2.0, r) for r in rs])
+        scalar = np.array([static_dressing_amplitude(basis, 2.0, 0, r) for r in rs])
         ulp = np.spacing(np.abs(want))
         assert np.max(np.abs(got - want) / ulp) <= np.max(np.abs(scalar - want) / ulp) + 1
 
@@ -292,19 +292,46 @@ def test_g_integer_form_matches_an_exactly_summed_reference():
     basis = build_harmonic_chain(ChainParams(n))
     for r in range(n):
         want = _g_reference(basis, 2.0, r)
-        assert abs(static_dressing_amplitude(basis, 2.0, r) - want) <= 2e-15 * abs(want), r
+        assert abs(static_dressing_amplitude(basis, 2.0, 0, r) - want) <= 2e-15 * abs(want), r
 
 
-def test_g_needs_chain():
-    trap = build_ion_trap(TrapParams(2))
-    with pytest.raises(UnsupportedConfigurationError):
-        static_dressing_amplitude(trap, 2.0, 1)
+def test_g_from_any_site_of_a_chain_is_g_of_the_offset():
+    # G(a, b) == G(0, b - a) on a ring: the cosine sum of one site and the
+    # synthesis from site a of an array of them, each within 2e-15
+    n, site_a = 1001, 137
+    basis = build_harmonic_chain(ChainParams(n))
+    sites = np.arange(n)
+    want = np.array([_g_reference(basis, 2.0, b - site_a) for b in sites.tolist()])
+    scalar = np.array([static_dressing_amplitude(basis, 2.0, site_a, b) for b in sites.tolist()])
+    array = static_dressing_amplitude(basis, 2.0, site_a, sites)
+    for got in (scalar, array):
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+    # a chain site is reduced mod N, site_a included
+    assert np.array_equal(static_dressing_amplitude(basis, 2.0, site_a + n, sites - 3 * n), array)
+
+
+def test_g_on_a_trap_matches_an_exactly_summed_pair_sum():
+    n, site_a = 201, 100
+    trap = build_ion_trap(TrapParams(n))
+    w = trap.frequencies
+    got = static_dressing_amplitude(trap, 2.0, site_a, np.arange(n))
+    for b in range(n):
+        terms = (trap.row(b) * np.conj(trap.row(site_a))).real / (2.0 * (2.0 + w))
+        want = math.fsum(terms.tolist())
+        assert abs(got[b] - want) <= 1e-14 * abs(want), b
+        # one site is the array's element, from the same synthesis
+        assert static_dressing_amplitude(trap, 2.0, site_a, b) == got[b]
+    # the dressing falls off across the crystal
+    assert got[site_a] > got[site_a + 1] > got[-1] > 0
+    for bad in (n, -1, np.array([0, n])):
+        with pytest.raises(IndexError):
+            static_dressing_amplitude(trap, 2.0, site_a, bad)
 
 
 def test_gmin_equals_antipodal_g():
     for n in (10, 50, 200):
         basis = build_harmonic_chain(ChainParams(n))
-        direct = static_dressing_amplitude(basis, 2.0, n // 2)
+        direct = static_dressing_amplitude(basis, 2.0, 0, n // 2)
         assert g_min([n], 2.0)[0] == pytest.approx(direct, rel=1e-13)
 
 
@@ -317,7 +344,7 @@ def test_gmin_is_the_antipodal_g_bitwise(length, pinning, speed):
         basis = build_harmonic_chain(ChainParams(n, length, pinning, speed))
         w = basis.frequencies
         alternating = np.sum((-1.0) ** np.arange(n) / (2.0 * n * 2.0 * w * (2.0 + w)))
-        assert value == static_dressing_amplitude(basis, 2.0, n // 2) == alternating
+        assert value == static_dressing_amplitude(basis, 2.0, 0, n // 2) == alternating
 
 
 def test_gmin_two_site_chain_positive():

@@ -10,9 +10,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from fermi_lattice import (
     InvalidParametersError,
-    OpeningFunction,
     PulseSpec,
-    Scenario,
     anticommutator,
     commutator,
     swap_probability,
@@ -229,14 +227,6 @@ def test_both_forms_give_zero_where_the_area_squared_overflows(swap, a, b):
 
 
 # ---------------------------------------------------------------- drive & regime
-
-def test_pulse_from_drive():
-    sc = Scenario.symmetric(0, 1, -0.5, 2.0, OpeningFunction.sin_sq_window(0.04), 0.04)
-    pulse = PulseSpec.from_drive(2.0, 1.0, sc)
-    want = -2.0 / np.sqrt(2.0) * 0.02  # integral of the sin^2 window is T/2
-    assert pulse.alpha_a == pytest.approx(want, rel=1e-12)
-    assert pulse.alpha_b == pytest.approx(want, rel=1e-12)
-
 
 def test_short_pulse_outside_lightcone(trap2):
     # the impulsive regime relies on F_c being small against F_a
