@@ -975,6 +975,7 @@ REFUSED_SCENARIOS = [
     ("bare", {}, "scenario.site_b", cli.TRAP_IONS_LIMIT),
     ("dressed", {"n_times": 5}, "scenario.site_a", cli.TRAP_IONS_LIMIT + 7),
     ("dressed", {"n_times": 5}, "scenario.omega_b", 2.5),
+    ("dressed", {"n_times": 5}, "scenario.opening_b", {"variant": "cos_sq_window", "window": 0.1}),
     ("cloud", {}, "scenario.omega_b", 2.5),
     ("cloud", {}, "scenario.opening_b", {"variant": "cos_sq_window", "window": 0.1}),
     ("oracle-check", {"epsilons": [0.01], "t_max": 0.5, "n_times": 3}, "scenario.site_a",
