@@ -6,10 +6,10 @@ Commands: causality, bare, dressed, ion2, cloud, oracle-check.  A scenario
 file is one JSON object with the sections system (chain or trap), scenario
 (sites, splittings, epsilon, openings, duration) and run (command options);
 the tables below are its whole format (README, "Scenario files").  Every
-command writes plot-ready CSV (header row, '.' decimal separator, 17
-significant digits) plus a small .manifest.json next to it, which also
-lists every warning the command raised; identical scenario files produce
-byte-identical CSV.  Exit codes: 0 success, 2 schema or usage error (NaN or
+command writes plot-ready CSV (header row, then each cell as the "%.17g"
+text of its float64 value, which write_csv encodes a column at a time) plus
+a small .manifest.json next to it, which also lists every warning the
+command raised; identical scenario files produce byte-identical CSV.  Exit codes: 0 success, 2 schema or usage error (NaN or
 Infinity in a scenario included), 3 numerical failure (a non-finite result
 included).
 """
@@ -25,7 +25,7 @@ import sys
 import time
 import warnings
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -277,9 +277,118 @@ def scenario_hash(doc: dict) -> str:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-# rows formatted per write: for the 52 000-row, 3-column cloud CSV the
-# writer's traced peak is 6.6 MB (11.6 MB in one block), mostly the texts of
-# the 43 583 distinct d_n values, at no cost in time
+# A CSV cell is the "%.17g" text of its float64 value: the 17 significant
+# digits D (an integer, 10**16 <= D < 10**17, or 0) and the decimal
+# exponent k of |value| = D 10**(k-16), laid out in a 32-byte record as
+#   bytes 0-5 sign and 0.000 prefix, 6-23 digits and '.', 24-28 e+XX, 31 separator
+# whose unused bytes are NUL and deleted on output.  Fixed notation holds
+# -4 <= k < 17; trailing fraction zeros are dropped, and so is a '.' left
+# with no digit after it.
+_POW10_LOW = -294  # exponent of the first power of ten in the table
+
+
+@cache
+def _cell_tables():
+    """The encoder's constant tables, built on first use: powers of ten
+    (long double, correctly rounded), the texts of the 10**4 four-digit groups
+    and their trailing zero counts, the sign and 0.000 prefixes, the exponent
+    texts, and masks of the first r bytes of the digit field."""
+    ld = np.longdouble
+    powers = np.array([ld(f"1e{n}") for n in range(_POW10_LOW, 343)])
+    group = np.arange(10**4)
+    quad_text = (group[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    quad_zeros = sum((group % 10**i == 0).astype(np.int64) for i in range(1, 5))
+
+    def words(texts):  # each text NUL-padded to a little-endian 64-bit word
+        return np.array([t.encode() for t in texts], "S8").view("<u8")
+
+    # the sign and prefix end at byte 5, where the digit field begins
+    heads = words([(sign + ("0." + "0" * (zeros - 1) if zeros else "")).rjust(6, "\0")
+                   for sign in ("", "-") for zeros in range(5)])
+    tails = words([f"e{k:+03d}" for k in range(-324, 309)] + [""])
+    first = np.where(np.arange(32) - 6 < np.arange(19)[:, None], 255, 0) * (np.arange(32) >= 6)
+    return (powers, quad_text.view(np.uint32).ravel(), quad_zeros, heads, tails,
+            first.astype(np.uint8).view("<u8"))
+
+
+def _python_digits(a: np.ndarray):
+    """D and k of each value of a >= 0, read from Python's "%.16e" text,
+    "d.<16 digits>e-XX" or, with a third exponent digit, e-XXX."""
+    text = np.array(["%.16e" % x for x in a.tolist()], "S23").view(np.uint8).reshape(-1, 23)
+    digit = text.astype(np.int64) - ord("0")
+    d = digit[:, np.r_[0, 2:18]] @ 10 ** np.arange(16, -1, -1)
+    e = digit[:, 20:23]
+    k = np.where(text[:, 22], 100 * e[:, 0] + 10 * e[:, 1] + e[:, 2], 10 * e[:, 0] + e[:, 1])
+    return d, np.where(text[:, 19] == ord("-"), -k, k)
+
+
+def _digits(a: np.ndarray):
+    """The 17 significant digits D and decimal exponent k of each finite a >= 0.
+
+    One long-double product y = a 10**(16-k) gives them where its rounding is
+    certain: the table entry and the product each round once, by at most
+    epsneg = 2**-64 relative on x86-64, so y is within 2 epsneg y (< 0.011) of
+    the exact value, and D = rint(y) is the correctly rounded digit string
+    unless y lies within twice that, 4 epsneg y (< 0.0217), of a half-integer.
+    Those cells, ties among them, take D and k from Python's own formatting;
+    where long double is plain double that margin exceeds 1/2 and every cell
+    does."""
+    powers = _cell_tables()[0]
+    zero = a == 0
+    k = np.floor(np.log10(np.where(zero, 1.0, a))).astype(np.int64)
+    wide = a.astype(np.longdouble)
+    # the table overflows only where long double is double, and there no cell is sure
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = wide * powers.take(16 - k - _POW10_LOW)
+        # log10 may be one off near a power of ten
+        off = np.flatnonzero(((y >= 1e17) | (y < 1e16)) & ~zero)
+        k[off] += np.where(y[off] >= 1e17, 1, -1)
+        y[off] = wide[off] * powers.take(16 - k[off] - _POW10_LOW)
+        d = np.rint(y)
+        unsure = np.flatnonzero(~(np.abs(y - d) < 0.5 - 4 * np.finfo(wide.dtype).epsneg * y))
+        d = d.astype(np.int64)
+    if unsure.size:
+        d[unsure], k[unsure] = _python_digits(a[unsure])
+    carry = d == 10**17  # rounded up to the next power of ten
+    d[carry] = 10**16
+    k[carry] += 1
+    return d, k
+
+
+def _encode(values: np.ndarray) -> np.ndarray:
+    """One 32-byte record per value: its "%.17g" text padded with NUL, the
+    last byte left for the separator."""
+    _, quad_text, quad_zeros, heads, tails, first = _cell_tables()
+    n = values.size
+    d, k = _digits(np.abs(values))
+    exponent = (k < -4) | (k >= 17)
+    whole = np.where(exponent, 1, np.maximum(k + 1, 0))  # digits before the '.'
+    records = np.zeros((n, 4), "<u8")  # little-endian words: byte i of a word is text byte i
+    text = records.view(np.uint8)
+    # digit j of D at byte 7 + j: the lead digit, then four groups of four
+    lead, rest = np.divmod(d, 10**16)
+    text[:, 7] = lead + ord("0")
+    zeros, trailing = 0, True
+    for word in (5, 4, 3, 2):
+        rest, group = np.divmod(rest, 10**4)
+        records.view(np.uint32)[:, word] = quad_text.take(group)
+        zeros = zeros + trailing * quad_zeros.take(group)
+        trailing = trailing & (group == 0)
+    kept = np.maximum(whole, 17 - zeros)  # the integer part and the fraction's last nonzero digit
+    records &= first.take(kept + 1, axis=0)
+    # bytes 6 .. 5 + whole take the digit after them; the '.' (or NUL) follows
+    flat = text.ravel()
+    flat[:-1] += (flat[1:] - flat[:-1]) & first.take(whole, axis=0).view(np.uint8).ravel()[:-1]
+    text[np.arange(n), 6 + whole] = np.where((kept > whole) & (whole > 0), ord("."), 0)
+    records[:, 0] |= heads.take(5 * np.signbit(values) + np.where(exponent, 0, np.clip(-k, 0, 4)))
+    records[:, 3] = tails.take(np.where(exponent, k + 324, 633))
+    return text
+
+
+# rows encoded per write: for the 52 000-row, 3-column cloud CSV the
+# writer's traced peak is 2.6 MB (5.8 MB at 16 384 rows; the per-value
+# formatter it replaced peaked at 6.6 MB), and 2048 to 16 384 rows take
+# the same time
 CSV_BLOCK_ROWS = 4096
 
 
@@ -287,32 +396,38 @@ def write_csv(path: Path, header: list[str], columns) -> Path:
     """Write one 1-D column per header name as 17-digit CSV rows; a NaN or
     infinite cell is a numerical failure and leaves no file behind.
 
-    Each distinct float64 value of a column (told apart by its bits, so -0.0
-    keeps its own text) is formatted with "%.17g" once: a column with repeats
-    takes its texts from a table of its distinct values, and a column
-    without is formatted in the pass that builds the body.  The body is
-    built and written CSV_BLOCK_ROWS rows at a time."""
+    Every cell is the "%.17g" text of its float64 value (see _digits and
+    _encode).  A column whose distinct values (told apart by their bits, so
+    -0.0 keeps its own text) are fewer than half its rows is encoded once per
+    distinct value and its records gathered; the other columns are encoded
+    together, CSV_BLOCK_ROWS rows at a time, as the body is written."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
     if not np.all(finite):
         raise NumericalFailureError(f"{path.name}: non-finite value in data row "
                                     f"{np.argmin(finite) + 1}")
-    cells, specs = [], []
-    for column in columns:
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        if bits.size == column.size:
-            cells.append(column)
-            specs.append("%.17g")
-        else:
-            texts = ["%.17g" % v for v in bits.view(float).tolist()]
-            cells.append(np.array(texts, dtype=object)[inverse])
-            specs.append("%s")
-    line = ",".join(specs) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, finite.size, CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in cells])
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    rows = finite.size
+    tables = {}
+    for j, column in enumerate(columns):
+        bits = column.view(np.int64)
+        if 2 * (np.count_nonzero(np.diff(np.sort(bits))) + 1) < rows:
+            bits, inverse = np.unique(bits, return_inverse=True)
+            tables[j] = np.concatenate([_encode(bits[i:i + CSV_BLOCK_ROWS].view(float))
+                                        for i in range(0, bits.size, CSV_BLOCK_ROWS)]), inverse
+    direct = [j for j in range(len(columns)) if j not in tables]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, rows)
+            block = np.empty((stop - start, len(columns), 32), np.uint8)
+            if direct:
+                values = np.stack([columns[j][start:stop] for j in direct], axis=1)
+                block[:, direct] = _encode(values.ravel()).reshape(stop - start, len(direct), -1)
+            for j, (records, inverse) in tables.items():
+                block[:, j] = records.take(inverse[start:stop], axis=0)
+            block[:, :, -1] = ord(",")
+            block[:, -1, -1] = ord("\n")
+            fh.write(block.tobytes().translate(None, b"\0"))
     return path
 
 
@@ -432,9 +547,9 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
 def cmd_bare(doc: dict, out: Path, report: Reporter) -> list[Path]:
     scenario = build_scenario(doc)
-    basis = build_basis(doc)
     run = doc["run"]
     t_max = _window_t_max(run, scenario)
+    basis = build_basis(doc)
     if run["t_max"] is None:  # windowed_amplitude ends at the same window end
         trace = windowed_amplitude(basis, scenario, n_times=run["n_times"])
     else:
@@ -470,9 +585,9 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
         return [write_csv(out, ["n", "g_min"], [run["n_values"], values])]
 
     _shared_opening(scenario)
+    times = np.linspace(0.0, _window_t_max(run, scenario), run["n_times"])
     basis = build_basis(doc)
     names = run["schemes"]
-    times = np.linspace(0.0, _window_t_max(run, scenario), run["n_times"])
     traces = dressed_amplitude(basis, scenario, [DressingScheme[n.upper()] for n in names], times)
     for name, trace in zip(names, traces):
         report.note(f"p_final.{name}", float(trace.probability[-1]))
@@ -526,11 +641,11 @@ def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
     scenario = build_scenario(doc)
     _require_equal_splittings(scenario)
     _shared_opening(scenario)
+    t_values = run["t_values"] or np.linspace(0.0, _window_t_max(run, scenario), n_times)
+    t_values = np.asarray(t_values, dtype=float)
     basis = build_basis(doc)
     scheme = DressingScheme[run["scheme"].upper()]
     component = run["component"]
-    t_values = run["t_values"] or np.linspace(0.0, _window_t_max(run, scenario), n_times)
-    t_values = np.asarray(t_values, dtype=float)
 
     if component == "total":
         d = excitation_distribution(basis, scenario, scheme, t_values)

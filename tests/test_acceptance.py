@@ -216,6 +216,7 @@ def test_criterion_11_phonon_cloud():
 def test_criterion_12_figure_determinism(tmp_path):
     t0 = timed()
     mismatches = []
+    cells = off_format = 0
     for doc, name in FIGURES:
         command = {"fig1": "causality", "fig2": "causality", "fig3": "bare",
                    "fig4": "bare", "fig5": "dressed", "fig6": "dressed",
@@ -234,7 +235,11 @@ def test_criterion_12_figure_determinism(tmp_path):
         for pa, pb in zip(*outs):
             if pa.read_bytes() != pb.read_bytes():
                 mismatches.append(f"{name}:{pa.name}")
+            # the format contract: every cell is the "%.17g" text of its value
+            for row in pa.read_text().splitlines()[1:]:
+                cells += len(row.split(","))
+                off_format += sum(cell != "%.17g" % float(cell) for cell in row.split(","))
     elapsed = timed() - t0
-    report(12, "figure-config determinism", not mismatches,
-           f"{len(FIGURES)} configs run twice, mismatches: {mismatches or 'none'}",
-           elapsed, 600.0)
+    report(12, "figure-config determinism", not mismatches and cells and not off_format,
+           f"{len(FIGURES)} configs run twice, mismatches: {mismatches or 'none'}, "
+           f"{off_format} of {cells} cells not in %.17g form", elapsed, 600.0)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fermi_lattice
 from fermi_lattice import causality, cli, dressing, oracle
@@ -569,6 +571,72 @@ def test_write_csv_of_no_rows_writes_the_header(tmp_path):
     assert out.read_text() == "t,p1\n"
 
 
+def per_cell_text(header, columns) -> bytes:
+    """The reference CSV: each cell's own "%.17g" text, joined by ',' and newlines."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return (",".join(header) + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                            for row in rows)).encode()
+
+
+def test_write_csv_is_the_same_at_every_block_edge(tmp_path, monkeypatch):
+    # a column of few distinct values (encoded once each) whose run of 1e-5
+    # repeats crosses block edges, beside distinct values in both notations
+    t = np.array([0.0, 0.0, -0.0, 1e-5, 1e-5, 1e-5, 1e-5, -0.0, 2.5e20, 0.0, 1e-5, 1e-5, 0.0])
+    x = np.array([1 / 3, -0.0, 0.0, 1e-300, 1.2345678901234567e22, -2.5e-5, 1e16, 1e17,
+                  12.5, -7.0, 5e-324, 0.1, 2**53])
+    y = -np.arange(13) / 7
+    header = ["t", "x", "y"]
+    assert np.unique(t).size * 2 < t.size  # t takes the table of distinct values
+    want = cli.write_csv(tmp_path / "default.csv", header, [t, x, y]).read_bytes()
+    assert want == per_cell_text(header, [t, x, y])
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", rows)
+        assert cli.write_csv(tmp_path / f"{rows}.csv", header, [t, x, y]).read_bytes() == want
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False, width=32)),
+                min_size=1, max_size=40))
+def test_write_csv_equals_per_cell_format_on_any_floats(tmp_path_factory, rows):
+    columns = list(zip(*rows))
+    path = tmp_path_factory.mktemp("csv") / "o.csv"
+    assert cli.write_csv(path, ["a", "b"], columns).read_bytes() == per_cell_text(["a", "b"],
+                                                                                 columns)
+
+
+def _edge_values(rng, n):
+    """n values from each class where a shortcut in the digits could go wrong."""
+    tens = 10.0 ** np.arange(-323, 309)
+    classes = [
+        rng.uniform(-1.0, 1.0, n),
+        np.exp(rng.uniform(np.log(1e-320), np.log(1e308), n)) * rng.choice([-1, 1], n),
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(float),  # any bit pattern
+        rng.integers(-2**62, 2**62, n).astype(float),
+        rng.integers(0, 2**52, n, dtype=np.uint64).view(float),  # subnormals
+        np.resize(np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                                  [0.0, -0.0, 5e-324, 2.2250738585072014e-308]]), n),
+    ]
+    values = np.concatenate(classes)
+    values[~np.isfinite(values)] = 0.5
+    return rng.permutation(values)
+
+
+def test_write_csv_equals_per_cell_format_over_a_million_values(tmp_path):
+    values = _edge_values(np.random.default_rng(20261020), 170_000)
+    assert values.size >= 10**6
+    columns = list(values.reshape(4, -1))
+    # three quarters of one column from a few values, so that it is encoded through its table
+    head = columns[3].size * 3 // 4
+    columns[3][:head] = np.resize([-0.0, 0.0, 1e-5, 2.5e300, -1.0], head)
+    assert np.unique(columns[3]).size * 2 < columns[3].size
+    header = ["a", "b", "c", "d"]
+    got = cli.write_csv(tmp_path / "o.csv", header, columns).read_bytes().split(b"\n")
+    want = per_cell_text(header, columns).split(b"\n")
+    assert len(got) == len(want)
+    assert [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+
+
 def test_non_finite_row_exits_3_naming_the_data_row(tmp_path, monkeypatch, capsys):
     def nan_in_row_3(doc, out, report):
         return [cli.write_csv(out, ["x"], [[0.0, 1.0, float("nan")]])]
@@ -726,7 +794,9 @@ OVERSIZE = [
     ("oracle-check", ORACLE, "run.n_times", cli.COUNT_LIMIT, 2 * 10**9),
     ("causality", TAU_SCAN, "run.n_samples", cli.COUNT_LIMIT, 2 * 10**9),
     ("ion2", ION2, "run.alpha_num", cli.COUNT_LIMIT, 3 * 10**9),
-    ("bare", TRAP_TRACE, "system.trap.n_ions", cli.TRAP_IONS_LIMIT, 10**5),
+    # a run.t_max, as the constant opening never closes and that refusal comes first
+    ("bare", _with(TRAP_TRACE, "run.t_max", 1.0), "system.trap.n_ions", cli.TRAP_IONS_LIMIT,
+     10**5),
     # the cloud's times x sites: 100 sites here, then 2 sites
     ("cloud", FIG4, "run.n_times", cli.CLOUD_ELEMENT_LIMIT // 100, 10**6),
     ("cloud", CLOUD_AT_TIMES, "run.t_values", [0.0] * (cli.CLOUD_ELEMENT_LIMIT // 100),
@@ -754,6 +824,21 @@ def test_counts_over_their_limit_exit_2_before_the_build(tmp_path, monkeypatch, 
     code, _ = run_cli(tmp_path, command, _with(doc, key, refused))
     assert code == 2
     assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["bare", "dressed", "cloud"])
+def test_an_opening_that_never_closes_needs_t_max_before_the_build(tmp_path, monkeypatch,
+                                                                   capsys, command):
+    def stop(doc):
+        raise _Built
+
+    # the largest trap, whose build takes seconds; its constant opening gives no window end
+    monkeypatch.setattr(cli, "build_basis", stop)
+    doc = _with(TRAP_TRACE, "system.trap.n_ions", cli.TRAP_IONS_LIMIT)
+    code, _ = run_cli(tmp_path, command, doc)
+    assert code == 2
+    assert "run.t_max" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
