@@ -9,9 +9,9 @@ the tables below are its whole format (README, "Scenario files").  Every
 command writes plot-ready CSV (header row, then each cell as the "%.17g"
 text of its float64 value, which write_csv encodes a column at a time) plus
 a small .manifest.json next to it, which also lists every warning the
-command raised; identical scenario files produce byte-identical CSV.  Exit codes: 0 success, 2 schema or usage error (NaN or
-Infinity in a scenario included), 3 numerical failure (a non-finite result
-included).
+command raised; identical scenario files produce byte-identical CSV.  Exit
+codes: 0 success, 2 schema or usage error (NaN or Infinity in a scenario
+included), 3 numerical failure (a non-finite result included).
 """
 
 from __future__ import annotations
@@ -295,9 +295,9 @@ def _cell_tables():
     texts, and masks of the first r bytes of the digit field."""
     ld = np.longdouble
     powers = np.array([ld(f"1e{n}") for n in range(_POW10_LOW, 343)])
-    group = np.arange(10**4)
-    quad_text = (group[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
-    quad_zeros = sum((group % 10**i == 0).astype(np.int64) for i in range(1, 5))
+    group = np.arange(10**4, dtype=np.uint16)
+    quad_text = np.stack([group // 10**i % 10 + ord("0") for i in (3, 2, 1, 0)], axis=1)
+    quad_zeros = np.sum([group % 10**i == 0 for i in range(1, 5)], axis=0)
 
     def words(texts):  # each text NUL-padded to a little-endian 64-bit word
         return np.array([t.encode() for t in texts], "S8").view("<u8")
@@ -307,7 +307,7 @@ def _cell_tables():
                    for sign in ("", "-") for zeros in range(5)])
     tails = words([f"e{k:+03d}" for k in range(-324, 309)] + [""])
     first = np.where(np.arange(32) - 6 < np.arange(19)[:, None], 255, 0) * (np.arange(32) >= 6)
-    return (powers, quad_text.view(np.uint32).ravel(), quad_zeros, heads, tails,
+    return (powers, quad_text.astype(np.uint8).view(np.uint32).ravel(), quad_zeros, heads, tails,
             first.astype(np.uint8).view("<u8"))
 
 
