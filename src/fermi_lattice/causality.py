@@ -54,7 +54,8 @@ class LightconeEstimate:
 
 def row_blocks(n_rows: int, n_modes: int, grids: int = 1) -> list[slice]:
     """Even split of the rows of a mode sum into blocks whose `grids`
-    (rows x modes) arrays, live at once, hold about MODE_SUM_BLOCK elements.
+    (rows x modes) arrays, live at once, hold about MODE_SUM_BLOCK elements:
+    the budget of one block, whichever thread sums it.
 
     No block is a single row unless the grid is: under a budget of at least
     3 rows, an even split leaves 2 or more in each.  numpy's matmul takes a
@@ -68,10 +69,12 @@ def row_blocks(n_rows: int, n_modes: int, grids: int = 1) -> list[slice]:
 
 
 def map_row_blocks(fn, n_rows: int, n_modes: int, grids: int = 1) -> list:
-    """[fn(rows) for rows in the row blocks of a mode sum] on WORKERS
-    threads; each worker's blocks get 1/WORKERS of MODE_SUM_BLOCK, so the
-    blocks in flight together hold about MODE_SUM_BLOCK elements."""
-    blocks = row_blocks(n_rows, n_modes, grids * WORKERS)
+    """[fn(rows) for rows in row_blocks(n_rows, n_modes, grids)].  A sum of
+    one block runs in the calling thread; the blocks of a larger one are
+    shared among WORKERS threads, so up to WORKERS blocks, each within the
+    whole MODE_SUM_BLOCK budget, are in flight at once.  The blocks do not
+    depend on WORKERS, nor do the sums."""
+    blocks = row_blocks(n_rows, n_modes, grids)
     if WORKERS == 1 or len(blocks) == 1:
         return [fn(rows) for rows in blocks]
     with concurrent.futures.ThreadPoolExecutor(max_workers=WORKERS) as pool:

@@ -390,12 +390,17 @@ def evolve_static(action: HamiltonianAction, initial: np.ndarray, times,
 
 
 def exact_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
-                         max_total_phonons: int) -> np.ndarray:
+                         max_total_phonons: int, *, builds: dict | None = None) -> np.ndarray:
     """Interaction-picture amplitude <down_A up_B 0| psi(t)> from exact
     evolution (phase-corrected so it compares directly with the
     perturbative traces): by eigendecomposition when both openings are
     constant, by RK4 otherwise.  Times and the static path's memory are
-    checked before the Fock space is built."""
+    checked before the Fock space is built.
+
+    ``builds`` keeps, per cutoff, the Fock space's Hamiltonian and its two
+    swap states for later calls on the same basis and scenario up to
+    epsilon: none of them depends on epsilon, which each call sets with
+    its own scenario."""
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(times < 0):
         raise InvalidParametersError("amplitude times must be >= 0")
@@ -403,26 +408,32 @@ def exact_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
     # the amplitude is defined from t = 0, so the evolution must start there
     prepend = times[0] > 0.0
     grid = _record_times(np.concatenate(([0.0], times)) if prepend else times)
-    if static:
-        _check_dense_memory(_fock_dimension(basis.n_modes, max_total_phonons),
-                            max_total_phonons)
-    fock = FockSpace.build(basis.n_modes, max_total_phonons)
-    action = build_hamiltonian(basis, scenario, fock)
-    psi0 = fock.basis_state(1, 0)
-    target = {"swap": fock.basis_state(0, 1)}
-    result = (evolve_static if static else evolve)(action, psi0, grid, projections=target)
+    builds = {} if builds is None else builds
+    if max_total_phonons not in builds:
+        if static:
+            _check_dense_memory(_fock_dimension(basis.n_modes, max_total_phonons),
+                                max_total_phonons)
+        fock = FockSpace.build(basis.n_modes, max_total_phonons)
+        builds[max_total_phonons] = (build_hamiltonian(basis, scenario, fock),
+                                     fock.basis_state(1, 0), fock.basis_state(0, 1))
+    action, psi0, swap_state = builds[max_total_phonons]
+    action = replace(action, scenario=scenario)
+    result = (evolve_static if static else evolve)(action, psi0, grid,
+                                                  projections={"swap": swap_state})
 
     swap = result.projections["swap"][1:] if prepend else result.projections["swap"]
     e_final = 0.5 * (scenario.omega_b - scenario.omega_a)
     return cis(e_final * times) * swap
 
 
-def converged_swap_amplitude(basis: ModeBasis, scenario: Scenario, times):
+def converged_swap_amplitude(basis: ModeBasis, scenario: Scenario, times, *,
+                             builds: dict | None = None):
     """Raise the phonon cutoff from CUTOFF_START until the projected
-    amplitude moves by at most CUTOFF_REL_TOL of its size."""
+    amplitude moves by at most CUTOFF_REL_TOL of its size.  ``builds`` is
+    exact_swap_amplitude's."""
     prev = None
     for cutoff in range(CUTOFF_START, CUTOFF_MAX + 1):
-        amps = exact_swap_amplitude(basis, scenario, times, cutoff)
+        amps = exact_swap_amplitude(basis, scenario, times, cutoff, builds=builds)
         if prev is not None:
             scale = max(float(np.max(np.abs(amps))), 1e-300)
             if float(np.max(np.abs(amps - prev))) <= CUTOFF_REL_TOL * scale:
@@ -435,7 +446,8 @@ def converged_swap_amplitude(basis: ModeBasis, scenario: Scenario, times):
 def residual_slope(basis: ModeBasis, scenario: Scenario, epsilons, times,
                    max_total_phonons: int | None = None):
     """Max-over-time residual |A_pert - A_exact| per epsilon and the fitted
-    log-log slope.  The phonon cutoff auto-converges unless pinned.
+    log-log slope.  The phonon cutoff auto-converges unless pinned; each
+    cutoff's Fock space and Hamiltonian are built once for all epsilons.
 
     A_pert is the second-order amplitude, so the residual is the remainder
     of the perturbation series.  Each vertex moves one phonon and both swap
@@ -446,6 +458,7 @@ def residual_slope(basis: ModeBasis, scenario: Scenario, epsilons, times,
     NaN."""
     epsilons = np.asarray(epsilons, dtype=float)
     residuals = np.empty(epsilons.size)
+    builds = {}
     for i, eps in enumerate(epsilons):
         if eps == 0.0:
             residuals[i] = 0.0
@@ -453,9 +466,9 @@ def residual_slope(basis: ModeBasis, scenario: Scenario, epsilons, times,
         scen = replace(scenario, epsilon=float(eps))
         pert = bare_amplitude(basis, scen, times).total
         if max_total_phonons is None:
-            exact, _ = converged_swap_amplitude(basis, scen, times)
+            exact, _ = converged_swap_amplitude(basis, scen, times, builds=builds)
         else:
-            exact = exact_swap_amplitude(basis, scen, times, max_total_phonons)
+            exact = exact_swap_amplitude(basis, scen, times, max_total_phonons, builds=builds)
         residuals[i] = float(np.max(np.abs(pert - exact)))
     mask = residuals > 0
     if np.count_nonzero(mask) < 2:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -6,11 +7,15 @@ import pytest
 from fermi_lattice import causality, quadrature
 from fermi_lattice import (
     ChainParams,
+    DressingScheme,
     InvalidParametersError,
     OpeningFunction,
     Scenario,
+    TrapParams,
     bare_amplitude,
     build_harmonic_chain,
+    build_ion_trap,
+    dressed_amplitude,
     exact_swap_amplitude,
     windowed_amplitude,
 )
@@ -224,3 +229,119 @@ def test_windowed_amplitude_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert trace.total.shape == (201,)
     assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def per_mode_bare_sums(basis, scenario, times):
+    """(A_0, A_c) as the sums over modes of the per-mode expressions, each
+    integral taken on every mode's frequency and each product formed left
+    to right: the block of bare_amplitude before it took its products in
+    place on the distinct frequencies."""
+    w = basis.frequencies
+    mu = basis.row(scenario.site_a) * np.conj(basis.row(scenario.site_b))
+    eps2 = scenario.epsilon**2
+    f_a, f_b = scenario.opening_a.post_ramp(), scenario.opening_b.post_ramp()
+    om_a, om_b = scenario.omega_a, scenario.omega_b
+    sa_p, sb_p, n_p = opening_nested_integral(f_a, -(om_a + w), f_b, +(om_b + w), times)
+    sa_m, sb_m, n_m = opening_nested_integral(f_a, -(om_a - w), f_b, +(om_b - w), times)
+    a0_modes = -0.5 * eps2 * (mu * sa_p * sb_p + np.conj(mu) * sa_m * sb_m)
+    ac_modes = -0.5 * eps2 * (mu * (2.0 * n_p - sa_p * sb_p)
+                              - np.conj(mu) * (2.0 * n_m - sa_m * sb_m))
+    return np.sum(a0_modes, axis=-1), np.sum(ac_modes, axis=-1)
+
+
+@pytest.fixture(scope="module")
+def trap60():
+    return build_ion_trap(TrapParams(60))
+
+
+@pytest.mark.parametrize("system, scenario, times", [
+    ("chain1000", Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.sin_sq_window(0.1), 0.1),
+     np.linspace(0.0, 0.1, 131)),
+    ("chain1000", Scenario.symmetric(7, 312, 2.0, 0.8, OpeningFunction.cos_sq_window(0.1), 0.1),
+     np.linspace(0.0, 0.15, 97)),
+    ("chain1000", Scenario.symmetric(0, 300, 2.0, 0.3, OpeningFunction.constant(), 0.2),
+     np.linspace(0.0, 0.2, 77)),
+    ("chain1000", Scenario.symmetric(3, 500, 1.5, 0.7, OpeningFunction.exp_ramp_then(
+        0.5, OpeningFunction.sin_sq_window(0.2)), 0.2), np.linspace(0.0, 0.3, 150)),
+    ("trap60", Scenario.symmetric(0, 59, 2.0, 1.0, OpeningFunction.sin_sq_window(2.0), 2.0),
+     np.linspace(0.0, 3.0, 131)),
+], ids=["sin_sq", "cos_sq", "constant", "exp_ramp", "trap60"])
+def test_bare_amplitude_equals_the_per_mode_expression(request, system, scenario, times):
+    basis = request.getfixturevalue(system)
+    trace = bare_amplitude(basis, scenario, times)
+    a0, ac = per_mode_bare_sums(basis, scenario, times)
+    assert np.max(np.abs(a0)) > 0 and np.max(np.abs(ac)) > 0
+    assert trace.a0.tobytes() == a0.tobytes()
+    assert trace.ac.tobytes() == ac.tobytes()
+    assert trace.total.tobytes() == (a0 + ac).tobytes()
+
+
+def test_bare_amplitude_memory_is_bounded_by_the_block(chain1000, monkeypatch):
+    # 2000 times over 1000 modes, one worker: 31 blocks of 64-65 rows, one
+    # (time, mode) grid of a block 1.0 MB.  The products taken in place peak
+    # at 7.3 MB traced; formed as new arrays on every mode they took 10.6 MB
+    sc = Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.cos_sq_window(0.1), 0.1)
+    monkeypatch.setattr(causality, "WORKERS", 1)
+    tracemalloc.start()
+    try:
+        trace = bare_amplitude(chain1000, sc, np.linspace(0.0, 0.1, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.total.shape == (2000,)
+    assert peak < 9e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def spy_on_pools(monkeypatch):
+    made = []
+    pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda **kwargs: made.append(kwargs) or pool(**kwargs))
+    return made
+
+
+def test_a_sum_of_one_block_makes_no_worker_pool(chain100, monkeypatch):
+    # fig3's bare and fig6's dressed sums at fig3's size: 401 times over 100
+    # modes, and over 51 distinct frequencies, fit one block each (at most
+    # 655 and 428 rows), so two workers make no pool
+    made = spy_on_pools(monkeypatch)
+    monkeypatch.setattr(causality, "WORKERS", 2)
+    sc = Scenario.symmetric(0, 31, 2.0, 1.0, OpeningFunction.constant(), 2.0)
+    times = np.linspace(0.0, 2.0, 401)
+    assert len(causality.row_blocks(times.size, chain100.n_modes, grids=8)) == 1
+    assert len(causality.row_blocks(times.size, chain100.distinct_frequencies.size,
+                                    grids=24)) == 1
+    bare_amplitude(chain100, sc, times)
+    dressed_amplitude(chain100, sc, list(DressingScheme), times)
+    assert made == []
+    # a sum of more blocks shares them among the workers
+    bare_amplitude(chain100, sc, np.linspace(0.0, 2.0, 700))
+    assert made == [{"max_workers": 2}]
+
+
+def windowed_bare_traces(request):
+    # the continuum benchmark's windowed_bare size: 201 times on a 1000-site
+    # chain, 4 blocks
+    basis = request.getfixturevalue("chain1000")
+    sc = Scenario.symmetric(0, 300, 2.0, 1.0, OpeningFunction.sin_sq_window(0.1), 0.1)
+    return [bare_amplitude(basis, sc, np.linspace(0.0, 0.1, 201))]
+
+
+def fig7_traces(request):
+    # fig7's three dressed schemes, 201 times on a 100-site chain: one block
+    return dressed_amplitude(request.getfixturevalue("chain100"),
+                             request.getfixturevalue("fig7_scenario"),
+                             [DressingScheme.SIGMA_X, DressingScheme.SIGMA_PLUS,
+                              DressingScheme.BARE], np.linspace(0.0, 0.1, 201))
+
+
+@pytest.mark.parametrize("traces", [windowed_bare_traces, fig7_traces],
+                         ids=["windowed_bare", "fig7"])
+def test_amplitude_bytes_do_not_depend_on_the_worker_count(request, monkeypatch, traces):
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(causality, "WORKERS", workers)
+        results.append(b"".join(getattr(tr, name).tobytes() for tr in traces(request)
+                                for name in ("a0", "ac", "total")
+                                if getattr(tr, name) is not None))
+    assert results[0] == results[1] == results[2]

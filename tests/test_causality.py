@@ -239,9 +239,9 @@ def test_mode_sums_give_the_same_bytes_on_one_or_three_threads(chain1000, monkey
         "dressed_amplitude_schemes": lambda: np.concatenate(
             [tr.total for tr in dressed_amplitude(chain1000, sc, list(DressingScheme), times)]),
     }[name]
-    # one worker: 2 blocks of the trace, 3 of the bare amplitude and 4 of
-    # the sigma_x ones; three workers split the amplitudes' budget three
-    # ways (7 and 10 blocks) but not the trace's, whose blocks are fixed
+    # 2 blocks of the trace, 3 of the bare amplitude and 4 of the sigma_x
+    # ones, whatever the worker count: one worker sums the amplitudes'
+    # blocks in the calling thread, three share them
     results = []
     for workers in (1, 3):
         monkeypatch.setattr(causality, "WORKERS", workers)

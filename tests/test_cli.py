@@ -143,7 +143,7 @@ CHAIN1000 = {"kind": "chain", "chain": {"n_sites": 1000}}
                    run={"scheme": "sigma_x", "n_times": 26}), 0),
     ("dressed", {"system": CHAIN1000, "scenario": {"site_a": 0, "site_b": 500, "omega": 2.0},
                  "run": {"mode": "g_scan", "r_values": [0, 1, 250, 500]}}, 0),
-    # 201 times on 1000 sites: 7 row blocks, shared by the workers
+    # 201 times on 1000 sites: 4 row blocks, shared by the workers
     ("bare", dict(FIG4, system=CHAIN1000, scenario=dict(FIG4["scenario"], site_b=300),
                   run={"n_times": 201}), 1),
 ], ids=["ion2", "tau_scan", "r_scan", "cloud", "g_scan", "bare"])

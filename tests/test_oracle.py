@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -26,8 +28,10 @@ from fermi_lattice import (
     exact_swap_amplitude,
     residual_slope,
 )
-from fermi_lattice import oracle
+from fermi_lattice import cli, oracle
 from fermi_lattice.oracle import DENSE_DIMENSION, _auto_dt
+
+FIGURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "figures"
 
 
 def make(n_sites=3, epsilon=1e-2, opening=None, duration=1.5):
@@ -531,6 +535,53 @@ def test_swap_amplitude_is_even_in_coupling(opening, duration, propagate):
     swap_flipped = propagate(flipped, psi0, times, projections=target).projections["swap"]
     assert np.max(np.abs(swap)) > 1e-6
     assert np.max(np.abs(swap - swap_flipped)) <= 1e-13 * np.max(np.abs(swap))
+
+
+def unshared_residual_slope(basis, scenario, epsilons, times, cutoff):
+    """residual_slope's residuals and slope with a Fock space and
+    Hamiltonian built afresh for every epsilon and cutoff."""
+    epsilons = np.asarray(epsilons, dtype=float)
+    residuals = np.zeros(epsilons.size)
+    for i, eps in enumerate(epsilons):
+        if eps == 0.0:
+            continue
+        scen = dataclasses.replace(scenario, epsilon=float(eps))
+        exact = (converged_swap_amplitude(basis, scen, times)[0] if cutoff is None
+                 else exact_swap_amplitude(basis, scen, times, cutoff))
+        residuals[i] = np.max(np.abs(bare_amplitude(basis, scen, times).total - exact))
+    mask = residuals > 0
+    return residuals, np.polyfit(np.log(epsilons[mask]), np.log(residuals[mask]), 1)[0]
+
+
+def oracle_check_figure():
+    doc = cli.apply_schema(json.loads((FIGURES_DIR / "oracle_check.json").read_text()),
+                           "oracle-check")
+    run = doc["run"]
+    times = np.linspace(0.0, run["t_max"], run["n_times"] + 1)[1:]
+    return cli.build_basis(doc), cli.build_scenario(doc), run["epsilons"], times, None
+
+
+def six_mode_chain():
+    basis = build_harmonic_chain(ChainParams(6))
+    scenario = Scenario.symmetric(0, 3, 2.0, 0.02, OpeningFunction.sin_sq_window(0.4), 0.4)
+    return basis, scenario, [0.04, 0.0, 0.02], np.linspace(0.1, 0.4, 3), 4
+
+
+@pytest.mark.parametrize("case", [oracle_check_figure, six_mode_chain],
+                         ids=["oracle_check", "chain6_cutoff4"])
+def test_residual_slope_builds_each_cutoff_once(monkeypatch, case):
+    basis, scenario, epsilons, times, cutoff = case()
+    want_residuals, want_slope = unshared_residual_slope(basis, scenario, epsilons, times,
+                                                         cutoff)
+    built = []
+    build = FockSpace.build
+    monkeypatch.setattr(oracle.FockSpace, "build", classmethod(
+        lambda cls, n_modes, max_total_phonons: built.append(max_total_phonons)
+        or build(n_modes, max_total_phonons)))
+    residuals, slope = residual_slope(basis, scenario, epsilons, times, cutoff)
+    assert residuals.tobytes() == want_residuals.tobytes()
+    assert np.float64(slope).tobytes() == np.float64(want_slope).tobytes()
+    assert built == ([cutoff] if cutoff else list(range(oracle.CUTOFF_START, max(built) + 1)))
 
 
 def test_zero_epsilon_residual_is_zero():
