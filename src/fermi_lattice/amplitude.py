@@ -103,7 +103,7 @@ def bare_amplitude(basis: ModeBasis, scenario: Scenario, times) -> AmplitudeTrac
         a0 += term
         np.multiply(scale, a0, out=a0)
         a0_sum = np.sum(a0, axis=-1)
-        del a0, sa_p, sb_p, sa_m, sb_m
+        del a0  # before the A_c products make their grids
         ac = basis.expand(n_p)
         np.multiply(mu, ac, out=ac)
         np.multiply(mu_bar, basis.expand(n_m), out=term)

@@ -292,19 +292,14 @@ def test_bare_amplitude_memory_is_bounded_by_the_block(chain1000, monkeypatch):
     assert peak < 9e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
-def spy_on_pools(monkeypatch):
-    made = []
-    pool = concurrent.futures.ThreadPoolExecutor
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        lambda **kwargs: made.append(kwargs) or pool(**kwargs))
-    return made
-
-
 def test_a_sum_of_one_block_makes_no_worker_pool(chain100, monkeypatch):
     # fig3's bare and fig6's dressed sums at fig3's size: 401 times over 100
     # modes, and over 51 distinct frequencies, fit one block each (at most
     # 655 and 428 rows), so two workers make no pool
-    made = spy_on_pools(monkeypatch)
+    made = []
+    pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda **kwargs: made.append(kwargs) or pool(**kwargs))
     monkeypatch.setattr(causality, "WORKERS", 2)
     sc = Scenario.symmetric(0, 31, 2.0, 1.0, OpeningFunction.constant(), 2.0)
     times = np.linspace(0.0, 2.0, 401)
