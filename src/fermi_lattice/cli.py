@@ -410,10 +410,13 @@ def write_csv(path: Path, header: list[str], columns) -> Path:
     tables = {}
     for j, column in enumerate(columns):
         bits = column.view(np.int64)
-        if 2 * (np.count_nonzero(np.diff(np.sort(bits))) + 1) < rows:
-            bits, inverse = np.unique(bits, return_inverse=True)
-            tables[j] = np.concatenate([_encode(bits[i:i + CSV_BLOCK_ROWS].view(float))
-                                        for i in range(0, bits.size, CSV_BLOCK_ROWS)]), inverse
+        ordered = np.sort(bits)
+        # the first of each run of equal bits; [:rows] keeps none of an empty column
+        distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]][:rows]]
+        if 2 * distinct.size < rows:
+            records = np.concatenate([_encode(distinct[i:i + CSV_BLOCK_ROWS].view(float))
+                                      for i in range(0, distinct.size, CSV_BLOCK_ROWS)])
+            tables[j] = records, np.searchsorted(distinct, bits)
     direct = [j for j in range(len(columns)) if j not in tables]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
@@ -492,10 +495,17 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
         widen = estimate_samples != n_samples
         return tau_max, widen, (n_samples + widen * estimate_samples) * n_freqs
 
-    # each point makes its chain when it needs it: the system's, or a sweep
-    # chain built once, after the whole sweep is planned from its parameters,
-    # so that a sweep holds one of its chains at a time and builds no system chain
-    if run["n_values"] is None:
+    def chain_plan(chain, site_a, site_b):
+        """plan from a chain's parameters: n sites have n // 2 + 1 distinct frequencies."""
+        return plan(chain.max_frequency, chain.n_sites // 2 + 1, chain.causal_time(site_a, site_b))
+
+    # each point makes its chain when it sums, after every point is planned from
+    # its chain's parameters: a refused run builds no chain, and a sweep holds
+    # one of its chains at a time; only a trap's spectrum needs the build
+    if run["n_values"] is None and doc["system"]["kind"] == "chain":
+        points = [(partial(build_basis, doc), scenario.site_a, scenario.site_b, "",
+                   chain_plan(_system_params(doc), scenario.site_a, scenario.site_b))]
+    elif run["n_values"] is None:
         basis = build_basis(doc)
         points = [(lambda: basis, scenario.site_a, scenario.site_b, "",
                    plan(float(np.max(basis.frequencies)), basis.distinct_frequencies.size,
@@ -518,10 +528,8 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
             if site_b == site_a:  # the scenario's own sites differ
                 raise SchemaError(f"run.separation_fraction = {frac} puts site_b on "
                                   f"site_a for n = {n}")
-            # a chain of n sites has n // 2 + 1 distinct frequencies
             points.append((partial(build_harmonic_chain, chain), site_a, site_b, f"_n{n}",
-                           plan(chain.max_frequency, n // 2 + 1,
-                                chain.causal_time(site_a, site_b))))
+                           chain_plan(chain, site_a, site_b)))
 
     elements = sum(count for *_, (_, _, count) in points)
     if elements > SWEEP_ELEMENT_LIMIT:
@@ -615,14 +623,12 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
     probs = [prob(alpha) for alpha in alphas.tolist()]
     scan = write_csv(out, ["alpha", "probability"], [alphas, probs])
 
-    p1 = prob(1.0)
-    report.note("lambda", thermal.lambda_symp)
-    report.note("beta", thermal.beta)
-    report.note("e_minus_beta", thermal.e_minus_beta)
-    report.note("p_at_alpha_1", p1)
-    summary = write_csv(out_variant(out, "_summary"),
-                        ["lambda", "beta", "e_minus_beta", "p_at_alpha_1"],
-                        [[thermal.lambda_symp], [thermal.beta], [thermal.e_minus_beta], [p1]])
+    values = {"lambda": thermal.lambda_symp, "beta": thermal.beta,
+              "e_minus_beta": thermal.e_minus_beta, "p_at_alpha_1": prob(1.0)}
+    for name, value in values.items():
+        report.note(name, value)
+    summary = write_csv(out_variant(out, "_summary"), list(values),
+                        [[value] for value in values.values()])
     return [scan, summary]
 
 

@@ -112,24 +112,19 @@ class StateExpansion:
         if bad.size:
             raise InvalidParametersError(f"order/phonon parity mismatch in row {bad[0]}")
 
-    def _terms(self, rows) -> list[ExpansionTerm]:
-        """The selected rows as ExpansionTerm objects, with Python numbers;
-        equal (mode, count) pairs share one tuple."""
-        modes, counts = self.modes[rows], self.counts[rows]
-        filled = modes >= 0
-        shared = {}
-        pairs = [shared.setdefault(p, p) for p in zip(modes[filled].tolist(),
-                                                       counts[filled].tolist())]
-        ends = np.cumsum(filled.sum(axis=1)).tolist()
-        return [ExpansionTerm(order, SPIN_PATTERNS[spins], tuple(pairs[start:end]), coeff)
-                for order, spins, start, end, coeff in zip(
-                    self.order[rows].tolist(), self.spins[rows].tolist(), [0] + ends[:-1],
-                    ends, self.coeff[rows].tolist())]
-
     @functools.cached_property
     def terms(self) -> tuple[ExpansionTerm, ...]:
-        """Every row as an ExpansionTerm, in storage order (built once)."""
-        return tuple(self._terms(slice(None)))
+        """Every row as an ExpansionTerm with Python numbers, in storage order
+        (built once); equal (mode, count) pairs share one tuple."""
+        filled = self.modes >= 0
+        shared = {}
+        pairs = [shared.setdefault(p, p) for p in zip(self.modes[filled].tolist(),
+                                                       self.counts[filled].tolist())]
+        ends = np.cumsum(filled.sum(axis=1)).tolist()
+        return tuple(ExpansionTerm(order, SPIN_PATTERNS[spins], tuple(pairs[start:end]), coeff)
+                     for order, spins, start, end, coeff in zip(
+                         self.order.tolist(), self.spins.tolist(), [0] + ends[:-1], ends,
+                         self.coeff.tolist()))
 
 
 def _require_equal_splittings(scenario: Scenario) -> float:

@@ -215,27 +215,22 @@ def build_hamiltonian(basis: ModeBasis, scenario: Scenario, fock: FockSpace) -> 
     h0 = np.concatenate([scenario.omega_a * (sa - 0.5) + scenario.omega_b * (sb - 0.5)
                          + phonon_e for sa in (0, 1) for sb in (0, 1)])
 
-    # ladder moves within one spin sector: a_k lowers rows with occ_k >= 1,
-    # a_k^dagger raises rows below the cutoff
-    total = occ.sum(axis=1)
-    moves = []  # (source row, target row, mode, sqrt(n), raising) per mode and direction
-    for k in range(fock.n_modes):
-        for raising in (False, True):
-            rows = np.flatnonzero(total < fock.max_total_phonons if raising else occ[:, k] > 0)
-            moved = occ[rows]
-            moved[:, k] += 1 if raising else -1
-            n = moved[:, k] if raising else occ[rows, k]
-            moves.append((rows, fock.rank(moved), np.full(rows.size, k), np.sqrt(n),
-                          np.full(rows.size, raising)))
-    src, dst, mode, amp, raising = (np.concatenate(a) for a in zip(*moves))
+    # a_k's moves within one spin sector: from each row src with occ_k >= 1
+    # to the row dst of its occupations lowered at mode k, by sqrt(occ_k)
+    src, mode = np.nonzero(occ)
+    lowered = occ[src]
+    lowered[np.arange(src.size), mode] -= 1
+    dst, amp = fock.rank(lowered), np.sqrt(occ[src, mode])
     sectors = np.arange(4)
 
     def coupling(site: int, flip: int) -> sp.csr_matrix:
+        # W = L + L^dagger: the halves move the phonon total by -1 and +1, so share
+        # no entry; conj(lam * amp) would turn a real lam's +0 imaginary part to -0
         lam = basis.row(site)[mode]
-        vals = np.where(raising, np.conj(lam), lam) * amp
         rows = ((sectors ^ flip)[:, None] * n_occ + dst).ravel()
         cols = (sectors[:, None] * n_occ + src).ravel()
-        mat = sp.csr_matrix((np.tile(vals, 4), (rows, cols)),
+        vals = np.r_[np.tile(lam * amp, 4), np.tile(np.conj(lam) * amp, 4)]
+        mat = sp.csr_matrix((vals, (np.r_[rows, cols], np.r_[cols, rows])),
                             shape=(fock.dimension, fock.dimension))
         mat.sort_indices()
         return mat

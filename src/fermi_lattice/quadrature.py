@@ -253,12 +253,10 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
         moments = phase_moments(NESTED_ORDERS, np.concatenate([a[ku] for _, a in alphas]),
                                 np.tile(s[tu, 0], len(alphas)))
     # the inner single integral shares the grid s, and may mirror its rows,
-    # unless the outer window ends first
-    tt = np.minimum(t_col, w2)
-    singles = inner and np.array_equal(tt, s)
+    # unless the outer window ends first: then it is taken on its own
+    singles = inner and np.array_equal(np.minimum(t_col, w2), s)
     if inner and not singles:
-        for cb, b in betas:
-            single = single + cb * phase_integral(b, tt)
+        single = opening_phase_integral(opening_inner, phi2, t_col[:, 0])
     # the E(phase; s) rows in the order the sums take them: alpha_i, then each
     # pair phase alpha_i + beta_j, and the inner singles beta_j last
     order = [(i, j, a if j is None else a + betas[j][1])

@@ -1051,6 +1051,26 @@ def test_a_causality_sweep_holds_one_chain_at_a_time(tmp_path, monkeypatch, caps
         assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("limit", [SWEEP_ELEMENT_LIMIT, 1000], ids=["accepted", "refused"])
+def test_a_single_chain_tau_scan_is_planned_before_its_build(tmp_path, monkeypatch, capsys,
+                                                             limit):
+    built = []
+    monkeypatch.setattr(cli, "build_harmonic_chain", lambda params: built.append(params.n_sites)
+                        or build_harmonic_chain(params))
+    monkeypatch.setattr(cli, "SWEEP_ELEMENT_LIMIT", limit)
+    doc = {"system": {"kind": "chain", "chain": {"n_sites": 40}},
+           "scenario": {"site_a": 0, "site_b": 12}, "run": {"tau_max": 0.6, "n_samples": 200}}
+    code, _ = run_cli(tmp_path, "causality", doc)
+    # the chain is planned from its parameters: built once, to sum, and not at all
+    # when the run is refused
+    if limit == SWEEP_ELEMENT_LIMIT:
+        assert code == 0 and built == [40]
+    else:
+        assert code == 2 and "run.n_samples" in capsys.readouterr().err
+        assert not built
+        assert not list(tmp_path.glob("*.csv"))
+
+
 # the largest trap the schema takes; each command's base run below reaches its build
 TRAP_AT_LIMIT = {"system": {"kind": "trap", "trap": {"n_ions": cli.TRAP_IONS_LIMIT}},
                  "scenario": {"site_a": 0, "site_b": 1, "omega": 2.0,

@@ -194,6 +194,26 @@ def test_hamiltonian_hermitian_exactly():
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
+@pytest.mark.parametrize("system, m, c", [("chain", 3, 4), ("chain", 6, 4), ("trap", 3, 3)])
+def test_hamiltonian_ranks_only_the_lowered_occupations(monkeypatch, system, m, c):
+    basis = (build_harmonic_chain(ChainParams(m)) if system == "chain"
+             else build_ion_trap(TrapParams(m)))
+    scenario = Scenario(0, m - 1, 2.0, 1.3, 0.05, OpeningFunction.constant(),
+                        OpeningFunction.constant(), 1.0)
+    fock = FockSpace.build(m, c)
+    ranked = []
+    rank = FockSpace.rank
+    monkeypatch.setattr(FockSpace, "rank",
+                        lambda self, occ: ranked.append(len(occ)) or rank(self, occ))
+    action = build_hamiltonian(basis, scenario, fock)
+    # each coupling is L + L^dagger from its lowering half L, so only the
+    # occupations a_k lowers are ranked: one per (state, mode) with occ_k >= 1
+    lowered = np.count_nonzero(fock.occupations)
+    assert len(ranked) == 1 and ranked[0] == lowered
+    # L and L^dagger hold one entry per lowering in each of the four spin sectors
+    assert action.w_a.nnz == action.w_b.nnz == 8 * lowered
+
+
 def test_mode_count_must_match():
     basis, scenario = make()
     with pytest.raises(InvalidParametersError):
