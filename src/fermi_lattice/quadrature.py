@@ -253,7 +253,7 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
         moments = phase_moments(NESTED_ORDERS, np.concatenate([a[ku] for _, a in alphas]),
                                 np.tile(s[tu, 0], len(alphas)))
     # the inner single integral shares the grid s, and may mirror its rows,
-    # unless the outer window ends first: then it is taken on its own
+    # unless the outer window ends first
     singles = inner and np.array_equal(np.minimum(t_col, w2), s)
     if inner and not singles:
         single = opening_phase_integral(opening_inner, phi2, t_col[:, 0])
