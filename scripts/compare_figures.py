@@ -6,12 +6,12 @@ Usage: python scripts/compare_figures.py a/ b/
 For every CSV in either directory, prints whether the two files are
 byte-identical and, per column, the maximum absolute and relative
 deviation of b from a.  A cell passes when it is within 1e-12 relative
-or 1e-15 absolute of a.  For every .manifest.json, the output lists must
-be equal and every summary value must pass the same rule; wall_time_s is
-not compared, and null (how a non-finite value is written) matches any
-non-finite value.  Exits 1 when any cell or summary value fails, a file
-or a summary key is missing on one side, or the headers, shapes or
-output lists differ; 0 otherwise.
+or 1e-15 absolute of a.  For every .manifest.json, the command, the output
+list and the warning list must be equal and every summary value must pass
+the same rule; wall_time_s is not compared, and null (how a non-finite
+value is written) matches any non-finite value.  Exits 1 when any cell or summary value fails, a file
+or a summary key is missing on one side, or the headers, shapes, commands,
+output lists or warning lists differ; 0 otherwise.
 """
 
 import json
@@ -62,9 +62,11 @@ def _matches(a, b) -> bool:
 def compare_manifest(a: pathlib.Path, b: pathlib.Path) -> bool:
     """Print the report for one manifest pair; True when it passes."""
     man_a, man_b = (json.loads(p.read_text()) for p in (a, b))
-    ok = man_a["outputs"] == man_b["outputs"]
-    if not ok:
-        print(f"{a.name}: FAIL outputs {man_a['outputs']} / {man_b['outputs']}")
+    ok = True
+    for key in ("command", "outputs", "warnings"):
+        if man_a[key] != man_b[key]:
+            print(f"{a.name}: FAIL {key} {man_a[key]} / {man_b[key]}")
+            ok = False
     sum_a, sum_b = man_a["summary"], man_b["summary"]
     for key in sorted(sum_a.keys() | sum_b.keys()):
         if key not in sum_a or key not in sum_b:
@@ -76,8 +78,8 @@ def compare_manifest(a: pathlib.Path, b: pathlib.Path) -> bool:
             ok = False
     if ok:
         same = sum(sum_a[k] == sum_b[k] for k in sum_a)
-        print(f"{a.name}: outputs equal, {len(sum_a)} summary values within tolerance, "
-              f"{same} identical")
+        print(f"{a.name}: command, outputs and warnings equal, {len(sum_a)} summary values "
+              f"within tolerance, {same} identical")
     return ok
 
 

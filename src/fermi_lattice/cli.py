@@ -25,7 +25,7 @@ import sys
 import time
 import warnings
 from collections import namedtuple
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .ion2 import PulseSpec, swap_probability, swap_probability_full, symplectic
 from .modes import (ChainParams, ModeBasis, Scenario, TrapParams, build_harmonic_chain,
                     build_ion_trap)
 from .openings import OpeningFunction
-from .oracle import residual_slope
+from .oracle import CUTOFF_START, check_fock_size, residual_slope
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +469,11 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
         raise SchemaError("run.separation_fraction needs run.n_values (it places site_b "
                           "for each chain size of the sweep)")
     scenario = build_scenario(doc)
+    ring = "run.mode 'r_scan'" if run["mode"] == "r_scan" else run["n_values"] and "run.n_values"
+    if ring and doc["system"]["kind"] != "chain":
+        raise SchemaError(f"{ring} needs system.kind 'chain': its sites lie around a ring")
 
     if run["mode"] == "r_scan":
-        if doc["system"]["kind"] != "chain":
-            raise SchemaError("r_scan mode needs a chain system")
         n_sites = doc["system"]["chain"]["n_sites"]
         r_values = range(1, n_sites) if run["r_values"] == "all" else run["r_values"]
         for r in r_values:
@@ -484,39 +485,17 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
         f_c = commutator(basis, scenario.site_a, sites, run["tau"])
         return [write_csv(out, ["r", "f_c"], [r_values, f_c])]
 
-    n_samples = run["n_samples"]
-    grid = max(n_samples, 100)
-
-    def plan(w_max, n_freqs, causal_time):
-        """tau_max, whether the estimate widens the grid, and the elements summed."""
-        tau_max = run["tau_max"] or 2.0 * causal_time
-        # one mode sum serves both unless the estimate needs a finer grid
-        estimate_samples = resolved_samples(w_max, tau_max, grid)
-        widen = estimate_samples != n_samples
-        return tau_max, widen, (n_samples + widen * estimate_samples) * n_freqs
-
-    def chain_plan(chain, site_a, site_b):
-        """plan from a chain's parameters: n sites have n // 2 + 1 distinct frequencies."""
-        return plan(chain.max_frequency, chain.n_sites // 2 + 1, chain.causal_time(site_a, site_b))
-
-    # each point makes its chain when it sums, after every point is planned from
-    # its chain's parameters: a refused run builds no chain, and a sweep holds
-    # one of its chains at a time; only a trap's spectrum needs the build
-    if run["n_values"] is None and doc["system"]["kind"] == "chain":
-        points = [(partial(build_basis, doc), scenario.site_a, scenario.site_b, "",
-                   chain_plan(_system_params(doc), scenario.site_a, scenario.site_b))]
-    elif run["n_values"] is None:
-        basis = build_basis(doc)
-        points = [(lambda: basis, scenario.site_a, scenario.site_b, "",
-                   plan(float(np.max(basis.frequencies)), basis.distinct_frequencies.size,
-                        nominal_causal_time(basis, scenario.site_a, scenario.site_b)))]
+    # one point (system, site_a, site_b, CSV suffix) per chain size, a single chain being a
+    # one-point sweep; a chain is built only to be summed, so a refused run builds none
+    if doc["system"]["kind"] == "trap":  # a trap's spectrum needs the build
+        points = [(build_basis(doc), scenario.site_a, scenario.site_b, "")]
     else:
-        if doc["system"]["kind"] != "chain":
-            raise SchemaError("run.n_values sweeps are for chain systems")
-        system = _system_params(doc)
-        frac = run["separation_fraction"]
+        system, frac = _system_params(doc), run["separation_fraction"]
+        n_values = run["n_values"] or [system.n_sites]
+        if len(set(n_values)) < len(n_values):
+            raise SchemaError("run.n_values lists a chain size twice; each size writes one CSV")
         points = []
-        for n in run["n_values"]:
+        for n in n_values:
             try:
                 chain = ChainParams(n, system.length, system.pinning, system.speed)
                 if frac is None:
@@ -528,28 +507,39 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
             if site_b == site_a:  # the scenario's own sites differ
                 raise SchemaError(f"run.separation_fraction = {frac} puts site_b on "
                                   f"site_a for n = {n}")
-            points.append((partial(build_harmonic_chain, chain), site_a, site_b, f"_n{n}",
-                           chain_plan(chain, site_a, site_b)))
+            points.append((chain, site_a, site_b, f"_n{n}" if run["n_values"] else ""))
 
-    elements = sum(count for *_, (_, _, count) in points)
+    n_samples = run["n_samples"]
+    grid = max(n_samples, 100)
+    plans, elements = [], 0
+    for system, site_a, site_b, _ in points:
+        if isinstance(system, ChainParams):  # n sites have n // 2 + 1 distinct frequencies
+            w_max, n_freqs = system.max_frequency, system.n_sites // 2 + 1
+            causal_time = system.causal_time(site_a, site_b)
+        else:
+            w_max, n_freqs = float(np.max(system.frequencies)), system.distinct_frequencies.size
+            causal_time = nominal_causal_time(system, site_a, site_b)
+        tau_max = run["tau_max"] or 2.0 * causal_time
+        estimate_samples = resolved_samples(w_max, tau_max, grid)
+        widen = estimate_samples != n_samples  # else the trace's own grid serves the estimate
+        plans.append((tau_max, widen))
+        elements += (n_samples + widen * estimate_samples) * n_freqs
     if elements > SWEEP_ELEMENT_LIMIT:
-        key = "run.n_samples" if run["n_values"] is None else "run.n_values"
-        raise SchemaError(f"{key}: the mode sums need {elements:.3g} (tau x frequency) "
-                          f"elements, over the limit of {SWEEP_ELEMENT_LIMIT:.3g}; "
+        raise SchemaError(f"{ring or 'run.n_samples'}: the mode sums need {elements:.3g} (tau x "
+                          f"frequency) elements, over the limit of {SWEEP_ELEMENT_LIMIT:.3g}; "
                           f"use fewer samples or smaller chains")
     outputs = []
-    for make, site_a, site_b, suffix, (tau_max, widen, _) in points:
-        b = make()
+    for (system, site_a, site_b, suffix), (tau_max, widen) in zip(points, plans):
+        b = (system if isinstance(system, ModeBasis)
+             else build_harmonic_chain(system) if suffix else build_basis(doc))
         trace = causality_trace(b, site_a, site_b, np.linspace(0.0, tau_max, n_samples))
         est = (lightcone_estimate(b, site_a, site_b, tau_max, grid) if widen
                else rise_estimate(b, trace))
         del b  # before the next point builds its chain
-        outputs.append(write_csv(out_variant(out, suffix) if suffix else out,
-                                 ["tau", "f_a", "f_c"], [trace.taus, trace.f_a, trace.f_c]))
-        tag = suffix.lstrip("_") or "lightcone"
-        report.note(f"{tag}.rise_time", est.rise_time)
-        report.note(f"{tag}.nominal_causal_time", est.nominal_causal_time)
-        report.note(f"{tag}.sharpness", est.sharpness)
+        outputs.append(write_csv(out_variant(out, suffix), ["tau", "f_a", "f_c"],
+                                 [trace.taus, trace.f_a, trace.f_c]))
+        for name in ("rise_time", "nominal_causal_time", "sharpness"):
+            report.note(f"{suffix.lstrip('_') or 'lightcone'}.{name}", getattr(est, name))
     return outputs
 
 
@@ -670,10 +660,12 @@ def cmd_oracle_check(doc: dict, out: Path, report: Reporter) -> list[Path]:
     times = np.linspace(0.0, run["t_max"], run["n_times"] + 1)[1:]
     if np.any(np.diff(times) <= 0):
         raise SchemaError(f"run.t_max = {run['t_max']!r} is too small for run.n_times times")
-    basis = build_basis(doc)
-    cutoff = run["cutoff"]
+    cutoff, kind = run["cutoff"], doc["system"]["kind"]
     try:
-        residuals, slope = residual_slope(basis, scenario, run["epsilons"], times,
+        # the first cutoff's Fock space is sized from the file, before the basis is built
+        check_fock_size(doc["system"][kind]["n_sites" if kind == "chain" else "n_ions"],
+                        scenario, CUTOFF_START if cutoff == "auto" else cutoff)
+        residuals, slope = residual_slope(build_basis(doc), scenario, run["epsilons"], times,
                                           max_total_phonons=None if cutoff == "auto" else cutoff)
     except InvalidParametersError as exc:
         # with the scenario and times checked above, what is left to refuse is the

@@ -150,6 +150,14 @@ def _check_dense_memory(dimension: int, max_total_phonons: int) -> None:
         )
 
 
+def check_fock_size(n_modes: int, scenario: Scenario, max_total_phonons: int) -> None:
+    """Refuse, from the sizes alone, a Fock space over DIMENSION_LIMIT and, when both
+    openings are constant, a static solve over DENSE_BYTES_LIMIT."""
+    dimension = _fock_dimension(n_modes, max_total_phonons)
+    if scenario.opening_a.variant == scenario.opening_b.variant == CONSTANT:
+        _check_dense_memory(dimension, max_total_phonons)
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianAction:
     """H(t) = diag(h0_diag) + eps [f_A(t) w_a + f_B(t) w_b], dense only on demand."""
@@ -405,9 +413,7 @@ def exact_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
     grid = _record_times(np.concatenate(([0.0], times)) if prepend else times)
     builds = {} if builds is None else builds
     if max_total_phonons not in builds:
-        if static:
-            _check_dense_memory(_fock_dimension(basis.n_modes, max_total_phonons),
-                                max_total_phonons)
+        check_fock_size(basis.n_modes, scenario, max_total_phonons)
         fock = FockSpace.build(basis.n_modes, max_total_phonons)
         builds[max_total_phonons] = (build_hamiltonian(basis, scenario, fock),
                                      fock.basis_state(1, 0), fock.basis_state(0, 1))
@@ -459,11 +465,12 @@ def residual_slope(basis: ModeBasis, scenario: Scenario, epsilons, times,
             residuals[i] = 0.0
             continue
         scen = replace(scenario, epsilon=float(eps))
-        pert = bare_amplitude(basis, scen, times).total
+        # the exact amplitude first: it refuses an oversized Fock space before any sum
         if max_total_phonons is None:
             exact, _ = converged_swap_amplitude(basis, scen, times, builds=builds)
         else:
             exact = exact_swap_amplitude(basis, scen, times, max_total_phonons, builds=builds)
+        pert = bare_amplitude(basis, scen, times).total
         residuals[i] = float(np.max(np.abs(pert - exact)))
     mask = residuals > 0
     if np.count_nonzero(mask) < 2:

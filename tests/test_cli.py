@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import fermi_lattice
 from fermi_lattice import causality, cli, dressing, oracle
-from fermi_lattice.causality import SWEEP_ELEMENT_LIMIT, resolved_samples
+from fermi_lattice.causality import (SWEEP_ELEMENT_LIMIT, causality_trace, lightcone_estimate,
+                                     nominal_causal_time, resolved_samples, rise_estimate)
 from fermi_lattice.errors import NumericalFailureError
 from fermi_lattice.ion2 import (PulseSpec, swap_probability, swap_probability_full,
                                 symplectic_temperature)
-from fermi_lattice.modes import ChainParams, build_harmonic_chain
+from fermi_lattice.modes import ChainParams, TrapParams, build_harmonic_chain, build_ion_trap
 
 FIGURES = Path(__file__).resolve().parent.parent / "figures"
 
@@ -179,6 +180,47 @@ def test_causality_on_a_60_ion_trap(tmp_path):
     code, out = run_cli(tmp_path, "causality", doc)
     assert code == 0
     assert len(out.read_text().splitlines()) == 201
+
+
+@pytest.mark.parametrize("n_samples, widened", [(50, True), (200, False)])
+def test_a_trap_tau_scan_is_its_trace_and_rise(tmp_path, n_samples, widened):
+    trap = build_ion_trap(TrapParams(10))
+    doc = {"system": {"kind": "trap", "trap": {"n_ions": 10}},
+           "scenario": {"site_a": 2, "site_b": 7}, "run": {"n_samples": n_samples}}
+    code, out = run_cli(tmp_path, "causality", doc)
+    assert code == 0
+    tau_max = 2 * nominal_causal_time(trap, 2, 7)
+    trace = causality_trace(trap, 2, 7, np.linspace(0, tau_max, n_samples))
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    want = np.column_stack([trace.taus, trace.f_a, trace.f_c])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the estimate widens the grid to 100 samples, or takes the trace's own
+    grid = max(n_samples, 100)
+    assert (resolved_samples(float(np.max(trap.frequencies)), tau_max, grid) != n_samples
+            ) == widened
+    est = (lightcone_estimate(trap, 2, 7, tau_max, grid) if widened
+           else rise_estimate(trap, trace))
+    summary = json.loads(out.with_suffix(".manifest.json").read_text())["summary"]
+    assert summary == {"lightcone.rise_time": est.rise_time,
+                       "lightcone.nominal_causal_time": est.nominal_causal_time,
+                       "lightcone.sharpness": est.sharpness}
+
+
+@pytest.mark.parametrize("run, key", [
+    ({"n_samples": 200}, "run.n_samples"),
+    ({"mode": "r_scan", "tau": 0.3}, "run.mode"),
+    ({"n_values": [10]}, "run.n_values"),
+], ids=["over_the_work_guard", "r_scan", "n_values"])
+def test_a_trap_causality_run_is_refused_by_its_key(tmp_path, monkeypatch, capsys, run, key):
+    # 200 samples x 10 distinct frequencies are over this limit; a ring scan
+    # and a chain-size sweep need a chain
+    monkeypatch.setattr(cli, "SWEEP_ELEMENT_LIMIT", 1000)
+    doc = {"system": {"kind": "trap", "trap": {"n_ions": 10}},
+           "scenario": {"site_a": 2, "site_b": 7}, "run": run}
+    code, _ = run_cli(tmp_path, "causality", doc)
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_r_scan_onto_source_site_rejected(tmp_path, capsys):
@@ -414,6 +456,27 @@ def test_auto_cutoff_refusal_names_the_key_and_the_cutoff_reached(tmp_path, caps
     assert "run.cutoff = 'auto'" in err
     assert "Fock dimension 140 at phonon cutoff 3" in err
     assert "rk4" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("system, cutoff", [
+    ({"kind": "trap", "trap": {"n_ions": cli.TRAP_IONS_LIMIT}}, "auto"),
+    ({"kind": "chain", "chain": {"n_sites": cli.CHAIN_SITES_LIMIT}}, 3),
+    ({"kind": "chain", "chain": {"n_sites": 3}}, 30),
+], ids=["trap_fock_size", "chain_fock_size", "static_memory"])
+def test_an_oversize_fock_space_is_refused_before_the_basis(tmp_path, monkeypatch, capsys,
+                                                            system, cutoff):
+    # the first cutoff's Fock dimension, 4 C(n_modes + cutoff, cutoff), and the
+    # static path's dense memory need only the system's size: no basis is built
+    def stop(doc):
+        raise _Built
+
+    monkeypatch.setattr(cli, "build_basis", stop)
+    doc = _with({**ORACLE, "system": system}, "run.cutoff", cutoff)
+    code, out = run_cli(tmp_path, "oracle-check", doc)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"run.cutoff = {cutoff!r}" in err and "reduce the cutoff" in err
     assert not out.exists()
 
 
@@ -1071,10 +1134,26 @@ def test_a_single_chain_tau_scan_is_planned_before_its_build(tmp_path, monkeypat
         assert not list(tmp_path.glob("*.csv"))
 
 
+def test_a_causality_sweep_refuses_a_repeated_chain_size(tmp_path, monkeypatch, capsys):
+    # each size writes out_n<N>.csv and its summary keys, so a repeat is refused
+    # before any chain is built
+    def stop(params):
+        raise _Built
+
+    monkeypatch.setattr(cli, "build_harmonic_chain", stop)
+    code, _ = run_cli(tmp_path, "causality", _with(SWEEP, "run.n_values", [20, 100, 20]))
+    assert code == 2
+    assert "run.n_values" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # the largest trap the schema takes; each command's base run below reaches its build
 TRAP_AT_LIMIT = {"system": {"kind": "trap", "trap": {"n_ions": cli.TRAP_IONS_LIMIT}},
                  "scenario": {"site_a": 0, "site_b": 1, "omega": 2.0,
                               "opening": {"variant": "sin_sq_window", "window": 0.1}}}
+# the largest trap the oracle takes at its first phonon cutoff, 2: 4 C(1000, 2) =
+# 1 998 000 states.  A larger one is refused from the file, before its build
+ORACLE_IONS = 998
 # command, its run section, the refused key and its value
 REFUSED_SCENARIOS = [
     ("bare", {}, "scenario.site_b", cli.TRAP_IONS_LIMIT),
@@ -1084,7 +1163,7 @@ REFUSED_SCENARIOS = [
     ("cloud", {}, "scenario.omega_b", 2.5),
     ("cloud", {}, "scenario.opening_b", {"variant": "cos_sq_window", "window": 0.1}),
     ("oracle-check", {"epsilons": [0.01], "t_max": 0.5, "n_times": 3}, "scenario.site_a",
-     cli.TRAP_IONS_LIMIT),
+     ORACLE_IONS),
     ("causality", {"tau_max": 0.5, "n_samples": 200}, "scenario.site_b", cli.TRAP_IONS_LIMIT),
 ]
 
@@ -1100,6 +1179,8 @@ def test_a_refused_scenario_exits_2_before_the_basis(tmp_path, monkeypatch, caps
     # command refuses is refused from the file alone
     monkeypatch.setattr(cli, "build_basis", stop)
     doc = {**TRAP_AT_LIMIT, "run": run}
+    if command == "oracle-check":
+        doc = _with(doc, "system.trap.n_ions", ORACLE_IONS)
     with pytest.raises(_Built):
         run_cli(tmp_path, command, doc)
     code, _ = run_cli(tmp_path, command, _with(doc, key, value))

@@ -16,12 +16,14 @@ ROWS = [[0.0, 0.25, -1.5e-3], [0.5, 0.125, 2.0e-3]]
 SUMMARY = {"p_final": 0.375, "ratio": 1.25e-2}
 
 
-def write_run(directory: Path, rows=ROWS, header=("t", "a", "b"), summary=SUMMARY) -> Path:
+def write_run(directory: Path, rows=ROWS, header=("t", "a", "b"), summary=SUMMARY,
+              command="bare", warnings=()) -> Path:
     directory.mkdir()
     text = ",".join(header) + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
                                               for row in rows)
     (directory / "fig.csv").write_text(text)
-    manifest = {"outputs": ["fig.csv"], "summary": summary, "wall_time_s": 0.1}
+    manifest = {"command": command, "outputs": ["fig.csv"], "summary": summary,
+                "warnings": list(warnings), "wall_time_s": 0.1}
     (directory / "fig.manifest.json").write_text(json.dumps(manifest))
     return directory
 
@@ -55,3 +57,9 @@ def test_a_missing_or_moved_summary_value_fails(tmp_path, summary):
 
 def test_a_header_mismatch_fails(tmp_path):
     assert exit_code(tmp_path, header=("t", "a", "c")) == 1
+
+
+@pytest.mark.parametrize("change", [{"command": "dressed"},
+                                    {"warnings": ["RuntimeWarning: overflow in exp"]}])
+def test_a_changed_command_or_warning_list_fails(tmp_path, change):
+    assert exit_code(tmp_path, **change) == 1

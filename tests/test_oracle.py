@@ -536,6 +536,17 @@ def test_constant_drive_residual_slope_is_four():
     assert slope == pytest.approx(4.0, abs=0.3)
 
 
+@pytest.mark.parametrize("cutoff, refusal", [(200, "Fock dimension"), (30, "static path")])
+def test_residual_slope_refuses_the_cutoff_before_any_sum(monkeypatch, cutoff, refusal):
+    def refuse(*args):
+        raise AssertionError("bare_amplitude was called")
+
+    monkeypatch.setattr(oracle, "bare_amplitude", refuse)
+    basis, scenario = make()
+    with pytest.raises(InvalidParametersError, match=refusal):
+        residual_slope(basis, scenario, [1e-2, 5e-3], np.linspace(0.1, 1.5, 15), cutoff)
+
+
 @pytest.mark.parametrize("opening, duration, propagate", [
     (OpeningFunction.constant(), 1.5, evolve_static),
     (OpeningFunction.sin_sq_window(0.4), 0.4, evolve),
