@@ -471,7 +471,7 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
     scenario = build_scenario(doc)
     ring = "run.mode 'r_scan'" if run["mode"] == "r_scan" else run["n_values"] and "run.n_values"
     if ring and doc["system"]["kind"] != "chain":
-        raise SchemaError(f"{ring} needs system.kind 'chain': its sites lie around a ring")
+        raise SchemaError(f"{ring} needs system.kind 'chain', got 'trap'")
 
     if run["mode"] == "r_scan":
         n_sites = doc["system"]["chain"]["n_sites"]

@@ -1039,9 +1039,6 @@ def test_manifest_is_strict_json(tmp_path):
 @pytest.mark.parametrize("n_samples, widened_calls", [(2000, 0), (150, 1)])
 def test_causality_reuses_the_trace_for_the_rise(tmp_path, monkeypatch, n_samples,
                                                  widened_calls):
-    from fermi_lattice.causality import lightcone_estimate
-    from fermi_lattice.modes import ChainParams, build_harmonic_chain
-
     calls = []
 
     def counted(*args):
