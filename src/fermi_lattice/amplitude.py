@@ -56,17 +56,6 @@ class AmplitudeTrace:
         return top / bottom
 
 
-def _branch_integrals(scenario, w, times):
-    """[(S_A, S_B, N) for the (+) branch, then the (-) one]: the single and
-    nested profile integrals on the distinct frequencies w."""
-    om_a, om_b = scenario.omega_a, scenario.omega_b
-    f_a = scenario.opening_a.post_ramp()
-    f_b = scenario.opening_b.post_ramp()
-    # S_A and S_B are the nested call's single integrals
-    return [opening_nested_integral(f_a, -pa, f_b, +pb, times)
-            for pa, pb in ((om_a + w, om_b + w), (om_a - w, om_b - w))]
-
-
 def bare_amplitude(basis: ModeBasis, scenario: Scenario, times) -> AmplitudeTrace:
     """Amplitude trace for the bare initial state.
 
@@ -81,10 +70,15 @@ def bare_amplitude(basis: ModeBasis, scenario: Scenario, times) -> AmplitudeTrac
     mu = basis.row(scenario.site_a) * np.conj(basis.row(scenario.site_b))
     mu_bar = np.conj(mu)
     scale = -0.5 * scenario.epsilon**2
+    om_a, om_b, w = scenario.omega_a, scenario.omega_b, basis.distinct_frequencies
+    f_a, f_b = scenario.opening_a.post_ramp(), scenario.opening_b.post_ramp()
 
     def block(rows):
-        (sa_p, sb_p, n_p), (sa_m, sb_m, n_m) = _branch_integrals(
-            scenario, basis.distinct_frequencies, times[rows])
+        # (S_A, S_B, N) of the (+) branch, then the (-) one, on the distinct
+        # frequencies: S_A and S_B are the nested call's single integrals
+        (sa_p, sb_p, n_p), (sa_m, sb_m, n_m) = [
+            opening_nested_integral(f_a, -pa, f_b, +pb, times[rows])
+            for pa, pb in ((om_a + w, om_b + w), (om_a - w, om_b - w))]
         # per mode, A_0 sums mu S_A S_B (+) + conj(mu) S_A S_B (-) and A_c
         # mu (2 N - S_A S_B) (+) - conj(mu) (2 N - S_A S_B) (-), each sum
         # scaled by -eps^2 / 2 last.  2 N - S_A S_B is elementwise, so it is

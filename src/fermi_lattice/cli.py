@@ -438,17 +438,6 @@ def out_variant(out: Path, suffix: str) -> Path:
     return out.with_name(out.stem + suffix + out.suffix)
 
 
-class Reporter:
-    def __init__(self, quiet: bool):
-        self.quiet = quiet
-        self.summary: dict = {}
-
-    def note(self, key: str, value):
-        self.summary[key] = value
-        if not self.quiet:
-            print(f"{key} = {value}")
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -463,7 +452,7 @@ def _window_t_max(run: dict, scenario: Scenario) -> float:
     return t_max
 
 
-def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
+def cmd_causality(doc: dict, out: Path, summary: dict) -> list[Path]:
     run = doc["run"]
     if run.get("separation_fraction") is not None and run["n_values"] is None:
         raise SchemaError("run.separation_fraction needs run.n_values (it places site_b "
@@ -539,11 +528,11 @@ def cmd_causality(doc: dict, out: Path, report: Reporter) -> list[Path]:
         outputs.append(write_csv(out_variant(out, suffix), ["tau", "f_a", "f_c"],
                                  [trace.taus, trace.f_a, trace.f_c]))
         for name in ("rise_time", "nominal_causal_time", "sharpness"):
-            report.note(f"{suffix.lstrip('_') or 'lightcone'}.{name}", getattr(est, name))
+            summary[f"{suffix.lstrip('_') or 'lightcone'}.{name}"] = getattr(est, name)
     return outputs
 
 
-def cmd_bare(doc: dict, out: Path, report: Reporter) -> list[Path]:
+def cmd_bare(doc: dict, out: Path, summary: dict) -> list[Path]:
     scenario = build_scenario(doc)
     run = doc["run"]
     t_max = _window_t_max(run, scenario)
@@ -553,14 +542,14 @@ def cmd_bare(doc: dict, out: Path, report: Reporter) -> list[Path]:
     else:
         trace = bare_amplitude(basis, scenario, np.linspace(0.0, t_max, run["n_times"]))
 
-    report.note("ac_over_a0", trace.commutator_ratio())
-    report.note("p_final", float(trace.probability[-1]))
+    summary["ac_over_a0"] = trace.commutator_ratio()
+    summary["p_final"] = float(trace.probability[-1])
     columns = [trace.times, trace.a0.real, trace.a0.imag, trace.ac.real, trace.ac.imag,
                trace.probability]
     return [write_csv(out, ["t", "re_a0", "im_a0", "re_ac", "im_ac", "probability"], columns)]
 
 
-def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
+def cmd_dressed(doc: dict, out: Path, summary: dict) -> list[Path]:
     run = doc["run"]
     if run["mode"] != "trace" and doc["system"]["kind"] != "chain":
         raise SchemaError(f"run.mode {run['mode']!r} needs system.kind 'chain': its offsets "
@@ -588,12 +577,12 @@ def cmd_dressed(doc: dict, out: Path, report: Reporter) -> list[Path]:
     names = run["schemes"]
     traces = dressed_amplitude(basis, scenario, [DressingScheme[n.upper()] for n in names], times)
     for name, trace in zip(names, traces):
-        report.note(f"p_final.{name}", float(trace.probability[-1]))
+        summary[f"p_final.{name}"] = float(trace.probability[-1])
     header = ["t"] + [f"p{i + 1}" for i in range(len(traces))]
     return [write_csv(out, header, [times] + [tr.probability for tr in traces])]
 
 
-def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
+def cmd_ion2(doc: dict, out: Path, summary: dict) -> list[Path]:
     system = doc["system"]
     if system["kind"] != "trap":
         raise SchemaError(f"ion2 needs system.kind 'trap', got {system['kind']!r}")
@@ -615,14 +604,13 @@ def cmd_ion2(doc: dict, out: Path, report: Reporter) -> list[Path]:
 
     values = {"lambda": thermal.lambda_symp, "beta": thermal.beta,
               "e_minus_beta": thermal.e_minus_beta, "p_at_alpha_1": prob(1.0)}
-    for name, value in values.items():
-        report.note(name, value)
-    summary = write_csv(out_variant(out, "_summary"), list(values),
-                        [[value] for value in values.values()])
-    return [scan, summary]
+    summary.update(values)
+    table = write_csv(out_variant(out, "_summary"), list(values),
+                      [[value] for value in values.values()])
+    return [scan, table]
 
 
-def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
+def cmd_cloud(doc: dict, out: Path, summary: dict) -> list[Path]:
     run = doc["run"]
     for key in ("t_max", "n_times"):
         if run["t_values"] is not None and run[key] is not None:
@@ -648,13 +636,13 @@ def cmd_cloud(doc: dict, out: Path, report: Reporter) -> list[Path]:
     else:
         up, down = single_site_distributions(basis, scenario, scheme, t_values)
         d = up if component == "up" else down
-    report.note("d_max", float(np.max(d)))
+    summary["d_max"] = float(np.max(d))
     t = np.repeat(t_values, basis.n_sites)
     n = np.tile(np.arange(basis.n_sites), t_values.size)
     return [write_csv(out, ["t", "n", "d_n"], [t, n, d.ravel()])]
 
 
-def cmd_oracle_check(doc: dict, out: Path, report: Reporter) -> list[Path]:
+def cmd_oracle_check(doc: dict, out: Path, summary: dict) -> list[Path]:
     scenario = build_scenario(doc)
     run = doc["run"]
     times = np.linspace(0.0, run["t_max"], run["n_times"] + 1)[1:]
@@ -671,7 +659,7 @@ def cmd_oracle_check(doc: dict, out: Path, report: Reporter) -> list[Path]:
         # with the scenario and times checked above, what is left to refuse is the
         # phonon cutoff: the Fock size or the static path's dense memory
         raise SchemaError(f"run.cutoff = {cutoff!r}: {exc}") from exc
-    report.note("fitted_slope", slope)
+    summary["fitted_slope"] = slope
     return [write_csv(out, ["epsilon", "residual"], [run["epsilons"], residuals])]
 
 
@@ -697,7 +685,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
-    report = Reporter(args.quiet)
+    summary: dict = {}
     failure = None
     caught: list[warnings.WarningMessage] = []
     # the warnings the caller's filters let through go to the manifest, and
@@ -707,7 +695,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 raw = load_scenario_file(args.scenario)
                 outputs = _COMMANDS[args.command](apply_schema(raw, args.command),
-                                                  Path(args.out), report)
+                                                  Path(args.out), summary)
             except (NumericalFailureError, ArithmeticError) as exc:
                 failure = 3, f"numerical failure: {exc}"
             except (FermiLatticeError, ValueError, TypeError, IndexError, OSError) as exc:
@@ -726,12 +714,14 @@ def main(argv: list[str] | None = None) -> int:
         "wall_time_s": round(time.perf_counter() - started, 6),
         "outputs": [p.name for p in outputs],
         # strict JSON: a non-finite summary value is written as null
-        "summary": {k: v if math.isfinite(v) else None for k, v in report.summary.items()},
+        "summary": {k: v if math.isfinite(v) else None for k, v in summary.items()},
         "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
     }
     manifest_path = Path(args.out).with_suffix(".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, default=float, allow_nan=False) + "\n")
     if not args.quiet:
+        for key, value in summary.items():
+            print(f"{key} = {value}")
         for p in outputs:
             print(f"wrote {p}")
     return 0

@@ -180,11 +180,6 @@ class HamiltonianAction:
         m += (eps * float(self.scenario.opening_b(t))) * self.w_b.toarray()
         return m
 
-    def spectral_norm_bound(self) -> float:
-        # induced 1-norm (largest column sum of |W|) without importing scipy.sparse.linalg
-        one_norms = sum(float(abs(w).sum(axis=0).max()) for w in (self.w_a, self.w_b))
-        return float(np.max(np.abs(self.h0_diag)) + self.scenario.epsilon * one_norms)
-
 
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
@@ -194,12 +189,19 @@ class EvolutionResult:
 
 
 class _Recorder:
-    """Projections and the norm drift on the record grid."""
+    """The record grid and a complex copy of the initial state, validated, then
+    the projections and the norm drift on that grid."""
 
-    def __init__(self, n_times: int, projections):
+    def __init__(self, action: HamiltonianAction, initial: np.ndarray, times, projections):
+        self.psi = np.array(initial, dtype=complex)
+        if self.psi.shape != (action.dimension,):
+            raise InvalidParametersError(f"initial state needs shape ({action.dimension},), "
+                                         f"got {self.psi.shape}")
+        self.times = _record_times(times)
         self.vectors = projections or {}
-        self.projections = {name: np.empty(n_times, dtype=complex) for name in self.vectors}
-        self.norm_error = np.empty(n_times)
+        self.projections = {name: np.empty(self.times.size, dtype=complex)
+                            for name in self.vectors}
+        self.norm_error = np.empty(self.times.size)
 
     def __call__(self, j: int, psi: np.ndarray) -> None:
         for name, vec in self.vectors.items():
@@ -265,7 +267,11 @@ def recommended_dt(action: HamiltonianAction) -> float:
 
 
 def _auto_dt(action: HamiltonianAction, t_span: float) -> float:
-    lam_max = max(action.spectral_norm_bound(), 1e-12)
+    # ||H|| bounded by its induced 1-norm (largest column sum of |W|), without
+    # importing scipy.sparse.linalg
+    one_norms = sum(float(abs(w).sum(axis=0).max()) for w in (action.w_a, action.w_b))
+    bound = float(np.max(np.abs(action.h0_diag)) + action.scenario.epsilon * one_norms)
+    lam_max = max(bound, 1e-12)
     # keep the accumulated RK4 norm loss (~ n_steps (lam dt)^6 / 144) at target
     drift_bound = (144.0 * NORM_DRIFT_TARGET / (max(t_span, 1e-12) * lam_max**6)) ** 0.2
     return min(recommended_dt(action), drift_bound)
@@ -276,15 +282,6 @@ def _record_times(times) -> np.ndarray:
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise InvalidParametersError("record times must be strictly increasing")
     return times
-
-
-def _start(action: HamiltonianAction, initial: np.ndarray, times):
-    """The record grid and a complex copy of the initial state, validated."""
-    psi = np.array(initial, dtype=complex)
-    if psi.shape != (action.dimension,):
-        raise InvalidParametersError(f"initial state needs shape ({action.dimension},), "
-                                     f"got {psi.shape}")
-    return _record_times(times), psi
 
 
 def evolve(action: HamiltonianAction, initial: np.ndarray, times,
@@ -302,13 +299,13 @@ def evolve(action: HamiltonianAction, initial: np.ndarray, times,
     product then sums the same terms in the same order as on the full space,
     and every output keeps its bytes.
     """
-    times, psi = _start(action, initial, times)
+    record = _Recorder(action, initial, times, projections)
+    times, psi = record.times, record.psi
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise InvalidParametersError(f"dt must be finite and > 0, got {dt}")
     span = float(times[-1] - times[0]) if times.size > 1 else 0.0
     step = dt if dt is not None else _auto_dt(action, max(span, 1e-12))
 
-    record = _Recorder(times.size, projections)
     eps = action.scenario.epsilon
     parity = action.fock.parity
     rows = np.flatnonzero(np.isin(parity, parity[psi != 0]))
@@ -380,11 +377,11 @@ def evolve_static(action: HamiltonianAction, initial: np.ndarray, times,
     scen = action.scenario
     if scen.opening_a.variant != CONSTANT or scen.opening_b.variant != CONSTANT:
         raise InvalidParametersError("static evolution needs constant opening profiles")
-    times, psi = _start(action, initial, times)
+    record = _Recorder(action, initial, times, projections)
+    times = record.times
     _check_dense_memory(action.dimension, action.fock.max_total_phonons)
     evals, evecs = np.linalg.eigh(action.matrix(0.0))
-    coeff = evecs.conj().T @ psi
-    record = _Recorder(times.size, projections)
+    coeff = evecs.conj().T @ record.psi
     psi = None
     for j, t in enumerate(times):
         psi = evecs @ (cis(-evals * (t - times[0])) * coeff)
