@@ -15,6 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,6 +186,9 @@ def rise_estimate(basis: ModeBasis, trace: CausalityTrace) -> LightconeEstimate:
         )
     slopes = basis.n_sites * np.diff(trace.f_c) / np.diff(trace.taus)
     j = int(np.argmax(slopes))
+    if j == slopes.size - 1:  # F_c may still be rising past the window
+        warnings.warn(f"the commutator between sites {trace.sites} rises fastest at the last "
+                      f"sample of tau_max = {trace.taus[-1]:.4g}; widen the window", stacklevel=2)
     return LightconeEstimate(
         rise_time=float(trace.taus[j]),
         nominal_causal_time=nominal_causal_time(basis, *trace.sites),

@@ -127,16 +127,20 @@ class FockSpace:
 
 
 def _fock_dimension(n_modes: int, max_total_phonons: int) -> int:
-    """4 C(n_modes + cutoff, cutoff), checked against DIMENSION_LIMIT."""
+    """4 C(n_modes + cutoff, cutoff), checked against DIMENSION_LIMIT as it is
+    counted: C(m + i, i) = C(m + i - 1, i - 1) (m + i) / i grows with i, so the
+    count stops at the first i that passes the limit."""
     if max_total_phonons < 1:
         raise InvalidParametersError("phonon cutoff must be >= 1")
-    dim = 4 * math.comb(n_modes + max_total_phonons, max_total_phonons)
-    if dim > DIMENSION_LIMIT:
-        raise InvalidParametersError(
-            f"Fock dimension {dim} exceeds {DIMENSION_LIMIT}; "
-            f"reduce the cutoff (currently {max_total_phonons}) or the mode count"
-        )
-    return dim
+    count = 1
+    for i in range(1, max_total_phonons + 1):
+        count = count * (n_modes + i) // i
+        if 4 * count > DIMENSION_LIMIT:
+            raise InvalidParametersError(
+                f"Fock dimension over {DIMENSION_LIMIT} for {n_modes} modes at phonon "
+                f"cutoff {max_total_phonons}; reduce the cutoff or the mode count"
+            )
+    return 4 * count
 
 
 def _check_dense_memory(dimension: int, max_total_phonons: int) -> None:
@@ -378,13 +382,11 @@ def evolve_static(action: HamiltonianAction, initial: np.ndarray, times,
     if scen.opening_a.variant != CONSTANT or scen.opening_b.variant != CONSTANT:
         raise InvalidParametersError("static evolution needs constant opening profiles")
     record = _Recorder(action, initial, times, projections)
-    times = record.times
     _check_dense_memory(action.dimension, action.fock.max_total_phonons)
     evals, evecs = np.linalg.eigh(action.matrix(0.0))
     coeff = evecs.conj().T @ record.psi
-    psi = None
-    for j, t in enumerate(times):
-        psi = evecs @ (cis(-evals * (t - times[0])) * coeff)
+    for j, t in enumerate(record.times):
+        psi = evecs @ (cis(-evals * (t - record.times[0])) * coeff)
         record(j, psi)
     return record.result(psi)
 

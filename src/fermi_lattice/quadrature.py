@@ -25,6 +25,8 @@ from .openings import OpeningFunction
 NESTED_SERIES_BELOW = 3e-2
 # the moments M_1 ... M_7 that series takes
 NESTED_ORDERS = range(1, 8)
+# (outer component, series element) pairs whose moments one pass takes, 450 B each
+NESTED_SERIES_CHUNK = 2**12
 
 
 def cis(x) -> np.ndarray:
@@ -113,10 +115,11 @@ def _nested_series(moments, beta):
 # is exactly 0 (nu_a = -nu_b with phi2 = -phi1, as in every amplitude
 # kernel) is the column t, the saturated-tail term is evaluated only on rows
 # past the inner window end, and the small-argument series run on the
-# elements that need them.  T's series takes the moments M_1 ... M_7 of every
-# outer component in one phase_moments pass, on the union of the inner
-# components' series elements, and each component pair gathers its elements
-# from that table (numpy's complex *, /, + and cos/sin give an element the
+# elements that need them.  T's series takes the moments M_1 ... M_7 of the
+# outer components on the union of the inner components' series elements, in
+# passes of at most NESTED_SERIES_CHUNK elements (one pass in every figure and
+# benchmark block), and each component pair gathers its elements from those
+# tables (numpy's complex *, /, + and cos/sin give an element the
 # same bytes wherever it sits in an array).  Every element is computed by the
 # same floating-point operations as the elementwise E and T (kept in
 # tests/test_quadrature.py as the references), so results equal the
@@ -138,12 +141,29 @@ def _nested_series(moments, beta):
 # is summed in opening_phase_integral's order from the same zeros, so the
 # results are equal bit for bit.
 
+def _pair_series(alphas, betas, flat, s):
+    """values[j][i]: T(alpha_i, beta_j; s) by its series on the grid indices flat[j]
+    (from _below), with the moments of each alpha_i on their union, in chunks."""
+    union, n = np.unique(np.concatenate(flat)), alphas[0].size
+    values = [[np.empty(f.size, dtype=complex) for _ in alphas] for f in flat]
+    step = max(1, NESTED_SERIES_CHUNK // len(alphas))
+    for part in (union[c:c + step] for c in range(0, union.size, step)):
+        moments = phase_moments(NESTED_ORDERS, np.concatenate([a[part % n] for a in alphas]),
+                                np.tile(s[part // n, 0], len(alphas)))
+        for b, f, v in zip(betas, flat, values):
+            lo, hi = np.searchsorted(f, [part[0], part[-1] + 1])
+            at, b_at = np.searchsorted(part, f[lo:hi]), b[f[lo:hi] % n]
+            for i, v_i in enumerate(v):
+                v_i[lo:hi] = _nested_series(moments[:, i * part.size + at], b_at)
+    return values
+
+
 def _below(phase, t, limit: float, rows=True):
-    """Grid indices (ti, ki) of |phase t| < limit among the rows selected by
-    the mask rows; only rows where the smallest |phase| qualifies are searched."""
+    """Sorted flat (time, phase) grid indices of |phase t| < limit in the rows of
+    the mask rows, searching only rows where the smallest |phase| qualifies."""
     rows = np.flatnonzero(rows & (np.abs(t[:, 0]) * np.min(np.abs(phase), initial=np.inf) < limit))
     ti, ki = np.nonzero(np.abs(phase) * np.abs(t[rows]) < limit)
-    return rows[ti], ki
+    return rows[ti] * phase.size + ki
 
 
 def phase_integral(phase, t):
@@ -153,7 +173,7 @@ def phase_integral(phase, t):
     if not np.any(phase):
         return np.broadcast_to(t * (1.0 + 0j), (t.size, phase.size))
     out = (cis(phase * t) - 1.0) / (1j * np.where(phase == 0.0, 1.0, phase))
-    ti, ki = _below(phase, t, 1e-4)
+    ti, ki = np.divmod(_below(phase, t, 1e-4), phase.size)
     if ti.size:
         ts = t[ti, 0]
         x = phase[ki] * ts
@@ -242,16 +262,10 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
     single = np.zeros_like(outer) if inner else None
     alphas = [(ca, nua + phi1) for ca, nua in opening_outer.exp_components()]
     betas = [(cb, nub + phi2) for cb, nub in opening_inner.exp_components()]
-    # T's series elements, where |beta s| is small, of each inner component;
-    # the moments of every outer component are taken in one pass on their union
-    below = [_below(b, s, NESTED_SERIES_BELOW, started) for _, b in betas]
-    flat = [ti * phi1.size + ki for ti, ki in below]
-    union = np.unique(np.concatenate(flat))
-    gather = [np.searchsorted(union, f) for f in flat]
-    tu, ku = np.divmod(union, phi1.size)
-    if union.size:
-        moments = phase_moments(NESTED_ORDERS, np.concatenate([a[ku] for _, a in alphas]),
-                                np.tile(s[tu, 0], len(alphas)))
+    # T's series elements, where |beta s| is small, of each inner component, as
+    # flat (time, phase) indices, and the series of every component pair there
+    flat = [_below(b, s, NESTED_SERIES_BELOW, started) for _, b in betas]
+    series = _pair_series([a for _, a in alphas], [b for _, b in betas], flat, s)
     # the inner single integral shares the grid s, and may mirror its rows,
     # unless the outer window ends first
     singles = inner and np.array_equal(np.minimum(t_col, w2), s)
@@ -279,10 +293,8 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
             continue
         # T's difference form, and its series where |beta s| is small
         cb, b = betas[j]
-        ti, ki = below[j]
         term = (grids.take(k) - e_a) / (1j * np.where(b == 0.0, 1.0, b))
-        if ti.size:
-            term[ti, ki] = _nested_series(moments[:, i * union.size + gather[j]], b[ki])
+        np.put(term, flat[j], series[j][i])
         if past.size:
             term[past] += phase_integral(b, np.array([[w2]])) * (e_cap[past] - e_a[past])
         out = out + ca * cb * term

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -290,6 +291,44 @@ def test_bare_amplitude_memory_is_bounded_by_the_block(chain1000, monkeypatch):
         tracemalloc.stop()
     assert trace.total.shape == (2000,)
     assert peak < 9e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+# sha256 of bare's a0, ac and total, and of the three dressed totals, on a
+# 60-ion trap, as the whole-array moments pass of the nested kernel gave them
+SERIES_GRID_DIGESTS = {
+    0.0025: ("a5749c93f7503d5627c4b3f8954d41269deb9d10c5d9f1d02f86fa335ebc2622",
+             "6a24b448b846d40c8031fc7d469fa03c906a5a30f30b14fac9e1cb178d06bbe1"),
+    0.1: ("e21e65a958ef4054593ec61d2b36c562fcf6d7d672447a0810e48dcfcc2d6df7",
+          "7ec2704217ea1cab15a36030d56556db973b125ef9195bda17f6b5d2affba1c5"),
+}
+
+
+def test_nested_series_regime_keeps_its_bytes_within_the_block_budget(monkeypatch):
+    # on [0, 0.0025] every (time, frequency) element of the sin^2 window's
+    # nested integrals takes T's series; taking its moments on the whole
+    # block at once traced 64.6 MB for bare and 27.4 MB for dressed
+    basis = build_ion_trap(TrapParams(60))
+    sc = Scenario.symmetric(10, 40, 2.0, 1.0, OpeningFunction.sin_sq_window(0.1), 0.1)
+    series = np.linspace(0.0, 0.0025, 1000)
+    monkeypatch.setattr(causality, "WORKERS", 1)
+    for run, limit in ((lambda: bare_amplitude(basis, sc, series), 20e6),
+                       (lambda: dressed_amplitude(basis, sc, list(DressingScheme), series), 8e6)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, f"traced peak {peak / 1e6:.1f} MB"
+    for t_end, want in SERIES_GRID_DIGESTS.items():
+        times = np.linspace(0.0, t_end, 1000)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(causality, "WORKERS", workers)
+            bare = bare_amplitude(basis, sc, times)
+            dressed = dressed_amplitude(basis, sc, list(DressingScheme), times)
+            got = (hashlib.sha256(bare.a0.tobytes() + bare.ac.tobytes() + bare.total.tobytes()),
+                   hashlib.sha256(b"".join(tr.total.tobytes() for tr in dressed)))
+            assert tuple(h.hexdigest() for h in got) == want, (t_end, workers)
 
 
 def test_a_sum_of_one_block_makes_no_worker_pool(chain100, monkeypatch):

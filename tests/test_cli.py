@@ -88,6 +88,18 @@ def test_warnings_reach_the_manifest(tmp_path):
     assert json.loads(clean.with_suffix(".manifest.json").read_text())["warnings"] == []
 
 
+def test_a_rise_on_the_windows_last_sample_is_warned(tmp_path):
+    # from one end of a 21-ion trap to the other, F_c still rises at tau_max = 2
+    doc = {"system": {"kind": "trap", "trap": {"n_ions": 21}},
+           "scenario": {"site_a": 0, "site_b": 20}}
+    with pytest.warns(UserWarning, match=r"sites \(0, 20\).* last sample of tau_max = 2;"):
+        code, out = run_cli(tmp_path, "causality", doc)
+    assert code == 0
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert manifest["summary"]["lightcone.rise_time"] == pytest.approx(1.999, abs=1e-3)
+    assert len(manifest["warnings"]) == 1 and "last sample" in manifest["warnings"][0]
+
+
 @pytest.mark.filterwarnings("error")
 def test_warnings_keep_the_callers_filters(tmp_path):
     # an error filter stops the command at the warning, before any output
@@ -478,6 +490,13 @@ def test_an_oversize_fock_space_is_refused_before_the_basis(tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert f"run.cutoff = {cutoff!r}" in err and "reduce the cutoff" in err
     assert not out.exists()
+
+
+def test_a_cutoff_of_thousands_of_digits_is_refused_by_key(tmp_path, capsys):
+    doc = _with(_with(ORACLE, "system.chain.n_sites", 10**4), "run.cutoff", 10**4)
+    code, _ = run_cli(tmp_path, "oracle-check", doc)
+    assert code == 2
+    assert "run.cutoff = 10000" in capsys.readouterr().err
 
 
 def test_bare_needs_t_max_when_the_opening_never_closes(tmp_path, capsys):

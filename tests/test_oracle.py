@@ -53,6 +53,12 @@ def test_fock_dimension_guard():
         FockSpace.build(8, 16)
 
 
+def test_fock_dimension_guard_counts_no_further_than_the_limit():
+    # 4 C(2 * 10**4, 10**4) has over 6000 digits, past Python's int-to-text limit
+    with pytest.raises(InvalidParametersError, match="reduce the cutoff"):
+        FockSpace.build(10**4, 10**4)
+
+
 def prepend_occupations(n_modes, cutoff):
     """The occupation table built by prepending one mode at a time: value v
     in front of every (sorted) tail that leaves room for it, v ascending."""
