@@ -187,8 +187,8 @@ def rise_estimate(basis: ModeBasis, trace: CausalityTrace) -> LightconeEstimate:
     slopes = basis.n_sites * np.diff(trace.f_c) / np.diff(trace.taus)
     j = int(np.argmax(slopes))
     if j == slopes.size - 1:  # F_c may still be rising past the window
-        warnings.warn(f"the commutator between sites {trace.sites} rises fastest at the last "
-                      f"sample of tau_max = {trace.taus[-1]:.4g}; widen the window", stacklevel=2)
+        warnings.warn(f"F_c between sites {trace.sites} rises fastest on the last step up to "
+                      f"tau_max = {trace.taus[-1]:.4g}; widen the window", stacklevel=2)
     return LightconeEstimate(
         rise_time=float(trace.taus[j]),
         nominal_causal_time=nominal_causal_time(basis, *trace.sites),

@@ -117,9 +117,9 @@ def _nested_series(moments, beta):
 # past the inner window end, and the small-argument series run on the
 # elements that need them.  T's series takes the moments M_1 ... M_7 of the
 # outer components on the union of the inner components' series elements, in
-# passes of at most NESTED_SERIES_CHUNK elements (one pass in every figure and
-# benchmark block), and each component pair gathers its elements from those
-# tables (numpy's complex *, /, + and cos/sin give an element the
+# passes of at most NESTED_SERIES_CHUNK (component, element) pairs (one pass in
+# every figure and benchmark block), and each pair gathers its elements from
+# those tables (numpy's complex *, /, + and cos/sin give an element the
 # same bytes wherever it sits in an array).  Every element is computed by the
 # same floating-point operations as the elementwise E and T (kept in
 # tests/test_quadrature.py as the references), so results equal the

@@ -103,3 +103,30 @@ def test_bench_summary_reads_each_operations_normalised_median():
     assert summary["op.fig2"]["median"] == 0.008
     assert summary["op.sigma_x_cloud"]["median"] == 0.1
     assert summary["op.sigma_x_cloud"]["q3"] == 0.12
+
+
+def test_bench_compare_pairs_the_runs_of_each_group():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def runs(walls, yields, fig2):
+        return [{"workload": "figures", "seed": 0, "trace": False,
+                 "result": {"metrics": {"norm_wall_s": {"value": w, "unit": "s"},
+                                        "oracle.fock_yield": {"value": y, "unit": "ratio"},
+                                        "cloud.warnings": {"value": 0, "unit": "count"}}},
+                 "report": [f"  op fig2: median 0.0090 s raw, {f} s normalised, over 68"]}
+                for w, y, f in zip(walls, yields, fig2)]
+
+    walls = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0]
+    base = runs(walls, [0.5] * 10, [0.008] * 10)
+    # nine pairs faster by 0.2 s, one tied; fock_yield is higher-better and falls
+    change = runs([w - 0.2 for w in walls[:9]] + [1.0], [0.4] * 10, [0.008] * 10)
+    lines = bench.compare(base, change, {"norm_wall_s": "lower", "oracle.fock_yield": "higher"})
+    assert len(lines) == 3  # no direction is given for cloud.warnings
+    wall, fock, fig2 = lines
+    assert wall.startswith("figures/seed0 norm_wall_s (lower is better): base 1 ")
+    assert "change won 9/10 pairs" in wall and "better by 0.2, beyond the base IQR" in wall
+    assert "change won 0/10 pairs" in fock and "worse by 0.1, beyond the base IQR 0" in fock
+    assert fig2.startswith("figures/seed0 op.fig2 (lower is better)")
+    assert "change won 0/10 pairs" in fig2 and "equal by 0, within the base IQR 0" in fig2

@@ -92,12 +92,12 @@ def test_a_rise_on_the_windows_last_sample_is_warned(tmp_path):
     # from one end of a 21-ion trap to the other, F_c still rises at tau_max = 2
     doc = {"system": {"kind": "trap", "trap": {"n_ions": 21}},
            "scenario": {"site_a": 0, "site_b": 20}}
-    with pytest.warns(UserWarning, match=r"sites \(0, 20\).* last sample of tau_max = 2;"):
+    with pytest.warns(UserWarning, match=r"sites \(0, 20\).* last step up to tau_max = 2;"):
         code, out = run_cli(tmp_path, "causality", doc)
     assert code == 0
     manifest = json.loads(out.with_suffix(".manifest.json").read_text())
     assert manifest["summary"]["lightcone.rise_time"] == pytest.approx(1.999, abs=1e-3)
-    assert len(manifest["warnings"]) == 1 and "last sample" in manifest["warnings"][0]
+    assert len(manifest["warnings"]) == 1 and "last step" in manifest["warnings"][0]
 
 
 @pytest.mark.filterwarnings("error")
