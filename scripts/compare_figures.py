@@ -11,7 +11,8 @@ list and the warning list must be equal and every summary value must pass
 the same rule; wall_time_s is not compared, and null (how a non-finite
 value is written) matches any non-finite value.  Exits 1 when any cell or summary value fails, a file
 or a summary key is missing on one side, or the headers, shapes, commands,
-output lists or warning lists differ; 0 otherwise.
+output lists or warning lists differ; 0 otherwise.  The last line counts
+the CSV files, the byte-identical ones among them and the manifests.
 """
 
 import json
@@ -88,7 +89,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     dir_a, dir_b = (pathlib.Path(d) for d in argv)
-    ok = True
+    ok, identical = True, 0
     counts = []
     for pattern, check in (("*.csv", compare), ("*.manifest.json", compare_manifest)):
         names = sorted({p.name for d in (dir_a, dir_b) for p in d.glob(pattern)})
@@ -100,8 +101,10 @@ def main(argv: list[str]) -> int:
                 ok = False
                 continue
             ok = check(a, b) and ok
+            identical += check is compare and a.read_bytes() == b.read_bytes()
         counts.append(len(names))
-    print(f"{counts[0]} CSV files, {counts[1]} manifests: {'PASS' if ok else 'FAIL'}")
+    print(f"{counts[0]} CSV files ({identical} byte-identical), {counts[1]} manifests: "
+          f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

@@ -64,7 +64,7 @@ def bare_amplitude(basis: ModeBasis, scenario: Scenario, times) -> AmplitudeTrac
     """
     scenario.check_sites(basis.n_sites)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
+    if not np.all(times >= 0):
         raise InvalidParametersError("amplitude times must be >= 0")
 
     mu = basis.row(scenario.site_a) * np.conj(basis.row(scenario.site_b))

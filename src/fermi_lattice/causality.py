@@ -151,7 +151,7 @@ def commutator(basis: ModeBasis, site_a: int, site_b, tau):
 def causality_trace(basis: ModeBasis, site_a: int, site_b: int, taus) -> CausalityTrace:
     """Both functions on a common tau grid."""
     taus = np.asarray(taus, dtype=float)
-    if taus.size and np.any(np.diff(taus) <= 0):
+    if not np.all(np.diff(taus) > 0):
         raise ValueError("tau grid must be strictly increasing")
     s = _mode_sum(basis, site_a, site_b, taus)
     return CausalityTrace(taus, 2.0 * np.real(s), 2.0 * np.imag(s), (site_a, site_b))
@@ -179,6 +179,8 @@ def rise_estimate(basis: ModeBasis, trace: CausalityTrace) -> LightconeEstimate:
     slope of the size-scaled commutator n_sites * F_c, the quantity whose
     rise steepens as the system grows toward the continuum.
     """
+    if trace.taus.size < 2:
+        raise ValueError("a rise estimate needs a trace of at least two taus")
     scale = np.max(np.abs(trace.f_c))
     if scale == 0.0 or not np.isfinite(scale):
         raise NumericalFailureError(

@@ -40,7 +40,7 @@ def single_site_distributions(basis: ModeBasis, scenario: Scenario,
     shape np.shape(times) + (n_sites,); their sum is the total distribution
     at leading order."""
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
+    if not np.all(times >= 0):
         raise InvalidParametersError("cloud times must be >= 0")
     scenario.check_sites(basis.n_sites)
     om = _require_equal_splittings(scenario)

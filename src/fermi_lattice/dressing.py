@@ -219,7 +219,7 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
     om = _require_equal_splittings(scenario)
     f0 = _shared_opening(scenario)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
+    if not np.all(times >= 0):
         raise InvalidParametersError("amplitude times must be >= 0")
 
     w = basis.distinct_frequencies

@@ -283,7 +283,7 @@ def _auto_dt(action: HamiltonianAction, t_span: float) -> float:
 
 def _record_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
+    if times.ndim != 1 or times.size < 1 or not np.all(np.diff(times) > 0):
         raise InvalidParametersError("record times must be strictly increasing")
     return times
 
@@ -404,7 +404,7 @@ def exact_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
     epsilon: none of them depends on epsilon, which each call sets with
     its own scenario."""
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times < 0):
+    if times.size == 0 or not np.all(times >= 0):
         raise InvalidParametersError("amplitude times must be >= 0")
     static = scenario.opening_a.variant == scenario.opening_b.variant == CONSTANT
     # the amplitude is defined from t = 0, so the evolution must start there

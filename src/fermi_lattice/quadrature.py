@@ -101,45 +101,41 @@ def _nested_series(moments, beta):
 # profile-aware integrals
 # ---------------------------------------------------------------------------
 #
-# Inside these, t is a (T, 1) column and the phases are (K,) rows.  One
-# exponential over the grid is taken per +- pair of distinct phase rows:
+# Inside these, t is a (T, 1) column and the phases are (K,) rows.
+# opening_nested_integral takes one pass per row kind: for each outer
+# component alpha_i the grid E(alpha_i; s), which gives the outer single
+# integral and is shared by that component's pairs, then its pair phases
+# alpha_i + beta_j; the inner singles beta_j come last.  A row that is the
+# exact negation of an earlier one is taken as that grid's conjugate:
 # E(-phi; s) is conj(E(phi; s)) bit for bit (numpy's sin is odd and its cos
-# even, and its complex division by 1j phi is sign-symmetric), so a nested
-# call takes a row that is the exact negation of one it has evaluated as
-# that grid's conjugate.  With equal splittings and a shared opening the
-# inner phases are the negatives of the outer ones: the pair phases (j, i)
-# and (i*, j*) mirror each other (nu_i* = -nu_i), and so do the inner
-# singles nu_j + phi2 and the outer rows nu_j* + phi1, which halves the
-# exponentials; with unequal splittings nothing mirrors.  E of an outer
-# component is shared by its three component pairs, E of a pair phase that
-# is exactly 0 (nu_a = -nu_b with phi2 = -phi1, as in every amplitude
-# kernel) is the column t, the saturated-tail term is evaluated only on rows
-# past the inner window end, and the small-argument series run on the
-# elements that need them.  T's series takes the moments M_1 ... M_7 of the
-# outer components on the union of the inner components' series elements, in
-# passes of at most NESTED_SERIES_CHUNK (component, element) pairs (one pass in
-# every figure and benchmark block), and each pair gathers its elements from
-# those tables (numpy's complex *, /, + and cos/sin give an element the
-# same bytes wherever it sits in an array).  Every element is computed by the
-# same floating-point operations as the elementwise E and T (kept in
-# tests/test_quadrature.py as the references), so results equal the
-# elementwise primitives exactly (up to the sign of a zero, which the
+# even, and its complex division by 1j phi is sign-symmetric).  With equal
+# splittings and a shared opening the inner phases are the negatives of the
+# outer ones, so the pair phases (j, i) and (i*, j*) mirror each other
+# (nu_i* = -nu_i) and the inner singles mirror the outer rows, which halves
+# the exponentials; with unequal splittings nothing mirrors.  A pair phase
+# that is exactly 0 (nu_a = -nu_b with phi2 = -phi1, as in every amplitude
+# kernel) is the column t.  T's series takes the moments M_1 ... M_7 of the
+# outer components on the union of the inner components' series elements,
+# in passes of at most NESTED_SERIES_CHUNK (component, element) pairs, and
+# each pair gathers its elements from those tables (numpy's complex *, /, +
+# and cos/sin give an element the same bytes wherever it sits in an array).
+#
+# Every element is computed by the same floating-point operations as the
+# elementwise E and T (kept in tests/test_quadrature.py as the references),
+# so results equal them exactly (up to the sign of a zero, which the
 # zero-initialised sums drop).  That is deliberate: the oracle's residuals
 # are O(eps^4) differences of O(eps^2) amplitudes, so a last-digit change in
-# the kernels moves its fitted slope by ~1e-11.  Factoring e^{i (nu + phi) t}
+# the kernels moves its fitted slope by ~1e-11, and the benchmark's
+# correctness gate pins that slope at 1e-12.  Factoring e^{i (nu + phi) t}
 # into e^{i nu t} e^{i phi t} would save about four fifths of the
 # exponentials but changes those last digits.
 #
-# The nested integral also returns both single integrals, sum c E(phase;
-# min(t, w)) of each profile, which the bare amplitude needs (the dressed
-# sums need the outer one only, and skip the inner one).  The outer one, with cap = min(t, w1), is sum c_a
-# E(alpha; cap): on the rows inside the inner window cap = s, so E(alpha;
-# cap) is the e_a that the component pairs already use; on the rows past it
-# E(alpha; cap) is taken once per outer component, and the pairs'
-# saturated-tail terms share it.  The inner one is sum c_b E(beta; s) when
-# min(t, w2) = s on every row, so its rows can mirror the outer ones.  Each
-# is summed in opening_phase_integral's order from the same zeros, so the
-# results are equal bit for bit.
+# The single integrals are summed in opening_phase_integral's order from the
+# same zeros, so they equal it bit for bit.  The outer one, with cap =
+# min(t, w1), is E(alpha; s) on rows inside the inner window and is taken
+# once per outer component on the rows past it, where the pairs'
+# saturated-tail terms share it.  The inner one shares the grid s only when
+# min(t, w2) = s on every row, that is unless the outer window ends first.
 
 def _pair_series(alphas, betas, flat, s):
     """values[j][i]: T(alpha_i, beta_j; s) by its series on the grid indices flat[j]
@@ -206,32 +202,28 @@ def opening_phase_integral(opening: OpeningFunction, phi, t):
     return _restore_shape(out, t, phi)
 
 
-class _MirroredGrids:
-    """E(phase; t) for a fixed sequence of (K,) phase rows, taken in order:
-    a row that is the exact negation of a row evaluated before it is that
-    grid's conjugate, and a grid is held only until its mirror takes it."""
-
-    def __init__(self, phases, t):
-        self.phases, self.t = phases, t
-        self.source, self.held = {}, {}
-        open_rows = {}
-        for k, p in enumerate(phases):
-            if not np.any(p):  # a zero row is the column t, no exponential
-                continue
-            m = open_rows.pop(np.negative(p).tobytes(), None)
-            if m is None:
-                open_rows.setdefault(p.tobytes(), k)
-            else:
-                self.source[k] = m
-        self.hold = set(self.source.values())
-
-    def take(self, k):
-        if k in self.source:
-            return np.conj(self.held.pop(self.source[k]))
-        grid = phase_integral(self.phases[k], self.t)
-        if k in self.hold:
-            self.held[k] = grid
-        return grid
+def _mirrored_grids(phases, s):
+    """Yield E(phase; s) for each (K,) row of phases in order: a row that is
+    the exact negation of an earlier row is that grid's conjugate, and a grid
+    is held only until its mirror takes it."""
+    source, open_rows = {}, {}
+    for k, p in enumerate(phases):
+        if not np.any(p):  # a zero row is the column s, no exponential
+            continue
+        m = open_rows.pop(np.negative(p).tobytes(), None)
+        if m is None:
+            open_rows.setdefault(p.tobytes(), k)
+        else:
+            source[k] = m
+    held = dict.fromkeys(source.values())
+    for k, p in enumerate(phases):
+        if k in source:
+            yield np.conj(held.pop(source[k]))
+        elif k in held:
+            held[k] = phase_integral(p, s)
+            yield held[k]
+        else:
+            yield phase_integral(p, s)
 
 
 def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
@@ -259,7 +251,6 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
     past = np.flatnonzero(cap[:, 0] > s[:, 0])
     started = s[:, 0] != 0.0  # T(alpha, beta; 0) = 0 needs no series
     outer, out = (np.zeros((s.size, phi1.size), dtype=complex) for _ in range(2))
-    single = np.zeros_like(outer) if inner else None
     alphas = [(ca, nua + phi1) for ca, nua in opening_outer.exp_components()]
     betas = [(cb, nub + phi2) for cb, nub in opening_inner.exp_components()]
     # T's series elements, where |beta s| is small, of each inner component, as
@@ -269,34 +260,29 @@ def opening_nested_integral(opening_outer: OpeningFunction, phi_outer,
     # the inner single integral shares the grid s, and may mirror its rows,
     # unless the outer window ends first
     singles = inner and np.array_equal(np.minimum(t_col, w2), s)
-    if inner and not singles:
-        single = opening_phase_integral(opening_inner, phi2, t_col[:, 0])
-    # the E(phase; s) rows in the order the sums take them: alpha_i, then each
-    # pair phase alpha_i + beta_j, and the inner singles beta_j last
-    order = [(i, j, a if j is None else a + betas[j][1])
-             for i, (_, a) in enumerate(alphas) for j in (None, *range(len(betas)))]
-    if singles:
-        order += [(None, j, b) for j, (_, b) in enumerate(betas)]
-    grids = _MirroredGrids([phase for _, _, phase in order], s)
-    for k, (i, j, _) in enumerate(order):
-        if i is None:
-            single = single + betas[j][0] * grids.take(k)
-            continue
-        ca, a = alphas[i]
-        if j is None:
-            e_a = grids.take(k)
-            e_cap = e_a
-            if past.size:
-                e_cap = np.array(e_a)
-                e_cap[past] = phase_integral(a, cap[past])
-            outer = outer + ca * e_cap
-            continue
-        # T's difference form, and its series where |beta s| is small
-        cb, b = betas[j]
-        term = (grids.take(k) - e_a) / (1j * np.where(b == 0.0, 1.0, b))
-        np.put(term, flat[j], series[j][i])
+    # E(phase; s) in the order the loops take it: each alpha_i, then its pair
+    # phases alpha_i + beta_j, and the inner singles beta_j last
+    grids = _mirrored_grids([p for _, a in alphas for p in (a, *(a + b for _, b in betas))]
+                            + [b for _, b in betas] * singles, s)
+    for i, (ca, a) in enumerate(alphas):
+        e_a = next(grids)
+        e_cap = e_a
         if past.size:
-            term[past] += phase_integral(b, np.array([[w2]])) * (e_cap[past] - e_a[past])
-        out = out + ca * cb * term
-    single = None if single is None else _restore_shape(single, t, phi_outer)
+            e_cap = np.array(e_a)
+            e_cap[past] = phase_integral(a, cap[past])
+        outer = outer + ca * e_cap
+        for j, (cb, b) in enumerate(betas):
+            # T's difference form, and its series where |beta s| is small
+            term = (next(grids) - e_a) / (1j * np.where(b == 0.0, 1.0, b))
+            np.put(term, flat[j], series[j][i])
+            if past.size:
+                term[past] += phase_integral(b, np.array([[w2]])) * (e_cap[past] - e_a[past])
+            out = out + ca * cb * term
+    if singles:
+        single = np.zeros_like(outer)
+        for cb, _ in betas:
+            single = single + cb * next(grids)
+    elif inner:
+        single = opening_phase_integral(opening_inner, phi2, t_col[:, 0])
+    single = _restore_shape(single, t, phi_outer) if inner else None
     return _restore_shape(outer, t, phi_outer), single, _restore_shape(out, t, phi_outer)

@@ -9,15 +9,20 @@ from fermi_lattice import causality, quadrature
 from fermi_lattice import (
     ChainParams,
     DressingScheme,
+    FockSpace,
     InvalidParametersError,
     OpeningFunction,
     Scenario,
     TrapParams,
     bare_amplitude,
+    build_hamiltonian,
     build_harmonic_chain,
     build_ion_trap,
+    causality_trace,
     dressed_amplitude,
+    evolve,
     exact_swap_amplitude,
+    single_site_distributions,
     windowed_amplitude,
 )
 from fermi_lattice.quadrature import opening_nested_integral, opening_phase_integral
@@ -149,6 +154,26 @@ def test_windowed_amplitude_needs_window(chain100):
 def test_negative_times_rejected(chain100, fig4_scenario):
     with pytest.raises(InvalidParametersError):
         bare_amplitude(chain100, fig4_scenario, [-0.1, 0.0])
+
+
+def _evolve(basis, scenario, times):
+    fock = FockSpace.build(basis.n_modes, 1)
+    return evolve(build_hamiltonian(basis, scenario, fock), fock.basis_state(1, 0), times)
+
+
+@pytest.mark.parametrize("entry, match", [
+    (bare_amplitude, ">= 0"),
+    (lambda b, sc, t: dressed_amplitude(b, sc, DressingScheme.SIGMA_X, t), ">= 0"),
+    (lambda b, sc, t: single_site_distributions(b, sc, DressingScheme.SIGMA_X, t), ">= 0"),
+    (lambda b, sc, t: exact_swap_amplitude(b, sc, t, 2), ">= 0"),
+    (lambda b, sc, t: causality_trace(b, 0, 1, t), "strictly increasing"),
+    (_evolve, "strictly increasing"),
+], ids=["bare", "dressed", "cloud", "exact_swap", "causality_trace", "evolve"])
+def test_nan_times_rejected(chain3, entry, match):
+    # every comparison with NaN is false, so each check must fail on it
+    sc = Scenario.symmetric(0, 1, 2.0, 1e-2, OpeningFunction.sin_sq_window(0.1), 0.1)
+    with pytest.raises(ValueError, match=match):
+        entry(chain3, sc, np.array([0.0, np.nan]))
 
 
 # ------------------------------------------------- per-mode kernels

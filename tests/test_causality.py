@@ -81,6 +81,10 @@ def test_lightcone_rise_time(chain1000):
     est = lightcone_estimate(chain1000, 0, 300, 0.6)
     assert 0.27 <= est.rise_time <= 0.33
     assert est.nominal_causal_time == pytest.approx(0.3)
+    # the rise is a forward difference, so it needs two taus
+    for taus in ([], [0.3]):
+        with pytest.raises(ValueError, match="at least two taus"):
+            causality.rise_estimate(chain1000, causality_trace(chain1000, 0, 300, taus))
 
 
 def test_lightcone_sharpens_with_system_size(chain1000, chain100):

@@ -37,13 +37,17 @@ def scaled(relative: float):
     return [[v * (1 + relative) for v in row] for row in ROWS]
 
 
-def test_byte_identical_outputs_pass(tmp_path):
+def test_byte_identical_outputs_pass(tmp_path, capsys):
     assert exit_code(tmp_path) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "1 CSV files (1 byte-identical), 1 manifests: PASS"
 
 
 def test_a_change_within_1e_12_relative_passes(tmp_path, capsys):
     assert exit_code(tmp_path, rows=scaled(1e-13)) == 0
-    assert "within tolerance" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "within tolerance" in out
+    assert out.splitlines()[-1] == "1 CSV files (0 byte-identical), 1 manifests: PASS"
 
 
 def test_a_change_of_1e_11_relative_fails(tmp_path):

@@ -641,6 +641,40 @@ def test_moments_are_taken_in_one_pass_per_nested_call(chain1000, monkeypatch, o
     assert calls == [outer_components * np.count_nonzero(union)]
 
 
+SIN_SQ = OpeningFunction.sin_sq_window(0.1)
+COUNT_PHASES = -(2.0 + np.array([0.3, 1.1, 1.9, 5.0, 17.0]))
+
+
+@pytest.mark.parametrize("outer, phi2, inner, grids", [
+    # the 6 nonzero pair phases come in 3 +- pairs and the inner singles
+    # mirror the outer rows: 3 + 3 of the 15 rows
+    (SIN_SQ, -COUNT_PHASES, True, 6),
+    # the dressed sums' call: the same rows without the mirrored singles
+    (SIN_SQ, -COUNT_PHASES, False, 6),
+    # unequal splittings: nothing mirrors, each of the 15 rows once
+    (SIN_SQ, 0.5 - COUNT_PHASES, True, 15),
+    # the outer window ends first: 3 outer rows, the 9 pair phases less the
+    # zero one and one mirror ((nu_a + phi1) - phi1 rounds to nu_a = +-2 pi /
+    # 0.05 on these phases), and opening_phase_integral's 3 inner singles
+    (OpeningFunction.sin_sq_window(0.05), -COUNT_PHASES, True, 3 + 7 + 3),
+], ids=["mirrored", "inner_false", "unequal_splittings", "outer_ends_first"])
+def test_nested_call_takes_one_exponential_per_mirrored_pair(monkeypatch, outer, phi2, inner,
+                                                            grids):
+    # no element is in T's series regime, so every exponential is a whole
+    # (time, phase) grid of E
+    elements = []
+    cis = quadrature.cis
+
+    def counting(x):
+        elements.append(np.size(x))
+        return cis(x)
+
+    monkeypatch.setattr(quadrature, "cis", counting)
+    times = np.array([0.0, 0.02, 0.05, 0.08, 0.12])
+    opening_nested_integral(outer, COUNT_PHASES, SIN_SQ, phi2, times, inner=inner)
+    assert elements == [times.size * COUNT_PHASES.size] * grids
+
+
 def test_cis_equals_the_complex_exponential_bytewise():
     rng = np.random.default_rng(7)
     magnitudes = np.logspace(-320, 15, 3000)
