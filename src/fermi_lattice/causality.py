@@ -151,7 +151,7 @@ def commutator(basis: ModeBasis, site_a: int, site_b, tau):
 def causality_trace(basis: ModeBasis, site_a: int, site_b: int, taus) -> CausalityTrace:
     """Both functions on a common tau grid."""
     taus = np.asarray(taus, dtype=float)
-    if not np.all(np.diff(taus) > 0):
+    if not np.all(np.diff(taus, prepend=-np.inf) > 0):  # -inf lets a lone NaN fail too
         raise ValueError("tau grid must be strictly increasing")
     s = _mode_sum(basis, site_a, site_b, taus)
     return CausalityTrace(taus, 2.0 * np.real(s), 2.0 * np.imag(s), (site_a, site_b))

@@ -283,7 +283,8 @@ def _auto_dt(action: HamiltonianAction, t_span: float) -> float:
 
 def _record_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1 or not np.all(np.diff(times) > 0):
+    # the prepended -inf lets a lone NaN fail too
+    if times.ndim != 1 or times.size < 1 or not np.all(np.diff(times, prepend=-np.inf) > 0):
         raise InvalidParametersError("record times must be strictly increasing")
     return times
 

@@ -172,8 +172,9 @@ def _evolve(basis, scenario, times):
 def test_nan_times_rejected(chain3, entry, match):
     # every comparison with NaN is false, so each check must fail on it
     sc = Scenario.symmetric(0, 1, 2.0, 1e-2, OpeningFunction.sin_sq_window(0.1), 0.1)
-    with pytest.raises(ValueError, match=match):
-        entry(chain3, sc, np.array([0.0, np.nan]))
+    for times in ([0.0, np.nan], [np.nan]):
+        with pytest.raises(ValueError, match=match):
+            entry(chain3, sc, np.array(times))
 
 
 # ------------------------------------------------- per-mode kernels
