@@ -21,7 +21,7 @@ import numpy as np
 
 from .causality import map_row_blocks, nominal_causal_time
 from .errors import InvalidParametersError
-from .modes import ModeBasis, Scenario
+from .modes import ModeBasis, Scenario, checked_times
 # opening_phase_integral is not called here (the nested integral returns both
 # single ones); perfbench/spans.py traces the quadrature calls by this name
 from .quadrature import opening_nested_integral, opening_phase_integral  # noqa: F401
@@ -59,13 +59,11 @@ class AmplitudeTrace:
 def bare_amplitude(basis: ModeBasis, scenario: Scenario, times) -> AmplitudeTrace:
     """Amplitude trace for the bare initial state.
 
-    ``times`` must be non-negative; the openings are evaluated from t = 0
+    ``times`` must be finite and non-negative; the openings are evaluated from t = 0
     (an adiabatic ramp, if present, is stripped).
     """
     scenario.check_sites(basis.n_sites)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all(times >= 0):
-        raise InvalidParametersError("amplitude times must be >= 0")
+    times = np.atleast_1d(checked_times(times, "amplitude times"))
 
     mu = basis.row(scenario.site_a) * np.conj(basis.row(scenario.site_b))
     mu_bar = np.conj(mu)

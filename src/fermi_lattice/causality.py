@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .modes import ModeBasis
+from .modes import ModeBasis, checked_times
 from .quadrature import cis
 
 # grid resolution floor for lightcone scans: samples per period of omega_max
@@ -150,9 +150,7 @@ def commutator(basis: ModeBasis, site_a: int, site_b, tau):
 
 def causality_trace(basis: ModeBasis, site_a: int, site_b: int, taus) -> CausalityTrace:
     """Both functions on a common tau grid."""
-    taus = np.asarray(taus, dtype=float)
-    if not np.all(np.diff(taus, prepend=-np.inf) > 0):  # -inf lets a lone NaN fail too
-        raise ValueError("tau grid must be strictly increasing")
+    taus = checked_times(taus, "tau grid", increasing=True)
     s = _mode_sum(basis, site_a, site_b, taus)
     return CausalityTrace(taus, 2.0 * np.real(s), 2.0 * np.imag(s), (site_a, site_b))
 
@@ -202,8 +200,8 @@ def lightcone_estimate(basis: ModeBasis, site_a: int, site_b: int,
                        tau_max: float, n_samples: int = DEFAULT_SAMPLES) -> LightconeEstimate:
     """The rise_estimate of F_c on [0, tau_max], on n_samples points widened
     until the fastest mode is resolved."""
-    if tau_max <= 0:
-        raise ValueError("tau_max must be > 0")
+    if not 0 < tau_max < math.inf:
+        raise ValueError("tau_max must be finite and > 0")
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
     w_max = float(np.max(basis.frequencies))

@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dressing import DressingScheme, _require_equal_splittings, _shared_opening
-from .errors import InvalidParametersError
-from .modes import ModeBasis, Scenario
+from .modes import ModeBasis, Scenario, checked_times
 from .quadrature import cis, opening_phase_integral
 
 
@@ -39,9 +38,7 @@ def single_site_distributions(basis: ModeBasis, scenario: Scenario,
     """(spin-up cloud of A, spin-down cloud of B) at every time >= 0, each of
     shape np.shape(times) + (n_sites,); their sum is the total distribution
     at leading order."""
-    times = np.asarray(times, dtype=float)
-    if not np.all(times >= 0):
-        raise InvalidParametersError("cloud times must be >= 0")
+    times = checked_times(times, "cloud times")
     scenario.check_sites(basis.n_sites)
     om = _require_equal_splittings(scenario)
     f0 = _shared_opening(scenario)

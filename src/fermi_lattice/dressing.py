@@ -29,7 +29,7 @@ import numpy as np
 from .amplitude import AmplitudeTrace
 from .causality import map_row_blocks
 from .errors import InvalidParametersError, UnsupportedConfigurationError
-from .modes import ChainParams, ModeBasis, Scenario, build_harmonic_chain
+from .modes import ChainParams, ModeBasis, Scenario, build_harmonic_chain, checked_times
 from .openings import OpeningFunction
 # opening_phase_integral is not called here (the nested integral returns the
 # single ones); perfbench/spans.py traces the quadrature calls by this name
@@ -218,9 +218,7 @@ def dressed_amplitude(basis: ModeBasis, scenario: Scenario,
     scenario.check_sites(basis.n_sites)
     om = _require_equal_splittings(scenario)
     f0 = _shared_opening(scenario)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all(times >= 0):
-        raise InvalidParametersError("amplitude times must be >= 0")
+    times = np.atleast_1d(checked_times(times, "amplitude times"))
 
     w = basis.distinct_frequencies
     lam_a, lam_b = basis.row(scenario.site_a), basis.row(scenario.site_b)

@@ -44,8 +44,8 @@ class ChainParams:
         if self.n_sites < 2:
             raise InvalidParametersError("chain needs n_sites >= 2")
         for name in ("length", "pinning", "speed"):
-            if getattr(self, name) <= 0:
-                raise InvalidParametersError(f"chain parameter {name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidParametersError(f"chain parameter {name} must be finite and > 0")
         a = self.alpha
         if a == 1.0:
             raise InvalidParametersError(
@@ -103,8 +103,8 @@ class TrapParams:
     def __post_init__(self):
         if self.n_ions < 2:
             raise InvalidParametersError("trap needs n_ions >= 2")
-        if self.omega0 <= 0:
-            raise InvalidParametersError("omega0 must be > 0")
+        if not 0 < self.omega0 < np.inf:
+            raise InvalidParametersError("omega0 must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,13 @@ class Scenario:
     def __post_init__(self):
         if self.site_a == self.site_b:
             raise InvalidParametersError("site_a and site_b must differ")
+        # a trap scenario holds negative splittings, -delta
+        if not np.all(np.isfinite([self.omega_a, self.omega_b])):
+            raise InvalidParametersError("omega_a and omega_b must be finite")
         # epsilon 0 is allowed so switched-off baselines stay expressible
-        if not self.epsilon >= 0:
-            raise InvalidParametersError("epsilon must be >= 0")
-        if not self.duration >= 0:
-            raise InvalidParametersError("duration must be >= 0")
+        for name in ("epsilon", "duration"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InvalidParametersError(f"{name} must be finite and >= 0")
 
     @classmethod
     def symmetric(cls, site_a, site_b, omega, epsilon, opening, duration) -> "Scenario":
@@ -144,17 +146,30 @@ class Scenario:
                 raise IndexError(f"scenario.{key} = {site} is out of range for {n_sites} sites")
 
 
+def checked_times(times, name: str, *, increasing: bool = False) -> np.ndarray:
+    """``times`` as a float array, refused unless every time is finite and
+    either >= 0 (amplitude and cloud times) or, with ``increasing``, strictly
+    increasing along one axis (tau and record grids).  An empty grid passes."""
+    times = np.asarray(times, dtype=float)
+    # finiteness is tested first: np.diff of two infinities would warn
+    if not np.all(np.isfinite(times)) or not (
+            times.ndim == 1 and np.all(np.diff(times) > 0) if increasing else np.all(times >= 0)):
+        rule = "strictly increasing" if increasing else ">= 0"
+        raise InvalidParametersError(f"{name} must be finite and {rule}")
+    return times
+
+
 @dataclass(frozen=True, eq=False)
 class ModeBasis:
     """Frequencies omega_k and couplings lambda[n, k] of a quadratic system.
 
-    A basis is a chain when it holds ``chain`` parameters and a trap when it
-    holds ``trap`` parameters; a custom basis holds neither.  Consumers read
-    lambda through :meth:`row` and :meth:`synthesize`.  Trap and custom
-    bases hold lambda as a small dense matrix (``dense``).  The chain holds
-    none (``dense`` is None): a row is evaluated from the plane waves
-    lambda[n, k] = e^{i theta_k n} / sqrt(2 N omega_k) when it is read and
-    the synthesis is an inverse FFT, so a chain holds only O(N) frequencies.
+    A basis is a chain when it holds ``chain`` parameters; a trap or a custom
+    basis holds none.  Consumers read lambda through :meth:`row` and
+    :meth:`synthesize`.  Trap and custom bases hold lambda as a small dense
+    matrix (``dense``).  The chain holds none (``dense`` is None): a row is
+    evaluated from the plane waves lambda[n, k] = e^{i theta_k n} /
+    sqrt(2 N omega_k) when it is read and the synthesis is an inverse FFT,
+    so a chain holds only O(N) frequencies.
 
     A per-mode grid that depends on the mode only through omega_k is
     evaluated on :attr:`distinct_frequencies` and spread to every mode by
@@ -167,17 +182,14 @@ class ModeBasis:
     frequencies: np.ndarray
     dense: np.ndarray | None
     chain: ChainParams | None = None
-    trap: TrapParams | None = None
     # the distinct values of omega_k, and per mode the index of its value among them
     distinct_frequencies: np.ndarray = field(default=None, init=False, repr=False)
     _index: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
-        if np.any(freqs <= 0):
-            raise InvalidParametersError("all mode frequencies must be > 0")
-        if self.trap is not None and np.any(np.diff(freqs) < 0):
-            raise InvalidParametersError("trap frequencies must be ascending")
+        if not np.all((freqs > 0) & (freqs < np.inf)):
+            raise InvalidParametersError("all mode frequencies must be finite and > 0")
         freqs.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)
         distinct, index = np.unique(freqs, return_inverse=True)
@@ -253,7 +265,7 @@ class ModeBasis:
 def _check_canonical(lam: np.ndarray, freqs: np.ndarray) -> None:
     """Raise unless every row of lam satisfies sum_k 2 w_k |lam_k|^2 = 1."""
     worst = np.max(np.abs(2.0 * np.abs(lam) ** 2 @ freqs - 1.0))
-    if worst > NORMALIZATION_TOL:
+    if not worst <= NORMALIZATION_TOL:  # a NaN coupling fails too
         raise InvalidParametersError(
             f"canonical normalization violated: max |sum_k 2 w_k |lam|^2 - 1| = {worst:.3e}"
         )
@@ -292,7 +304,7 @@ def build_ion_trap(params: TrapParams) -> ModeBasis:
 
     freqs = params.omega0 * np.sqrt(evals)
     couplings = evecs.astype(complex) / np.sqrt(2.0 * freqs)[None, :]
-    return ModeBasis(n, freqs, couplings, trap=params)
+    return ModeBasis(n, freqs, couplings)
 
 
 def equilibrium_positions(n_ions: int) -> np.ndarray:

@@ -43,11 +43,11 @@ class OpeningFunction:
             raise InvalidParametersError(f"unknown opening variant {self.variant!r}")
         if self.variant in (SIN_SQ_WINDOW, COS_SQ_WINDOW):
             # window 0 is the switched-off profile f = 0
-            if self.window is None or not self.window >= 0:
-                raise InvalidParametersError("windowed opening requires window >= 0")
+            if self.window is None or not 0 <= self.window < math.inf:
+                raise InvalidParametersError("windowed opening requires a finite window >= 0")
         if self.variant == EXP_RAMP:
-            if self.ramp_time is None or not self.ramp_time > 0:
-                raise InvalidParametersError("exp_ramp requires ramp_time > 0")
+            if self.ramp_time is None or not 0 < self.ramp_time < math.inf:
+                raise InvalidParametersError("exp_ramp requires a finite ramp_time > 0")
             if self.inner is None or self.inner.variant == EXP_RAMP:
                 raise InvalidParametersError("exp_ramp requires a non-ramp inner profile")
 

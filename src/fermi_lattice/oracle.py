@@ -23,7 +23,7 @@ from .amplitude import bare_amplitude
 from .causality import row_blocks
 from .dressing import StateExpansion, dressed_ground_state
 from .errors import InvalidParametersError, NumericalFailureError
-from .modes import ModeBasis, Scenario
+from .modes import ModeBasis, Scenario, checked_times
 from .openings import CONSTANT, OpeningFunction
 from .quadrature import cis
 
@@ -201,7 +201,9 @@ class _Recorder:
         if self.psi.shape != (action.dimension,):
             raise InvalidParametersError(f"initial state needs shape ({action.dimension},), "
                                          f"got {self.psi.shape}")
-        self.times = _record_times(times)
+        self.times = checked_times(times, "record times", increasing=True)
+        if self.times.size == 0:
+            raise InvalidParametersError("record times must not be empty")
         self.vectors = projections or {}
         self.projections = {name: np.empty(self.times.size, dtype=complex)
                             for name in self.vectors}
@@ -279,14 +281,6 @@ def _auto_dt(action: HamiltonianAction, t_span: float) -> float:
     # keep the accumulated RK4 norm loss (~ n_steps (lam dt)^6 / 144) at target
     drift_bound = (144.0 * NORM_DRIFT_TARGET / (max(t_span, 1e-12) * lam_max**6)) ** 0.2
     return min(recommended_dt(action), drift_bound)
-
-
-def _record_times(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    # the prepended -inf lets a lone NaN fail too
-    if times.ndim != 1 or times.size < 1 or not np.all(np.diff(times, prepend=-np.inf) > 0):
-        raise InvalidParametersError("record times must be strictly increasing")
-    return times
 
 
 def evolve(action: HamiltonianAction, initial: np.ndarray, times,
@@ -404,13 +398,14 @@ def exact_swap_amplitude(basis: ModeBasis, scenario: Scenario, times,
     swap states for later calls on the same basis and scenario up to
     epsilon: none of them depends on epsilon, which each call sets with
     its own scenario."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or not np.all(times >= 0):
-        raise InvalidParametersError("amplitude times must be >= 0")
+    times = checked_times(times, "amplitude times")
+    if times.size == 0:
+        raise InvalidParametersError("amplitude times must not be empty")
     static = scenario.opening_a.variant == scenario.opening_b.variant == CONSTANT
     # the amplitude is defined from t = 0, so the evolution must start there
     prepend = times[0] > 0.0
-    grid = _record_times(np.concatenate(([0.0], times)) if prepend else times)
+    grid = checked_times(np.concatenate(([0.0], times)) if prepend else times,
+                         "record times", increasing=True)
     builds = {} if builds is None else builds
     if max_total_phonons not in builds:
         check_fock_size(basis.n_modes, scenario, max_total_phonons)

@@ -161,20 +161,40 @@ def _evolve(basis, scenario, times):
     return evolve(build_hamiltonian(basis, scenario, fock), fock.basis_state(1, 0), times)
 
 
-@pytest.mark.parametrize("entry, match", [
-    (bare_amplitude, ">= 0"),
-    (lambda b, sc, t: dressed_amplitude(b, sc, DressingScheme.SIGMA_X, t), ">= 0"),
-    (lambda b, sc, t: single_site_distributions(b, sc, DressingScheme.SIGMA_X, t), ">= 0"),
-    (lambda b, sc, t: exact_swap_amplitude(b, sc, t, 2), ">= 0"),
-    (lambda b, sc, t: causality_trace(b, 0, 1, t), "strictly increasing"),
-    (_evolve, "strictly increasing"),
+# every library entry that takes a time grid, the rule its refusal names, and
+# whether it refuses an empty grid (the oracle's, which have no start time)
+TIME_ENTRIES = pytest.mark.parametrize("entry, match, refuses_empty", [
+    (bare_amplitude, ">= 0", False),
+    (lambda b, sc, t: dressed_amplitude(b, sc, DressingScheme.SIGMA_X, t), ">= 0", False),
+    (lambda b, sc, t: single_site_distributions(b, sc, DressingScheme.SIGMA_X, t), ">= 0", False),
+    (lambda b, sc, t: exact_swap_amplitude(b, sc, t, 2), ">= 0", True),
+    (lambda b, sc, t: causality_trace(b, 0, 1, t), "strictly increasing", False),
+    (_evolve, "strictly increasing", True),
 ], ids=["bare", "dressed", "cloud", "exact_swap", "causality_trace", "evolve"])
-def test_nan_times_rejected(chain3, entry, match):
-    # every comparison with NaN is false, so each check must fail on it
+
+
+@TIME_ENTRIES
+def test_nan_times_rejected(chain3, entry, match, refuses_empty):
+    # every comparison with NaN is false and +-inf passes a one-sided bound,
+    # so each check must test finiteness.  +inf is refused even where a
+    # window's profile, 0 past its end, would give a finite saturated value
     sc = Scenario.symmetric(0, 1, 2.0, 1e-2, OpeningFunction.sin_sq_window(0.1), 0.1)
-    for times in ([0.0, np.nan], [np.nan]):
-        with pytest.raises(ValueError, match=match):
+    for times in ([0.0, np.nan], [np.nan], [0.0, np.inf], [np.inf], [-np.inf, 0.0]):
+        with pytest.raises(InvalidParametersError, match=f"finite and {match}"):
             entry(chain3, sc, np.array(times))
+
+
+@TIME_ENTRIES
+def test_empty_times_keep_their_handling(chain3, entry, match, refuses_empty):
+    sc = Scenario.symmetric(0, 1, 2.0, 1e-2, OpeningFunction.sin_sq_window(0.1), 0.1)
+    if refuses_empty:
+        with pytest.raises(InvalidParametersError, match="must not be empty"):
+            entry(chain3, sc, np.array([]))
+        return
+    out = entry(chain3, sc, np.array([]))
+    # a trace's total or f_c, or the two clouds of shape (0, n_sites)
+    parts = out if isinstance(out, tuple) else (getattr(out, "total", getattr(out, "f_c", None)),)
+    assert all(part.shape[0] == 0 for part in parts)
 
 
 # ------------------------------------------------- per-mode kernels

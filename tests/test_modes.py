@@ -16,6 +16,7 @@ from fermi_lattice import (
     causality_trace,
     equilibrium_positions,
 )
+from fermi_lattice.causality import lightcone_estimate
 from fermi_lattice.modes import _trap_hessian
 
 from conftest import dense_couplings
@@ -157,6 +158,11 @@ def test_array_holding_results_compare_by_identity():
 def test_chain_row_checks_canonical_normalization():
     with pytest.raises(InvalidParametersError, match="canonical normalization"):
         ModeBasis(2, np.array([1.0, 2.0]), np.eye(2, dtype=complex))
+    with pytest.raises(InvalidParametersError, match="canonical normalization"):
+        ModeBasis(2, np.array([1.0, 2.0]), np.full((2, 2), np.nan, dtype=complex))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidParametersError, match="finite and > 0"):
+            ModeBasis(2, np.array([1.0, bad]), np.eye(2, dtype=complex))
 
 
 def table_gather_row(basis, n):
@@ -364,18 +370,32 @@ def test_scenario_validation():
 
 
 def test_scenario_and_opening_reject_nan():
+    # NaN fails every comparison and +-inf passes a one-sided one, so each
+    # check must be two-sided; a negative splitting stays legal (traps)
     op = OpeningFunction.constant()
-    nan = float("nan")
-    with pytest.raises(InvalidParametersError, match="epsilon"):
-        Scenario(0, 1, 1.0, 1.0, nan, op, op, 1.0)
-    with pytest.raises(InvalidParametersError, match="duration"):
-        Scenario(0, 1, 1.0, 1.0, 1.0, op, op, nan)
-    with pytest.raises(InvalidParametersError, match="window"):
-        OpeningFunction.sin_sq_window(nan)
-    with pytest.raises(InvalidParametersError, match="window"):
-        OpeningFunction.cos_sq_window(nan)
-    with pytest.raises(InvalidParametersError, match="ramp_time"):
-        OpeningFunction.exp_ramp_then(nan, op)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidParametersError, match="epsilon"):
+            Scenario(0, 1, 1.0, 1.0, bad, op, op, 1.0)
+        with pytest.raises(InvalidParametersError, match="duration"):
+            Scenario(0, 1, 1.0, 1.0, 1.0, op, op, bad)
+        with pytest.raises(InvalidParametersError, match="omega_a and omega_b"):
+            Scenario(0, 1, bad, 1.0, 1.0, op, op, 1.0)
+        with pytest.raises(InvalidParametersError, match="omega_a and omega_b"):
+            Scenario(0, 1, 1.0, bad, 1.0, op, op, 1.0)
+        with pytest.raises(InvalidParametersError, match="window"):
+            OpeningFunction.sin_sq_window(bad)
+        with pytest.raises(InvalidParametersError, match="window"):
+            OpeningFunction.cos_sq_window(bad)
+        with pytest.raises(InvalidParametersError, match="ramp_time"):
+            OpeningFunction.exp_ramp_then(bad, op)
+        for name in ("length", "pinning", "speed"):
+            with pytest.raises(InvalidParametersError, match=name):
+                ChainParams(10, **{name: bad})
+        with pytest.raises(InvalidParametersError, match="omega0"):
+            TrapParams(2, bad)
+        with pytest.raises(ValueError, match="tau_max"):
+            lightcone_estimate(build_harmonic_chain(ChainParams(10)), 0, 3, bad)
+    assert Scenario(0, 1, -1.0, -2.0, 1.0, op, op, 1.0).omega_b == -2.0
 
 
 def test_opening_values_and_support():

@@ -442,7 +442,9 @@ def no_hamiltonian(monkeypatch):
 @pytest.mark.parametrize("times, match", [
     ([-1.0], ">= 0"),
     ([0.2, 0.1], "strictly increasing"),
-], ids=["negative-time", "decreasing-times"])
+    ([0.0, float("inf")], "finite"),
+    ([], "must not be empty"),
+], ids=["negative-time", "decreasing-times", "infinite-time", "no-times"])
 def test_swap_amplitude_checks_its_inputs_before_the_build(no_hamiltonian, times, match):
     basis, scenario = make()
     with pytest.raises(InvalidParametersError, match=match):
