@@ -370,8 +370,8 @@ def test_scenario_validation():
 
 
 def test_scenario_and_opening_reject_nan():
-    # NaN fails every comparison and +-inf passes a one-sided one, so each
-    # check must be two-sided; a negative splitting stays legal (traps)
+    # NaN fails every comparison and an infinity passes a one-sided bound, so
+    # each check must be two-sided; a negative splitting stays legal (traps)
     op = OpeningFunction.constant()
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(InvalidParametersError, match="epsilon"):
